@@ -43,7 +43,6 @@ from .geometry import (
 from .pml import PmlConfig, apply_pml, sigma_profile, stretch_factor
 from .krylov import KrylovOptions, KrylovReport, gmres
 from .propagators import (
-    SchemeConfig,
     StepWorkspace,
     cn_operator_apply,
     cn_transport_step,

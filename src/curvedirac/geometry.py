@@ -4,7 +4,7 @@ A model turns a chosen background into the three ingredients the propagation
 schemes consume:
 
 * per-axis velocity fields a^i(x) multiplying the transport operators,
-* the local potential matrix M(t, x) applied in the half steps,
+* the local potential matrix M(x) applied in the half steps,
 * the covariant-norm weight w(x) for the conserved diagnostic norm.
 
 Profiles and potentials are closed forms with analytic gradients; no finite
@@ -181,10 +181,6 @@ class MetricModel:
     def dimension(self):
         return {"flat": None, "static1d": 1, "static2d": 2, "graphene": 1}[self.kind]
 
-    @property
-    def time_dependent(self):
-        return False  # all built-in profiles are static in time
-
     def check_grid(self, grid: Grid):
         want = self.dimension
         if want is not None and grid.d != want:
@@ -229,9 +225,8 @@ def connection_fields(model: MetricModel, grid: Grid):
 
 @dataclass
 class PotentialField:
-    """Sampled local potential M(t, x) in the split form beta*G + alpha.Gvec + scalar*I."""
+    """Sampled local potential M(x) in the split form beta*G + alpha.Gvec + scalar*I."""
 
-    t: float
     spinor_dim: int
     G: np.ndarray          # coefficient of beta
     Gvec: tuple            # up to three alpha coefficients (arrays or scalars)
@@ -254,8 +249,8 @@ class PotentialField:
         return np.broadcast_to(out, (S, S) + shape).copy()
 
 
-def potential_field(model: MetricModel, grid: Grid, t: float = 0.0) -> PotentialField:
-    """M(t, x) sampled at the grid nodes (Hermitian for all built-in models)."""
+def potential_field(model: MetricModel, grid: Grid) -> PotentialField:
+    """M(x) sampled at the grid nodes (Hermitian for all built-in models)."""
     model.check_grid(grid)
     coords = grid.meshes()
     S = model.spinor_dim
@@ -265,17 +260,17 @@ def potential_field(model: MetricModel, grid: Grid, t: float = 0.0) -> Potential
         scal = model.v_pot.value(*coords) if model.v_pot.name != "zero" else zero
         ax = model.ax_pot.value(*coords) if model.ax_pot.name != "zero" else 0.0
         gvec = (-np.asarray(ax) if np.ndim(ax) else 0.0, 0.0, 0.0)
-        return PotentialField(t, S, G, gvec, scal)
+        return PotentialField(S, G, gvec, scal)
     if model.kind == "graphene":
         x = coords[0]
         f = graphene_f(x, model.a0, model.k0, model.ell)
         a = 1.0 / (1.0 - f)
         v = model.v_pot.value(x) if model.v_pot.name != "zero" else zero
         axp = model.ax_pot.value(x) if model.ax_pot.name != "zero" else zero
-        return PotentialField(t, S, model.mass - v, (-a * axp, 0.0, 0.0), zero)
+        return PotentialField(S, model.mass - v, (-a * axp, 0.0, 0.0), zero)
     # static diagonal metrics: M = e^{Phi} sigma^3 m
     G = np.exp(model.phi.value(*coords)) * model.mass
-    return PotentialField(t, S, np.asarray(G, dtype=float), (0.0, 0.0, 0.0), zero)
+    return PotentialField(S, np.asarray(G, dtype=float), (0.0, 0.0, 0.0), zero)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:

@@ -116,10 +116,6 @@ class SpinorField:
         return bool(np.all(np.isfinite(self.values)))
 
 
-def zeros_like(f: SpinorField) -> SpinorField:
-    return SpinorField(np.zeros_like(f.values), f.grid)
-
-
 def forward_dft_axis(f: SpinorField, axis: int) -> SpinorField:
     """Partial discrete Fourier transform along one spatial axis (unnormalized)."""
     _check_axis(f.grid, axis)
@@ -148,9 +144,8 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return -(xi * xi).astype(np.complex128)
 
 
-def derivative_values(values: np.ndarray, grid: Grid, axis: int, order: int = 1) -> np.ndarray:
-    """Spectral derivative on a raw (S, N1[, N2]) array."""
-    mult = derivative_multiplier(grid, axis, order)
+def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
+    """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array."""
     shape = [1] * values.ndim
     shape[1 + axis] = mult.size
     vhat = np.fft.fft(values, axis=1 + axis)
@@ -160,7 +155,8 @@ def derivative_values(values: np.ndarray, grid: Grid, axis: int, order: int = 1)
 
 def spectral_derivative(f: SpinorField, axis: int, order: int = 1) -> SpinorField:
     """Pseudospectral derivative: multiply mode p by (i xi_p)^order, transform back."""
-    return SpinorField(derivative_values(f.values, f.grid, axis, order), f.grid)
+    mult = derivative_multiplier(f.grid, axis, order)
+    return SpinorField(derivative_values(f.values, axis, mult), f.grid)
 
 
 def dense_diff_matrix(N: int, a: float) -> np.ndarray:

@@ -4,12 +4,16 @@ A run is described by a RunConfig, which round-trips losslessly through the
 line-based ``section.key = value`` text format (see `parse_config` /
 `serialize_config`).  `run_simulation` advances the configured scheme over the
 horizon, recording per-step norms (the plain l2 norm and the covariant
-weighted norm) and optionally writing CSV snapshots.
+weighted norm) and optionally writing CSV snapshots.  Every failure inside a
+step (a stalled or non-finite transport solve, a non-finite field norm) ends
+the run as a SimulationError, with the diagnostics file written first when
+the run has an output directory.
 
-Six presets named exp1..exp6 ship with the package: two 1-D static-metric
-benchmarks, a 2-D static-metric wavepacket, two rippled-graphene runs with
-external potentials, and a graphene run with an absorbing layer.  Each comes
-in a 'paper' scale and a cheaper 'ci' scale.
+Six presets named exp1..exp6 ship with the package as ``presets/<name>.cfg``:
+two 1-D static-metric benchmarks, a 2-D static-metric wavepacket, two
+rippled-graphene runs with external potentials, and a graphene run with an
+absorbing layer.  The files hold the 'paper' scale; the cheaper 'ci' scale
+changes only the grid size N and the horizon T.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationError, StepFailureError
-from .geometry import MetricModel, ScalarForm, ZERO_FORM, gamma_weight, parse_form
+from .errors import ConfigurationError, KrylovError, SimulationError, StepFailureError
+from .geometry import MetricModel, ZERO_FORM, gamma_weight, parse_form
 from .grid_spectral import Grid, SpinorField, make_grid
 from .krylov import KrylovOptions
 from .pml import PmlConfig
-from .propagators import SCHEMES, SchemeConfig, StepWorkspace, strang_step
+from .propagators import SCHEMES, StepWorkspace, strang_step
 
 IC_KINDS = ("gaussian_wavepacket", "graphene_pair", "custom")
 BINARY_SNAPSHOT_THRESHOLD = 256 * 256  # 2-D fields above this go to .dcrv
@@ -71,6 +76,10 @@ class RunConfig:
         object.__setattr__(self, "N", tup(self.N, int))
         object.__setattr__(self, "ic_k0", tup(self.ic_k0, float))
         object.__setattr__(self, "ic_x0", tup(self.ic_x0, float))
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{self.scheme}'")
+        if not self.dt > 0:
+            raise ConfigurationError(f"time step dt must be positive, got {self.dt}")
 
     def grid(self) -> Grid:
         return make_grid(self.d, self.a, self.N)
@@ -79,9 +88,6 @@ class RunConfig:
         if self.T <= 0:
             return 0
         return int(math.ceil(self.T / self.dt - 1e-9))
-
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(self.scheme, self.dt, self.steps(), self.stride)
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -464,7 +470,6 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     model = cfg.metric
     psi = initial_condition(cfg, grid)
     weight = gamma_weight(model, grid)
-    scheme = cfg.scheme_config()
 
     out_dir = cfg.out_dir
     snapshots = []
@@ -483,36 +488,24 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
     nsteps = cfg.steps()
     ws = StepWorkspace(model, grid, cfg.dt, cfg.pml) if nsteps else None
-    ws_short = None
     t = 0.0
     for n in range(1, nsteps + 1):
-        dt_n = cfg.dt
+        active = ws
         if n == nsteps:
             rem = cfg.T - (nsteps - 1) * cfg.dt
             if abs(rem - cfg.dt) > 1e-12 * cfg.dt:
-                dt_n = rem
-        if dt_n != cfg.dt:
-            if ws_short is None or ws_short.dt != dt_n:
-                ws_short = StepWorkspace(model, grid, dt_n, cfg.pml)
-            active = ws_short
-        else:
-            active = ws
-        active.refresh(t + 0.5 * dt_n)
-        step_cfg = scheme if dt_n == cfg.dt else SchemeConfig(cfg.scheme, dt_n)
+                active = StepWorkspace(model, grid, rem, cfg.pml)
         try:
-            psi = strang_step(psi, step_cfg, active, cfg.krylov)
-        except StepFailureError as exc:
+            psi = strang_step(psi, cfg.scheme, active, cfg.krylov)
+            l2 = l2_norm(psi)
+            if not np.isfinite(l2):
+                raise StepFailureError("non-finite field norm")
+        except (StepFailureError, KrylovError) as exc:
             if out_dir:
                 write_diagnostics(records, os.path.join(out_dir, "diagnostics.csv"))
             raise SimulationError(
                 f"step {n}: {exc}", step=n - 1, diagnostics=records) from exc
-        t += dt_n
-        l2 = l2_norm(psi)
-        if not np.isfinite(l2):
-            if out_dir:
-                write_diagnostics(records, os.path.join(out_dir, "diagnostics.csv"))
-            raise SimulationError(
-                f"step {n}: non-finite field norm", step=n - 1, diagnostics=records)
+        t += active.dt
         kit = active.last_krylov.iterations if active.last_krylov is not None else None
         records.append(DiagnosticsRecord(n, t, l2, gamma_norm(psi, weight), kit))
         if cfg.stride > 0 and (n % cfg.stride == 0 or n == nsteps):
@@ -542,7 +535,6 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
     'param,error'.
     """
     from . import oracle
-    from .errors import BudgetError
 
     if sweep not in ("h", "dt"):
         raise ConfigurationError("sweep must be 'h' or 'dt'")
@@ -551,10 +543,7 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
         raise ConfigurationError("sweep values must be strictly decreasing")
 
     def run_guarded(rcfg):
-        steps = max(1, int(math.ceil(rcfg.T / rcfg.dt)))
-        cost = steps * int(np.prod(rcfg.N))
-        if budget is not None and cost > budget:
-            raise BudgetError(f"sweep reference would cost {cost:.3g} node-steps")
+        oracle.check_budget(rcfg, budget)
         return run_simulation(rcfg)
 
     rows = []
@@ -592,71 +581,28 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
 # presets
 
 
-PRESET_NAMES = ("exp1", "exp2", "exp3", "exp4", "exp5", "exp6")
+# What the 'ci' scale changes in each paper-scale preset file.
+_CI_SCALE = {
+    "exp1": {"N": (512,)},
+    "exp2": {"N": (512,), "T": 0.5},
+    "exp3": {"N": (128, 128), "T": 1.14e-2},
+    "exp4": {"N": (1000,)},
+    "exp5": {},
+    "exp6": {},
+}
+PRESET_NAMES = tuple(_CI_SCALE)
 
 
 def preset_config(name: str, scale: str = "ci") -> RunConfig:
-    """Named experiment configuration at 'paper' or 'ci' scale."""
+    """Named experiment configuration at 'paper' or 'ci' scale.
+
+    The paper scale is ``presets/<name>.cfg`` as shipped; 'ci' changes only
+    the grid size N and the horizon T.
+    """
     if scale not in ("ci", "paper"):
         raise ConfigurationError("scale must be 'ci' or 'paper'")
-    ci = scale == "ci"
-    if name == "exp1":
-        # 1-D static metric, Gaussian bump profiles, massive packet
-        return RunConfig(
-            d=1, a=(5.0,), N=(512 if ci else 18027,),
-            metric=MetricModel("static1d", mass=1.0,
-                               phi=ScalarForm("gauss", (1.0, 5e-3)),
-                               psi=ScalarForm("gauss", (1.0, 1e-2))),
-            scheme="cn", dt=5e-4, T=0.5,
-            ic_kind="gaussian_wavepacket", ic_k0=(5.0,), stride=100,
-        )
-    if name == "exp2":
-        # 1-D static metric with an oscillatory spatial profile
-        return RunConfig(
-            d=1, a=(5.0,), N=(512 if ci else 20001,),
-            metric=MetricModel("static1d", mass=1.0,
-                               phi=ScalarForm("gauss", (1.0, 1e-2)),
-                               psi=ScalarForm("cosgauss", (1.0, 0.1, 1e-2))),
-            scheme="cn", dt=5e-4, T=0.5 if ci else 1.0,
-            ic_kind="gaussian_wavepacket", ic_k0=(5.0,), stride=200,
-        )
-    if name == "exp3":
-        # 2-D static metric, diagonal boosted wavepacket, explicit scheme
-        return RunConfig(
-            d=2, a=(5.0, 5.0), N=(128, 128) if ci else (512, 512),
-            metric=MetricModel("static2d", mass=1.0,
-                               phi=ScalarForm("gauss", (1.0, 1e-2)),
-                               psi=ScalarForm("gauss", (1.0, 5e-3))),
-            scheme="poly1", dt=1.14e-4, T=1.14e-2 if ci else 4.56e-2,
-            ic_kind="gaussian_wavepacket", ic_k0=(5.0, 5.0), stride=25,
-        )
-    if name == "exp4":
-        # rippled graphene with linear external potentials
-        return RunConfig(
-            d=1, a=(10.0,), N=(1000 if ci else 2000,),
-            metric=MetricModel("graphene", mass=0.0, a0=0.4, k0=2.0, ell=5.0,
-                               ax_pot=ScalarForm("linear", (5.0,)),
-                               v_pot=ScalarForm("linear", (5.0,))),
-            scheme="cn", dt=1e-2, T=1.6,
-            ic_kind="graphene_pair", ic_beta=2.0, stride=40,
-        )
-    if name == "exp5":
-        # stronger straining, quadratic vector potential
-        return RunConfig(
-            d=1, a=(5.0,), N=(1000,),
-            metric=MetricModel("graphene", mass=0.0, a0=0.4, k0=5.0, ell=10.0,
-                               ax_pot=ScalarForm("quadratic", (10.0,)),
-                               v_pot=ScalarForm("inv_abs_one", (1.0,))),
-            scheme="cn", dt=1e-2, T=0.8,
-            ic_kind="graphene_pair", ic_beta=2.0, stride=20,
-        )
-    if name == "exp6":
-        # massless graphene with a type-I absorbing layer
-        return RunConfig(
-            d=1, a=(4.5,), N=(900,),
-            metric=MetricModel("graphene", mass=0.0, a0=0.4, k0=2.0, ell=5.0),
-            scheme="cn", dt=1e-2, T=4.0,
-            pml=PmlConfig(enabled=True, profile="I", sigma0=1.0, theta=0.0, fraction=0.1),
-            ic_kind="graphene_pair", ic_beta=2.0, stride=75,
-        )
-    raise ConfigurationError(f"unknown preset '{name}' (expected one of {PRESET_NAMES})")
+    if name not in _CI_SCALE:
+        raise ConfigurationError(f"unknown preset '{name}' (expected one of {PRESET_NAMES})")
+    path = resources.files(__package__) / "presets" / f"{name}.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    return cfg.replace(**_CI_SCALE[name]) if scale == "ci" else cfg

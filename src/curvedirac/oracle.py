@@ -85,6 +85,20 @@ def restrict_to_coarse(fine: SpinorField, coarse_grid: Grid) -> SpinorField:
     return SpinorField(fine.values[sl].copy(), coarse_grid)
 
 
+def check_budget(cfg, budget: int | None):
+    """Raise BudgetError when a run of cfg would exceed `budget` node-steps.
+
+    The cost is max(1, steps) * prod(N); a budget of None disables the guard.
+    """
+    if budget is None:
+        return
+    cost = max(1, cfg.steps()) * int(np.prod(cfg.N))
+    if cost > budget:
+        raise BudgetError(
+            f"reference run would cost {cost:.3g} node-steps (> budget {budget:.3g})"
+        )
+
+
 def reference_run(cfg, refine: int, budget: int = DEFAULT_NODE_STEP_BUDGET):
     """Run the same scheme on the refined configuration (self-reference).
 
@@ -94,10 +108,5 @@ def reference_run(cfg, refine: int, budget: int = DEFAULT_NODE_STEP_BUDGET):
     from . import harness  # runtime import: harness drives the solver
 
     rcfg = refine_config(cfg, refine)
-    steps = int(np.ceil(rcfg.T / rcfg.dt)) if rcfg.T > 0 else 1
-    cost = steps * int(np.prod(rcfg.N))
-    if cost > budget:
-        raise BudgetError(
-            f"reference run would cost {cost:.3g} node-steps (> budget {budget:.3g})"
-        )
+    check_budget(rcfg, budget)
     return harness.run_simulation(rcfg)

@@ -6,7 +6,7 @@ One step advances psi by dt as
     half potential -> [connection factor] -> transport -> [connection factor] -> half potential
 
 where the half-potential stage is the exact pointwise exponential
-exp(-i dt/2 M(t_{n+1/2}, x)) (unitary whenever M is Hermitian) and the
+exp(-i dt/2 M(x)) (unitary whenever M is Hermitian) and the
 connection factor exp(-dt/2 sum_i a c^i alpha^i) carries the anti-Hermitian
 spin-connection term of the static metrics, split symmetrically so the overall
 order-2 accuracy is preserved.
@@ -15,8 +15,9 @@ Transport variants:
 
 * ``cn``    semi-implicit Cayley form: solve (I + dt/2 a.alpha.[[grad]]) psi* =
             (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES.
-* ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted in
-            the alpha^i eigenbasis; explicit, one FFT pair per axis.
+* ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted,
+            the shift taken in the alpha^i eigenbasis; explicit, one FFT pair
+            per axis.
 * ``poly2`` poly1 plus the explicit dt^2 a [[d_i^2]] correction applied to the
             shifted field.  Note the correction term is explicit, so unlike
             poly1 this variant is subject to a dt * xi_max < sqrt(2) restriction.
@@ -27,32 +28,16 @@ complex stretch fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
 from .geometry import MetricModel, connection_fields, potential_field, velocity_fields
-from .grid_spectral import Grid, SpinorField, derivative_multiplier
+from .grid_spectral import Grid, SpinorField, derivative_multiplier, derivative_values
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import alpha_matrix, diagonalize_alpha, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
-
-
-@dataclass
-class SchemeConfig:
-    scheme: str
-    dt: float
-    steps: int = 0
-    snapshot_stride: int = 0
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-        if self.dt <= 0:
-            raise ConfigurationError("time step dt must be positive")
 
 
 def _spin_matmul(mat, values):
@@ -66,19 +51,16 @@ class StepWorkspace:
     """Precomputed per-step data: potential exponentials, stretched velocities,
     alpha diagonalizations, directional phases, connection factors.
 
-    Potentials of the built-in models are static, so the workspace is built
-    once; `refresh` re-samples the half-potential exponential only when the
-    model declares time dependence or the midpoint time actually changed.
+    Potentials of the built-in models are static, so one workspace serves
+    every step of size dt.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
-                 pml: PmlConfig | None = None, t_half: float = 0.0):
+                 pml: PmlConfig | None = None):
         model.check_grid(grid)
-        self.model = model
         self.grid = grid
         self.dt = float(dt)
         self.S = model.spinor_dim
-        self.pml = pml
 
         self.vel = velocity_fields(model, grid)
         if pml is not None and pml.enabled:
@@ -106,36 +88,18 @@ class StepWorkspace:
         else:
             self.conn_half = None
 
-        self.t_half = None
-        self.exp_half = None
-        self.refresh(t_half, force=True)
-        self.last_krylov = None
-
-    def refresh(self, t_half: float, force: bool = False):
-        if not force and not self.model.time_dependent and self.exp_half is not None:
-            return
-        if not force and self.t_half == t_half:
-            return
-        pot = potential_field(self.model, self.grid, t_half)
+        pot = potential_field(model, grid)
         tau = 0.5 * self.dt
         phase = np.exp(-1j * tau * np.asarray(pot.scalar))
         self.exp_half = exp_dirac(
             -tau * np.asarray(pot.G), [-tau * np.asarray(g) for g in pot.Gvec], self.S
         ) * phase
-        self.t_half = t_half
+        self.last_krylov = None
 
 
 def half_potential_step(f: SpinorField, ws: StepWorkspace) -> SpinorField:
     """Pointwise product with exp(-i dt/2 M) at every node."""
     return SpinorField(_spin_matmul(ws.exp_half, f.values), f.grid)
-
-
-def _axis_derivative(values, ws, axis, mult):
-    shape = [1] * values.ndim
-    shape[1 + axis] = mult.size
-    vhat = np.fft.fft(values, axis=1 + axis)
-    vhat *= mult.reshape(shape)
-    return np.fft.ifft(vhat, axis=1 + axis)
 
 
 def cn_operator_apply(f: SpinorField, ws: StepWorkspace, sign: int) -> SpinorField:
@@ -147,7 +111,7 @@ def _cn_apply_values(values, ws, sign):
     out = values.copy()
     coef = sign * 0.5 * ws.dt
     for i in range(ws.grid.d):
-        dv = _axis_derivative(values, ws, i, ws.d1_mult[i])
+        dv = derivative_values(values, i, ws.d1_mult[i])
         out += coef * ws.a_eff[i] * _spin_matmul(ws.alpha[i], dv)
     return out
 
@@ -169,29 +133,11 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     return SpinorField(x, f.grid)
 
 
-def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
-    """One directional step of the exponential blend scheme.
+def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool) -> SpinorField:
+    """The directional sweep shared by poly1 and poly2:
 
-    In the alpha^i eigenbasis: phi' = a * F^-1[exp(-i dt Lam xi) F phi] + (1-a) phi.
-    """
-    Pi = ws.diag[axis].Pi
-    phi = _spin_matmul(Pi.conj().T, f.values)
-    shape = [1] * phi.ndim
-    shape[0] = ws.S
-    shape[1 + axis] = ws.grid.N[axis]
-    phase = ws.poly_phase[axis].reshape(shape)
-    shifted = np.fft.ifft(phase * np.fft.fft(phi, axis=1 + axis), axis=1 + axis)
-    a = ws.a_eff[axis]
-    blended = a * shifted + (1.0 - a) * phi
-    return SpinorField(_spin_matmul(Pi, blended), f.grid)
-
-
-def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
-    """Directional step with the explicit dt^2 second-derivative correction:
-
-        psi' = a Xi + (1 - a) psi + a dt^2 [[d_i^2]] Xi,
-
-    Xi being the exponentially shifted field mapped back to the spinor basis.
+        Xi = Pi F^-1[exp(-i dt Lam xi) F Pi^dagger psi],
+        psi' = a Xi + (1 - a) psi [+ dt^2 a [[d_i^2]] Xi for poly2].
     """
     Pi = ws.diag[axis].Pi
     phi = _spin_matmul(Pi.conj().T, f.values)
@@ -201,23 +147,39 @@ def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField
     phase = ws.poly_phase[axis].reshape(shape)
     shifted = np.fft.ifft(phase * np.fft.fft(phi, axis=1 + axis), axis=1 + axis)
     xi = _spin_matmul(Pi, shifted)
-    d2 = _axis_derivative(xi, ws, axis, ws.d2_mult[axis])
     a = ws.a_eff[axis]
-    out = a * xi + (1.0 - a) * f.values + (ws.dt ** 2) * a * d2
+    out = a * xi + (1.0 - a) * f.values
+    if second_order:
+        out += (ws.dt ** 2) * a * derivative_values(xi, axis, ws.d2_mult[axis])
     return SpinorField(out, f.grid)
 
 
-def strang_step(f: SpinorField, cfg: SchemeConfig, ws: StepWorkspace,
+def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
+    """One directional step of the exponential blend scheme (poly1)."""
+    return _poly_sweep(f, axis, ws, second_order=False)
+
+
+def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
+    """Directional step with the explicit dt^2 second-derivative correction (poly2)."""
+    return _poly_sweep(f, axis, ws, second_order=True)
+
+
+def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
                 krylov: KrylovOptions | None = None) -> SpinorField:
-    """One full Strang step; the Krylov report (CN only) lands on ws.last_krylov."""
+    """One full Strang step of size ws.dt with the named transport scheme.
+
+    The Krylov report (cn only) lands on ws.last_krylov.
+    """
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
     ws.last_krylov = None
     f = half_potential_step(f, ws)
     if ws.conn_half is not None:
         f = SpinorField(_spin_matmul(ws.conn_half, f.values), f.grid)
-    if cfg.scheme == "cn":
+    if scheme == "cn":
         f = cn_transport_step(f, ws, krylov)
     else:
-        step = poly_axis_step if cfg.scheme == "poly1" else poly_axis_step2
+        step = poly_axis_step if scheme == "poly1" else poly_axis_step2
         for axis in range(ws.grid.d):
             f = step(f, axis, ws)
     if ws.conn_half is not None:

@@ -113,10 +113,35 @@ def test_config_round_trip(name, scale):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+# (scheme, dt, N paper, N ci, T paper, T ci) as the paper runs them
+PRESET_TABLE = {
+    "exp1": ("cn", 5e-4, (18027,), (512,), 0.5, 0.5),
+    "exp2": ("cn", 5e-4, (20001,), (512,), 1.0, 0.5),
+    "exp3": ("poly1", 1.14e-4, (512, 512), (128, 128), 4.56e-2, 1.14e-2),
+    "exp4": ("cn", 1e-2, (2000,), (1000,), 1.6, 1.6),
+    "exp5": ("cn", 1e-2, (1000,), (1000,), 0.8, 0.8),
+    "exp6": ("cn", 1e-2, (900,), (900,), 4.0, 4.0),
+}
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_shipped_preset_files_parse_to_paper_scale(name):
-    text = resources.files("curvedirac.presets").joinpath(f"{name}.cfg").read_text()
-    assert parse_config(text) == preset_config(name, "paper")
+    scheme, dt, n_paper, n_ci, t_paper, t_ci = PRESET_TABLE[name]
+    text = (resources.files("curvedirac") / "presets" / f"{name}.cfg").read_text()
+    cfg = parse_config(text)
+    assert (cfg.scheme, cfg.N, cfg.dt, cfg.T) == (scheme, n_paper, dt, t_paper)
+    cfg = preset_config(name, "ci")
+    assert (cfg.scheme, cfg.N, cfg.dt, cfg.T) == (scheme, n_ci, dt, t_ci)
+
+
+def test_preset_names_are_the_shipped_files():
+    shipped = {p.name[:-4] for p in (resources.files("curvedirac") / "presets").iterdir()
+               if p.name.endswith(".cfg")}
+    assert shipped == set(PRESET_NAMES) == set(PRESET_TABLE)
+    with pytest.raises(ConfigurationError, match="unknown preset"):
+        preset_config("exp7")
+    with pytest.raises(ConfigurationError, match="scale"):
+        preset_config("exp1", "huge")
 
 
 # ----------------------------------------------------------------- initial data
@@ -206,6 +231,22 @@ def test_simulation_halts_on_krylov_failure():
         run_simulation(cfg)
     assert err.value.step == 0
     assert len(err.value.diagnostics) == 1
+
+
+@pytest.mark.parametrize("scheme", ["cn", "poly1"])
+def test_nan_in_initial_field_halts_with_diagnostics(tmp_path, scheme):
+    # cn meets the NaN inside GMRES, poly1 in the field norm after the step
+    cfg = preset_config("exp5", "ci").replace(scheme=scheme, stride=0)
+    f0 = initial_condition(cfg, cfg.grid())
+    f0.values[0, 500] = np.nan
+    ic = write_snapshot(f0, str(tmp_path / "ic.csv"))
+    out = tmp_path / "out"
+    cfg = cfg.replace(ic_kind="custom", ic_path=ic, out_dir=str(out))
+    with pytest.raises(SimulationError) as err:
+        run_simulation(cfg)
+    assert err.value.step == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,0.0,nan,nan,")
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

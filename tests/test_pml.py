@@ -6,7 +6,7 @@ from curvedirac.geometry import MetricModel
 from curvedirac.grid_spectral import make_grid
 from curvedirac.harness import RunConfig, initial_condition, run_simulation
 from curvedirac.pml import PROFILES, PmlConfig, apply_pml, sigma_profile, stretch_factor
-from curvedirac.propagators import SchemeConfig, StepWorkspace, strang_step
+from curvedirac.propagators import StepWorkspace, strang_step
 
 
 EXP6_GEOM = dict(lstar=4.05, l=4.5)  # 10% layer on [-4.5, 4.5]
@@ -108,9 +108,8 @@ def test_disabled_pml_bit_identical_to_bypassed():
     psi = initial_condition(cfg, g)
     ws_none = StepWorkspace(cfg.metric, g, 1e-2, pml=None)
     ws_off = StepWorkspace(cfg.metric, g, 1e-2, pml=PmlConfig(enabled=False))
-    sc = SchemeConfig("poly1", 1e-2)
-    out_a = strang_step(psi, sc, ws_none)
-    out_b = strang_step(psi, sc, ws_off)
+    out_a = strang_step(psi, "poly1", ws_none)
+    out_b = strang_step(psi, "poly1", ws_off)
     assert out_a.values.tobytes() == out_b.values.tobytes()
 
 

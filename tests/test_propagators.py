@@ -3,13 +3,12 @@ import pytest
 
 from conftest import flat_exact_evolution, loglog_slope
 
-from curvedirac.errors import StepFailureError
+from curvedirac.errors import ConfigurationError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, run_simulation
 from curvedirac.krylov import KrylovOptions
 from curvedirac.propagators import (
-    SchemeConfig,
     StepWorkspace,
     cn_operator_apply,
     cn_transport_step,
@@ -142,10 +141,9 @@ def test_cn_time_reversibility():
     bwd.exp_half = np.conj(fwd.exp_half.transpose(1, 0, 2))
     if fwd.conn_half is not None:
         bwd.conn_half = np.linalg.inv(fwd.conn_half.transpose(2, 0, 1)).transpose(1, 2, 0)
-    cfg = SchemeConfig("cn", 1e-3)
     f0 = gaussian_field(g)
-    f1 = strang_step(f0, cfg, fwd, KrylovOptions(tol=1e-13))
-    f2 = strang_step(f1, cfg, bwd, KrylovOptions(tol=1e-13))
+    f1 = strang_step(f0, "cn", fwd, KrylovOptions(tol=1e-13))
+    f2 = strang_step(f1, "cn", bwd, KrylovOptions(tol=1e-13))
     assert np.max(np.abs(f2.values - f0.values)) < 1e-11
 
 
@@ -249,8 +247,19 @@ def test_strang_identity_for_zero_hamiltonian():
         ws.a_eff[i] = np.zeros(g.N[0])  # zero velocity: H vanishes entirely
     f = gaussian_field(g)
     for scheme in ("cn", "poly1", "poly2"):
-        out = strang_step(f, SchemeConfig(scheme, 0.7), ws, KrylovOptions())
+        out = strang_step(f, scheme, ws, KrylovOptions())
         assert np.max(np.abs(out.values - f.values)) < 1e-12
+
+
+def test_unknown_scheme_and_nonpositive_dt_rejected():
+    g = make_grid(1, 5.0, 64)
+    with pytest.raises(ConfigurationError, match="scheme"):
+        strang_step(gaussian_field(g), "poly3", StepWorkspace(FLAT1, g, 1e-3))
+    cfg = RunConfig(d=1, a=5.0, N=64, metric=FLAT1, scheme="cn", dt=1e-3, T=0.01)
+    with pytest.raises(ConfigurationError, match="scheme"):
+        cfg.replace(scheme="poly3")
+    with pytest.raises(ConfigurationError, match="dt"):
+        cfg.replace(dt=0.0)
 
 
 @pytest.mark.parametrize("scheme,tol", [("cn", 3e-6), ("poly1", 3e-6), ("poly2", 2e-2)])
@@ -266,9 +275,8 @@ def test_strang_flat_dispersion(scheme, tol):
     wave = np.exp(1j * xi * g.axes[0])
     f0 = SpinorField(np.stack([u[0] * wave, u[1] * wave]), g)
     f = f0
-    cfg = SchemeConfig(scheme, dt)
     for _ in range(steps):
-        f = strang_step(f, cfg, ws, KrylovOptions(tol=1e-12))
+        f = strang_step(f, scheme, ws, KrylovOptions(tol=1e-12))
     expect = f0.values * np.exp(-1j * E * dt * steps)
     assert np.max(np.abs(f.values - expect)) < tol
 
@@ -280,9 +288,8 @@ def test_strang_flat_matches_exact_evolution_oracle():
     f = gaussian_field(g, k0=3.0)
     ref = flat_exact_evolution(f, 1.0, dt * steps)
     out = f
-    cfg = SchemeConfig("cn", dt)
     for _ in range(steps):
-        out = strang_step(out, cfg, ws, KrylovOptions(tol=1e-12))
+        out = strang_step(out, "cn", ws, KrylovOptions(tol=1e-12))
     assert np.max(np.abs(out.values - ref.values)) < 1e-6
 
 
@@ -335,9 +342,8 @@ def test_spatial_error_decays_spectrally():
         f = gaussian_field(g, k0=2.0)
         ref = flat_exact_evolution(f, 1.0, dt * steps)
         out = f
-        cfg = SchemeConfig("cn", dt)
         for _ in range(steps):
-            out = strang_step(out, cfg, ws, KrylovOptions(tol=1e-12))
+            out = strang_step(out, "cn", ws, KrylovOptions(tol=1e-12))
         errs.append(np.max(np.abs(out.values - ref.values)))
     assert errs[1] < errs[0] / 30
     assert errs[2] < 1e-6
@@ -375,7 +381,7 @@ def test_two_dimensional_step_s2_and_s4(rng):
         f = SpinorField(v, g)
         ws = StepWorkspace(m, g, 1e-3)
         for scheme in ("cn", "poly1"):
-            out = strang_step(f, SchemeConfig(scheme, 1e-3), ws, KrylovOptions())
+            out = strang_step(f, scheme, ws, KrylovOptions())
             assert out.is_finite()
             assert abs(vec_norm(out) - vec_norm(f)) < 0.01 * vec_norm(f)
 
@@ -393,9 +399,8 @@ def test_two_dimensional_flat_matches_analytic_oracle(scheme, tol):
     ref = flat_exact_evolution(f0, 1.0, dt * steps)
     ws = StepWorkspace(FLAT1, g, dt)
     out = f0
-    cfg = SchemeConfig(scheme, dt)
     for _ in range(steps):
-        out = strang_step(out, cfg, ws, KrylovOptions(tol=1e-12))
+        out = strang_step(out, scheme, ws, KrylovOptions(tol=1e-12))
     assert np.max(np.abs(out.values - ref.values)) < tol
 
 
@@ -405,17 +410,6 @@ def test_exp2_oscillatory_metric_conserves_weighted_norm():
     res = run_simulation(preset_config("exp2", "ci").replace(T=0.1))
     l2g = np.array([r.l2_gamma for r in res.diagnostics])
     assert np.max(np.abs(l2g - l2g[0])) / l2g[0] < 1e-8
-
-
-def test_workspace_caching_static_potentials():
-    g = make_grid(1, 5.0, 64)
-    ws = StepWorkspace(EXP1, g, 1e-3)
-    before = ws.exp_half
-    ws.refresh(0.123)
-    assert ws.exp_half is before  # static model: no rebuild
-    ws.refresh(0.456, force=True)
-    assert ws.exp_half is not before
-    assert np.array_equal(ws.exp_half, before)
 
 
 def test_half_potential_exponential_unitary():
