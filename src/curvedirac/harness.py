@@ -464,7 +464,8 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Advance ceil(T/dt) Strang steps, recording diagnostics each step.
 
     The final step is shortened when T is not a multiple of dt.  Halts with
-    SimulationError (carrying the last good step) on NaN or solver failure.
+    SimulationError (carrying the last good step) on a non-finite initial
+    field before step 1, and on NaN or solver failure during a step.
     """
     grid = cfg.grid()
     model = cfg.metric
@@ -483,7 +484,14 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
             p = write_snapshot(density(f), os.path.join(out_dir, f"density_{n:06d}.csv"), grid)
             snapshots.append(p)
 
+    def halt(message, step, cause=None):
+        if out_dir:
+            write_diagnostics(records, os.path.join(out_dir, "diagnostics.csv"))
+        raise SimulationError(message, step=step, diagnostics=records) from cause
+
     records = [DiagnosticsRecord(0, 0.0, l2_norm(psi), gamma_norm(psi, weight))]
+    if not np.isfinite(records[0].l2):
+        halt("step 0: initial field is not finite", 0)
     snap(0, psi)
 
     nsteps = cfg.steps()
@@ -501,10 +509,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
             if not np.isfinite(l2):
                 raise StepFailureError("non-finite field norm")
         except (StepFailureError, KrylovError) as exc:
-            if out_dir:
-                write_diagnostics(records, os.path.join(out_dir, "diagnostics.csv"))
-            raise SimulationError(
-                f"step {n}: {exc}", step=n - 1, diagnostics=records) from exc
+            halt(f"step {n}: {exc}", n - 1, exc)
         t += active.dt
         kit = active.last_krylov.iterations if active.last_krylov is not None else None
         records.append(DiagnosticsRecord(n, t, l2, gamma_norm(psi, weight), kit))

@@ -1,13 +1,16 @@
 """Matrix-free restarted GMRES for the semi-implicit transport solve.
 
 Works on arrays of any shape (the spinor-field tensor is treated as one flat
-complex vector).  Modified Gram-Schmidt with a single re-orthogonalization
-pass when orthogonality degrades, Givens rotations for the least-squares
-update, warm starts supported through x0.
+complex vector).  Each Arnoldi step orthogonalises against the whole basis at
+once (blocked classical Gram-Schmidt: two BLAS products), with a second pass
+only on severe cancellation (||w|| < 1e-8 ||w0||); Givens rotations on Python
+complex scalars update the least-squares problem; warm starts supported
+through x0.  The true residual is re-checked before a converged solve returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=np.complex128)
     shape = b.shape
-    bnorm = np.linalg.norm(b)
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True)
 
@@ -78,66 +81,65 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             return x.reshape(shape), KrylovReport(total_iters, float(resid), False)
 
         m = min(restart, maxit - total_iters)
-        n = b.size
-        Q = np.empty((m + 1, n), dtype=np.complex128)
-        H = np.zeros((m + 1, m), dtype=np.complex128)
-        cs = np.zeros(m, dtype=np.complex128)
-        sn = np.zeros(m, dtype=np.complex128)
-        g = np.zeros(m + 1, dtype=np.complex128)
-        g[0] = beta
+        Q = np.empty((m + 1, b.size), dtype=np.complex128)
+        H = np.zeros((m, m), dtype=np.complex128)   # upper triangle after rotation
+        cs, sn = [], []
+        g = [complex(beta)]
         Q[0] = r / beta
 
         k_used = 0
         for k in range(m):
             w = matvec(Q[k])
             wnorm0 = np.linalg.norm(w)
-            # modified Gram-Schmidt
-            for j in range(k + 1):
-                hjk = np.vdot(Q[j], w)
-                H[j, k] = hjk
-                w -= hjk * Q[j]
+            basis = Q[:k + 1]
+            # blocked classical Gram-Schmidt: h_j = <Q_j, w>, w -= sum_j h_j Q_j
+            h = (basis @ w.conj()).conj()
+            w -= h @ basis
             wnorm = np.linalg.norm(w)
             if wnorm < 1e-8 * wnorm0:
                 # severe cancellation: one re-orthogonalization pass
-                for j in range(k + 1):
-                    corr = np.vdot(Q[j], w)
-                    H[j, k] += corr
-                    w -= corr * Q[j]
+                corr = (basis @ w.conj()).conj()
+                h += corr
+                w -= corr @ basis
                 wnorm = np.linalg.norm(w)
-            H[k + 1, k] = wnorm
+            wnorm = float(wnorm)
             total_iters += 1
             k_used = k + 1
 
             # apply previous Givens rotations to the new column
+            col = h.tolist()
             for j in range(k):
-                t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-                H[j + 1, k] = -np.conj(sn[j]) * H[j, k] + np.conj(cs[j]) * H[j + 1, k]
-                H[j, k] = t
-            # new rotation annihilating H[k+1, k]
-            denom = np.sqrt(np.abs(H[k, k]) ** 2 + np.abs(H[k + 1, k]) ** 2)
+                c, s = cs[j], sn[j]
+                hj, hj1 = col[j], col[j + 1]
+                col[j] = c * hj + s * hj1
+                col[j + 1] = -s.conjugate() * hj + c.conjugate() * hj1
+            # new rotation annihilating the subdiagonal entry wnorm
+            hk = col[k]
+            denom = math.sqrt(abs(hk) ** 2 + wnorm ** 2)
             if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
+                c, s = 1.0, 0.0
             else:
-                cs[k] = np.conj(H[k, k]) / denom
-                sn[k] = np.conj(H[k + 1, k]) / denom
-            t = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k, k] = t
-            H[k + 1, k] = 0.0
-            g[k + 1] = -np.conj(sn[k]) * g[k]
-            g[k] = cs[k] * g[k]
+                c, s = hk.conjugate() / denom, wnorm / denom
+            cs.append(c)
+            sn.append(s)
+            col[k] = c * hk + s * wnorm
+            H[:k + 1, k] = col
+            g.append(-s.conjugate() * g[k])
+            g[k] = c * g[k]
 
-            resid = np.abs(g[k + 1]) / bnorm
+            resid = abs(g[k + 1]) / bnorm
             if wnorm == 0.0 or resid <= tol or total_iters >= maxit:
                 break
             Q[k + 1] = w / wnorm
 
         # assemble the correction from the k_used-dimensional Krylov space
+        rhs = np.array(g[:k_used])
         try:
-            y = np.linalg.solve(H[:k_used, :k_used], g[:k_used])
+            y = np.linalg.solve(H[:k_used, :k_used], rhs)
         except np.linalg.LinAlgError:
             # exact breakdown left a singular block; the outer loop re-checks
             # the true residual, so the least-squares correction stays honest
-            y = np.linalg.lstsq(H[:k_used, :k_used], g[:k_used], rcond=None)[0]
+            y = np.linalg.lstsq(H[:k_used, :k_used], rhs, rcond=None)[0]
         x = x + (y @ Q[:k_used]).reshape(shape)
 
         if resid <= tol:

@@ -43,7 +43,7 @@ SCHEMES = ("cn", "poly1", "poly2")
 def _spin_matmul(mat, values):
     """Apply an (S, S) or (S, S, *grid) matrix field on the spinor axis."""
     if mat.ndim == 2:
-        return np.einsum("ab,b...->a...", mat, values)
+        return (mat @ values.reshape(len(mat), -1)).reshape(values.shape)
     return np.einsum("ab...,b...->a...", mat, values)
 
 
@@ -64,10 +64,9 @@ class StepWorkspace:
 
         self.vel = velocity_fields(model, grid)
         if pml is not None and pml.enabled:
-            self.stretch = [stretch_factor(pml, i, grid) for i in range(grid.d)]
-            self.a_eff = [apply_pml(self.vel[i], self.stretch[i], i) for i in range(grid.d)]
+            self.a_eff = [apply_pml(self.vel[i], stretch_factor(pml, i, grid), i)
+                          for i in range(grid.d)]
         else:
-            self.stretch = [np.ones(grid.N[i]) for i in range(grid.d)]
             self.a_eff = [a.copy() for a in self.vel]
 
         self.alpha = [alpha_matrix(i + 1, self.S) for i in range(grid.d)]

@@ -235,16 +235,17 @@ def test_simulation_halts_on_krylov_failure():
 
 @pytest.mark.parametrize("scheme", ["cn", "poly1"])
 def test_nan_in_initial_field_halts_with_diagnostics(tmp_path, scheme):
-    # cn meets the NaN inside GMRES, poly1 in the field norm after the step
+    # the initial field is checked before step 1, so neither scheme steps
     cfg = preset_config("exp5", "ci").replace(scheme=scheme, stride=0)
     f0 = initial_condition(cfg, cfg.grid())
     f0.values[0, 500] = np.nan
     ic = write_snapshot(f0, str(tmp_path / "ic.csv"))
     out = tmp_path / "out"
     cfg = cfg.replace(ic_kind="custom", ic_path=ic, out_dir=str(out))
-    with pytest.raises(SimulationError) as err:
+    with pytest.raises(SimulationError, match="step 0: initial field is not finite") as err:
         run_simulation(cfg)
     assert err.value.step == 0
+    assert err.value.__cause__ is None
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("0,0.0,nan,nan,")
 

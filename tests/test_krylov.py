@@ -81,3 +81,98 @@ def test_residual_monotone_within_restart_cycle(rng):
         _, rep = gmres(lambda v: A @ v, b, tol=1e-300, restart=20, maxit=it)
         residuals.append(rep.residual)
     assert all(residuals[i + 1] <= residuals[i] * (1 + 1e-10) for i in range(len(residuals) - 1))
+
+
+def _mgs_gmres(apply, b, x0, tol, restart, maxit):
+    """Reference restarted GMRES: per-vector modified Gram-Schmidt (with the
+    same severe-cancellation second pass) and numpy Givens rotations."""
+    shape, n = b.shape, b.size
+    b = b.ravel()
+    bnorm = np.linalg.norm(b)
+    x = x0.ravel().astype(complex)
+    total = 0
+    while True:
+        r = b - apply(x.reshape(shape)).ravel()
+        beta = np.linalg.norm(r)
+        if beta / bnorm <= tol or total >= maxit:
+            return x.reshape(shape), total
+        m = min(restart, maxit - total)
+        Q = np.empty((m + 1, n), dtype=complex)
+        H = np.zeros((m + 1, m), dtype=complex)
+        cs = np.zeros(m, dtype=complex)
+        sn = np.zeros(m, dtype=complex)
+        g = np.zeros(m + 1, dtype=complex)
+        g[0], Q[0] = beta, r / beta
+        for k in range(m):
+            w = apply(Q[k].reshape(shape)).ravel().copy()
+            wnorm0 = np.linalg.norm(w)
+            for _ in range(2):
+                for j in range(k + 1):
+                    hjk = np.vdot(Q[j], w)
+                    H[j, k] += hjk
+                    w -= hjk * Q[j]
+                wnorm = np.linalg.norm(w)
+                if wnorm >= 1e-8 * wnorm0:
+                    break
+            H[k + 1, k] = wnorm
+            total += 1
+            for j in range(k):
+                t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
+                H[j + 1, k] = -np.conj(sn[j]) * H[j, k] + np.conj(cs[j]) * H[j + 1, k]
+                H[j, k] = t
+            denom = np.hypot(abs(H[k, k]), abs(H[k + 1, k]))
+            cs[k], sn[k] = np.conj(H[k, k]) / denom, np.conj(H[k + 1, k]) / denom
+            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
+            H[k + 1, k] = 0.0
+            g[k + 1] = -np.conj(sn[k]) * g[k]
+            g[k] = cs[k] * g[k]
+            if abs(g[k + 1]) / bnorm <= tol or total >= maxit:
+                break
+            Q[k + 1] = w / wnorm
+        y = np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1])
+        x = x + y @ Q[:k + 1]
+
+
+def test_exp5_solve_matches_modified_gram_schmidt_reference():
+    # the blocked classical Gram-Schmidt solve takes the same path as MGS on
+    # the graphene Cayley operator: same iterations, same solution
+    from curvedirac.grid_spectral import SpinorField
+    from curvedirac.harness import initial_condition, preset_config
+    from curvedirac.propagators import StepWorkspace, cn_operator_apply, half_potential_step
+
+    cfg = preset_config("exp5", "ci")
+    grid = cfg.grid()
+    ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
+    f = half_potential_step(initial_condition(cfg, grid), ws)
+    b = cn_operator_apply(f, ws, -1).values
+
+    def apply(v):
+        return cn_operator_apply(SpinorField(v, grid), ws, +1).values
+
+    opts = cfg.krylov
+    x, rep = gmres(apply, b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit)
+    xref, iters = _mgs_gmres(apply, b, f.values, opts.tol, opts.restart, opts.maxit)
+    assert rep.converged and rep.iterations > opts.restart
+    assert rep.iterations == iters
+    assert np.linalg.norm(x - xref) <= 1e-12 * np.linalg.norm(xref)
+
+
+def test_severe_cancellation_pass_keeps_basis_orthonormal(rng):
+    # A = I + 1e-10 R: each new Arnoldi vector is 1e-10 of A q_k, so one
+    # Gram-Schmidt pass leaves rounding of order eps/1e-10 = 1e-6 in the basis;
+    # the second pass restores working precision.  GMRES applies A to each
+    # basis vector, so the operator sees the basis.
+    n = 200
+    R = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    seen = []
+
+    def apply(v):
+        seen.append(v.copy())
+        return v + 1e-10 * (R @ v)
+
+    _, rep = gmres(apply, b, tol=1e-300, restart=30, maxit=6)
+    assert rep.iterations == 6
+    Q = np.array(seen[1:7])   # seen[0] is the zero start, seen[7] the exit check
+    assert np.allclose(np.linalg.norm(Q, axis=1), 1.0, atol=1e-12)
+    assert np.linalg.norm(np.eye(6) - Q.conj() @ Q.T) < 1e-12

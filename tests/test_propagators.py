@@ -10,6 +10,7 @@ from curvedirac.harness import RunConfig, convergence_sweep, run_simulation
 from curvedirac.krylov import KrylovOptions
 from curvedirac.propagators import (
     StepWorkspace,
+    _spin_matmul,
     cn_operator_apply,
     cn_transport_step,
     half_potential_step,
@@ -39,6 +40,30 @@ def gaussian_field(grid, k0=5.0, width=1.0, x0=0.0):
 
 def vec_norm(f):
     return np.linalg.norm(f.values)
+
+
+# ------------------------------------------------------------ spin kernel
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("grid_shape", [(12,), (6, 5)], ids=["d1", "d2"])
+@pytest.mark.parametrize("field", [False, True], ids=["constant", "field"])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "view"])
+def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mat = crand(S, S, *grid_shape) if field else crand(S, S)
+    values = crand(S, *grid_shape)
+    if strided:
+        # a non-contiguous view: every other node of a doubled last axis
+        big = crand(S, *grid_shape[:-1], 2 * grid_shape[-1])
+        values = big[..., ::2]
+        assert not values.flags.c_contiguous
+    ref = np.einsum("ab...,b...->a...", mat, values)
+    out = _spin_matmul(mat, values)
+    assert out.shape == values.shape
+    assert np.allclose(out, ref, rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------------ half potential
