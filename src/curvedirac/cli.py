@@ -72,16 +72,11 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",")]
             rows = harness.convergence_sweep(cfg, args.sweep, values,
                                              out_path=args.out or "")
-            print("param,error")
-            for p, e in rows:
-                print(f"{p!r},{e!r}")
+            print(harness.sweep_csv(rows), end="")
         elif args.command == "norms":
             cfg = _load(args.config).replace(out_dir="", stride=0)
             res = harness.run_simulation(cfg)
-            print("step,t,l2,l2_gamma,krylov_iters")
-            for r in res.diagnostics:
-                k = "" if r.krylov_iters is None else r.krylov_iters
-                print(f"{r.step},{r.t!r},{r.l2!r},{r.l2_gamma!r},{k}")
+            print(harness.diagnostics_csv(res.diagnostics), end="")
     except (ConfigurationError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

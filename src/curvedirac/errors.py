@@ -2,7 +2,15 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid grid, scheme, metric or run configuration."""
+    """Invalid grid, scheme, metric or run configuration.
+
+    `field` names the dataclass field a check rejected, when there is one;
+    `parse_config` uses it to point at the offending line.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class GeometryError(ValueError):

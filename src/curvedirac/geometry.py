@@ -171,11 +171,17 @@ class MetricModel:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown metric kind '{self.kind}'")
+            raise ConfigurationError(f"unknown metric kind '{self.kind}'", "kind")
         if self.spinor_dim not in (2, 4):
-            raise ConfigurationError("spinor_dim must be 2 or 4")
-        if self.kind == "graphene" and self.ell <= 0:
-            raise ConfigurationError("graphene sheet length ell must be positive")
+            raise ConfigurationError("spinor_dim must be 2 or 4", "spinor_dim")
+        if self.kind == "graphene" and not self.ell > 0:
+            raise ConfigurationError("graphene sheet length ell must be positive", "ell")
+        if self.kind in ("static1d", "static2d"):
+            for name in ("ax_pot", "v_pot"):
+                if getattr(self, name) != ZERO_FORM:
+                    raise ConfigurationError(
+                        "static metrics carry no external potentials here; "
+                        "set metric.Ax / metric.V only for flat or graphene", name)
 
     @property
     def dimension(self):

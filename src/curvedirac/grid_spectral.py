@@ -26,13 +26,29 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def _as_tuple(v, d, name):
-    if np.isscalar(v):
-        return (float(v),) * d if name == "a" else (int(v),) * d
-    t = tuple(v)
+def per_axis(value, d, conv, name):
+    """A scalar or 1-sequence repeated over d axes, or a d-sequence, each entry conv'd."""
+    t = (value,) if np.isscalar(value) else tuple(value)
+    if len(t) == 1:
+        t *= d
     if len(t) != d:
-        raise ConfigurationError(f"{name} must have {d} entries, got {len(t)}")
-    return tuple(float(x) for x in t) if name == "a" else tuple(int(x) for x in t)
+        raise ConfigurationError(
+            f"{name} takes 1 or {d} comma-separated values, got {len(t)}", name)
+    return tuple(conv(x) for x in t)
+
+
+def grid_axes(d, a, N):
+    """Checked per-axis (a, N) tuples of a d-dimensional grid."""
+    if d not in (1, 2):
+        raise ConfigurationError(f"dimension d must be 1 or 2, got {d}", "d")
+    a = per_axis(a, d, float, "a")
+    N = per_axis(N, d, int, "N")
+    for i in range(d):
+        if not a[i] > 0:
+            raise ConfigurationError(f"half-width a[{i}] must be positive, got {a[i]}", "a")
+        if N[i] < 4:
+            raise ConfigurationError(f"point count N[{i}] must be >= 4, got {N[i]}", "N")
+    return a, N
 
 
 @dataclass(frozen=True)
@@ -76,16 +92,7 @@ class Grid:
 
 def make_grid(d, a, N) -> Grid:
     """Build a periodic grid; both even and odd point counts are accepted."""
-    if d not in (1, 2):
-        raise ConfigurationError(f"dimension must be 1 or 2, got {d}")
-    a = _as_tuple(a, d, "a")
-    N = _as_tuple(N, d, "N")
-    for i in range(d):
-        if a[i] <= 0:
-            raise ConfigurationError(f"half-width a[{i}] must be positive, got {a[i]}")
-        if N[i] < 4:
-            raise ConfigurationError(f"point count N[{i}] must be >= 4, got {N[i]}")
-    return Grid(d, a, N)
+    return Grid(d, *grid_axes(d, a, N))
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 A run is described by a RunConfig, which round-trips losslessly through the
 line-based ``section.key = value`` text format (see `parse_config` /
-`serialize_config`).  `run_simulation` advances the configured scheme over the
-horizon, recording per-step norms (the plain l2 norm and the covariant
-weighted norm) and optionally writing CSV snapshots.  Every failure inside a
+`serialize_config`, both driven by one key table).  RunConfig and the
+dataclasses it holds own every default and every check, so a config built in
+Python is checked the same way as a parsed one.  `run_simulation` advances the
+configured scheme over the horizon, recording per-step norms (the plain l2
+norm and the covariant weighted norm) and optionally writing CSV snapshots.  Every failure inside a
 step (a stalled or non-finite transport solve, a non-finite field norm) ends
 the run as a SimulationError, with the diagnostics file written first when
 the run has an output directory.
@@ -28,8 +30,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, KrylovError, SimulationError, StepFailureError
-from .geometry import MetricModel, ZERO_FORM, gamma_weight, parse_form
-from .grid_spectral import Grid, SpinorField, make_grid
+from .geometry import MetricModel, gamma_weight, parse_form
+from .grid_spectral import Grid, SpinorField, grid_axes, per_axis
 from .krylov import KrylovOptions
 from .pml import PmlConfig
 from .propagators import SCHEMES, StepWorkspace, strang_step
@@ -64,25 +66,33 @@ class RunConfig:
     stride: int = 0
 
     def __post_init__(self):
-        def tup(v, conv):
-            t = (v,) if np.isscalar(v) else tuple(v)
-            if len(t) == 1:
-                t = t * self.d
-            if len(t) != self.d:
-                raise ConfigurationError(f"expected {self.d} entries, got {t}")
-            return tuple(conv(x) for x in t)
-
-        object.__setattr__(self, "a", tup(self.a, float))
-        object.__setattr__(self, "N", tup(self.N, int))
-        object.__setattr__(self, "ic_k0", tup(self.ic_k0, float))
-        object.__setattr__(self, "ic_x0", tup(self.ic_x0, float))
+        a, N = grid_axes(self.d, self.a, self.N)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "ic_k0", per_axis(self.ic_k0, self.d, float, "ic_k0"))
+        object.__setattr__(self, "ic_x0", per_axis(self.ic_x0, self.d, float, "ic_x0"))
+        dim = self.metric.dimension
+        if dim is not None and dim != self.d:
+            raise ConfigurationError(f"metric kind '{self.metric.kind}' needs grid.d = {dim}", "d")
         if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{self.scheme}'")
-        if not self.dt > 0:
-            raise ConfigurationError(f"time step dt must be positive, got {self.dt}")
+            raise ConfigurationError(
+                f"scheme.kind must be one of {SCHEMES}, got '{self.scheme}'", "scheme")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"scheme.dt must be positive and finite, got {self.dt}", "dt")
+        if not 0 <= self.T < math.inf:
+            raise ConfigurationError(f"scheme.T must be >= 0 and finite, got {self.T}", "T")
+        if self.ic_kind not in IC_KINDS:
+            raise ConfigurationError(
+                f"ic.kind must be one of {IC_KINDS}, got '{self.ic_kind}'", "ic_kind")
+        if self.ic_kind == "graphene_pair" and self.metric.spinor_dim != 2:
+            raise ConfigurationError("graphene_pair initial data needs metric.S = 2", "ic_kind")
+        if self.ic_kind == "custom" and not self.ic_path:
+            raise ConfigurationError("ic.kind = custom needs ic.path", "ic_kind")
+        if not self.ic_width > 0:
+            raise ConfigurationError(f"ic.width must be positive, got {self.ic_width}", "ic_width")
 
     def grid(self) -> Grid:
-        return make_grid(self.d, self.a, self.N)
+        return Grid(self.d, self.a, self.N)
 
     def steps(self) -> int:
         if self.T <= 0:
@@ -93,41 +103,89 @@ class RunConfig:
         return dataclasses.replace(self, **kw)
 
 
-_REQUIRED = ("grid.d", "grid.a", "grid.N", "metric.kind", "scheme.kind",
-             "scheme.dt", "scheme.T", "ic.kind")
-
-_KNOWN = _REQUIRED + (
-    "metric.S", "metric.m", "metric.Phi", "metric.Psi",
-    "metric.a0", "metric.k0", "metric.ell", "metric.Ax", "metric.V",
-    "pml.enabled", "pml.type", "pml.sigma0", "pml.theta", "pml.fraction",
-    "krylov.tol", "krylov.restart", "krylov.maxit",
-    "ic.k0", "ic.beta", "ic.x0", "ic.width", "ic.path",
-    "output.dir", "output.stride",
-)
-
-
-def _cfg_error(line, msg):
-    raise ConfigurationError(f"line {line}: {msg}" if line else msg)
-
-
-def _parse_pair(text, d, line, conv=float):
-    toks = [t.strip() for t in text.split(",")]
-    if len(toks) not in (1, d):
-        _cfg_error(line, f"expected 1 or {d} comma-separated values, got '{text}'")
-    try:
-        vals = tuple(conv(t) for t in toks)
-    except ValueError:
-        _cfg_error(line, f"could not parse '{text}'")
-    return vals * d if len(vals) == 1 else vals
-
-
-def _parse_bool(text, line):
-    t = text.strip().lower()
+def _parse_bool(text):
+    t = text.lower()
     if t in ("true", "yes", "1", "on"):
         return True
     if t in ("false", "no", "0", "off"):
         return False
-    _cfg_error(line, f"expected a boolean, got '{text}'")
+    raise ValueError("expected a boolean")
+
+
+def _values(conv):
+    return lambda text: tuple(conv(t) for t in text.split(","))
+
+
+def _fmt(x: float) -> str:
+    """Shortest round-trip decimal, also for numpy scalars."""
+    return repr(float(x))
+
+
+# (text -> value, value -> text) pairs for the schema below
+_INT = (int, str)
+_FLOAT = (float, _fmt)
+_TEXT = (str, str)
+_FORM = (parse_form, str)
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+_FLOATS = (_values(float), lambda v: ",".join(map(_fmt, v)))
+_INTS = (_values(int), lambda v: ",".join(map(str, v)))
+
+# The config file's schema: one row per key, in file order, naming the
+# dataclass and the field that hold its value.  Absent keys take the
+# dataclass default; required keys have none (ic.kind keeps the file explicit).
+_SCHEMA = (
+    # key, owner, field, codec, required
+    ("grid.d", RunConfig, "d", _INT, True),
+    ("grid.a", RunConfig, "a", _FLOATS, True),
+    ("grid.N", RunConfig, "N", _INTS, True),
+    ("metric.kind", MetricModel, "kind", _TEXT, True),
+    ("metric.S", MetricModel, "spinor_dim", _INT, False),
+    ("metric.m", MetricModel, "mass", _FLOAT, False),
+    ("metric.Phi", MetricModel, "phi", _FORM, False),
+    ("metric.Psi", MetricModel, "psi", _FORM, False),
+    ("metric.a0", MetricModel, "a0", _FLOAT, False),
+    ("metric.k0", MetricModel, "k0", _FLOAT, False),
+    ("metric.ell", MetricModel, "ell", _FLOAT, False),
+    ("metric.Ax", MetricModel, "ax_pot", _FORM, False),
+    ("metric.V", MetricModel, "v_pot", _FORM, False),
+    ("scheme.kind", RunConfig, "scheme", _TEXT, True),
+    ("scheme.dt", RunConfig, "dt", _FLOAT, True),
+    ("scheme.T", RunConfig, "T", _FLOAT, True),
+    ("pml.enabled", PmlConfig, "enabled", _BOOL, False),
+    ("pml.type", PmlConfig, "profile", _TEXT, False),
+    ("pml.sigma0", PmlConfig, "sigma0", _FLOAT, False),
+    ("pml.theta", PmlConfig, "theta", _FLOAT, False),
+    ("pml.fraction", PmlConfig, "fraction", _FLOAT, False),
+    ("krylov.tol", KrylovOptions, "tol", _FLOAT, False),
+    ("krylov.restart", KrylovOptions, "restart", _INT, False),
+    ("krylov.maxit", KrylovOptions, "maxit", _INT, False),
+    ("ic.kind", RunConfig, "ic_kind", _TEXT, True),
+    ("ic.k0", RunConfig, "ic_k0", _FLOATS, False),
+    ("ic.beta", RunConfig, "ic_beta", _FLOAT, False),
+    ("ic.x0", RunConfig, "ic_x0", _FLOATS, False),
+    ("ic.width", RunConfig, "ic_width", _FLOAT, False),
+    ("ic.path", RunConfig, "ic_path", _TEXT, False),
+    ("output.dir", RunConfig, "out_dir", _TEXT, False),
+    ("output.stride", RunConfig, "stride", _INT, False),
+)
+# the RunConfig fields that hold the other owners
+_PARTS = {"metric": MetricModel, "pml": PmlConfig, "krylov": KrylovOptions}
+_KEYS = {row[0]: row for row in _SCHEMA}
+
+
+def _cfg_error(line, msg, field=None):
+    return ConfigurationError(f"line {line}: {msg}", field)
+
+
+def _build(owner, kwargs, lines):
+    """owner(**kwargs), its check failures prefixed with the offending line."""
+    try:
+        return owner(**kwargs)
+    except ConfigurationError as exc:
+        line = lines.get((owner, exc.field))
+        if line is None:
+            raise
+        raise _cfg_error(line, exc, exc.field) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -138,169 +196,40 @@ def parse_config(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            _cfg_error(lineno, f"expected 'section.key = value', got '{raw.strip()}'")
+            raise _cfg_error(lineno, f"expected 'section.key = value', got '{raw.strip()}'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN:
-            _cfg_error(lineno, f"unknown key '{key}'")
+        if key not in _KEYS:
+            raise _cfg_error(lineno, f"unknown key '{key}'")
         if key in entries:
-            _cfg_error(lineno, f"duplicate key '{key}'")
+            raise _cfg_error(lineno, f"duplicate key '{key}'")
         entries[key] = (value, lineno)
 
-    for req in _REQUIRED:
-        if req not in entries:
-            raise ConfigurationError(f"missing required key {req}")
+    for key, *_, required in _SCHEMA:
+        if required and key not in entries:
+            raise ConfigurationError(f"missing required key {key}")
 
-    def take(key, default=None):
-        return entries.get(key, (default, 0))
-
-    def num(key, conv, default=None):
-        value, line = take(key, default)
-        if value is default and key not in entries:
-            return default
+    kwargs = {owner: {} for owner in (RunConfig, *_PARTS.values())}
+    lines = {}
+    for key, (value, lineno) in entries.items():
+        _, owner, field, (parse, _), _ = _KEYS[key]
         try:
-            return conv(value)
-        except (TypeError, ValueError):
-            _cfg_error(line, f"could not parse '{value}' for {key}")
-
-    def form(key):
-        value, line = take(key)
-        if value is None:
-            return ZERO_FORM
-        try:
-            return parse_form(value)
-        except ConfigurationError as exc:
-            _cfg_error(line, str(exc))
-
-    d = num("grid.d", int)
-    if d not in (1, 2):
-        _cfg_error(take("grid.d")[1], f"grid.d must be 1 or 2, got {d}")
-    a = _parse_pair(entries["grid.a"][0], d, entries["grid.a"][1], float)
-    N = _parse_pair(entries["grid.N"][0], d, entries["grid.N"][1], int)
-
-    kind, kline = take("metric.kind")
-    try:
-        metric = MetricModel(
-            kind=kind,
-            spinor_dim=num("metric.S", int, 2),
-            mass=num("metric.m", float, 0.0),
-            phi=form("metric.Phi"),
-            psi=form("metric.Psi"),
-            a0=num("metric.a0", float, 0.0),
-            k0=num("metric.k0", float, 0.0),
-            ell=num("metric.ell", float, 1.0),
-            ax_pot=form("metric.Ax"),
-            v_pot=form("metric.V"),
-        )
-    except ConfigurationError as exc:
-        _cfg_error(kline, str(exc))
-    if metric.dimension is not None and metric.dimension != d:
-        _cfg_error(kline, f"metric kind '{kind}' needs grid.d = {metric.dimension}")
-    if metric.kind in ("static1d", "static2d"):
-        if metric.ax_pot != ZERO_FORM or metric.v_pot != ZERO_FORM:
-            _cfg_error(kline, "static metrics carry no external potentials here; "
-                              "set metric.Ax / metric.V only for flat or graphene")
-
-    scheme, sline = take("scheme.kind")
-    if scheme not in SCHEMES:
-        _cfg_error(sline, f"scheme.kind must be one of {SCHEMES}")
-    dt = num("scheme.dt", float)
-    if dt is None or dt <= 0:
-        _cfg_error(take("scheme.dt")[1], f"scheme.dt must be positive, got {dt}")
-    T = num("scheme.T", float)
-    if T < 0:
-        _cfg_error(take("scheme.T")[1], "scheme.T must be >= 0")
-
-    pml_line = take("pml.type")[1] or take("pml.enabled")[1]
-    try:
-        pml = PmlConfig(
-            enabled=_parse_bool(*take("pml.enabled", "false")) if "pml.enabled" in entries else False,
-            profile=take("pml.type", "I")[0],
-            sigma0=num("pml.sigma0", float, 0.0),
-            theta=num("pml.theta", float, 0.0),
-            fraction=num("pml.fraction", float, 0.1),
-        )
-    except ConfigurationError as exc:
-        _cfg_error(pml_line, str(exc))
-
-    krylov = KrylovOptions(
-        tol=num("krylov.tol", float, 1e-10),
-        restart=num("krylov.restart", int, 30),
-        maxit=num("krylov.maxit", int, 200),
-    )
-    if krylov.tol <= 0 or krylov.restart < 1 or krylov.maxit < 1:
-        _cfg_error(take("krylov.tol")[1], "krylov options must be positive")
-
-    ic_kind, iline = take("ic.kind")
-    if ic_kind not in IC_KINDS:
-        _cfg_error(iline, f"ic.kind must be one of {IC_KINDS}")
-    if ic_kind == "graphene_pair" and metric.spinor_dim != 2:
-        _cfg_error(iline, "graphene_pair initial data needs metric.S = 2")
-    if ic_kind == "custom" and not take("ic.path", "")[0]:
-        _cfg_error(iline, "ic.kind = custom needs ic.path")
-
-    def pair(key):
-        if key not in entries:
-            return (0.0,) * d
-        value, line = entries[key]
-        return _parse_pair(value, d, line, float)
-
-    cfg = RunConfig(
-        d=d, a=a, N=N, metric=metric, scheme=scheme, dt=dt, T=T,
-        pml=pml, krylov=krylov,
-        ic_kind=ic_kind,
-        ic_k0=pair("ic.k0"),
-        ic_beta=num("ic.beta", float, 1.0),
-        ic_x0=pair("ic.x0"),
-        ic_width=num("ic.width", float, 1.0),
-        ic_path=take("ic.path", "")[0],
-        out_dir=take("output.dir", "")[0],
-        stride=num("output.stride", int, 0),
-    )
-    if cfg.ic_width <= 0:
-        _cfg_error(take("ic.width")[1], "ic.width must be positive")
-    return cfg
+            kwargs[owner][field] = parse(value)
+        except ValueError as exc:
+            raise _cfg_error(lineno, f"could not parse '{value}' for {key} ({exc})") from None
+        lines[owner, field] = lineno
+    parts = {name: _build(owner, kwargs[owner], lines) for name, owner in _PARTS.items()}
+    return _build(RunConfig, {**kwargs[RunConfig], **parts}, lines)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit the full configuration; parse(serialize(cfg)) == cfg."""
-    m = cfg.metric
-    lines = [
-        f"grid.d = {cfg.d}",
-        f"grid.a = {','.join(repr(x) for x in cfg.a)}",
-        f"grid.N = {','.join(str(x) for x in cfg.N)}",
-        f"metric.kind = {m.kind}",
-        f"metric.S = {m.spinor_dim}",
-        f"metric.m = {m.mass!r}",
-        f"metric.Phi = {m.phi}",
-        f"metric.Psi = {m.psi}",
-        f"metric.a0 = {m.a0!r}",
-        f"metric.k0 = {m.k0!r}",
-        f"metric.ell = {m.ell!r}",
-        f"metric.Ax = {m.ax_pot}",
-        f"metric.V = {m.v_pot}",
-        f"scheme.kind = {cfg.scheme}",
-        f"scheme.dt = {cfg.dt!r}",
-        f"scheme.T = {cfg.T!r}",
-        f"pml.enabled = {'true' if cfg.pml.enabled else 'false'}",
-        f"pml.type = {cfg.pml.profile}",
-        f"pml.sigma0 = {cfg.pml.sigma0!r}",
-        f"pml.theta = {cfg.pml.theta!r}",
-        f"pml.fraction = {cfg.pml.fraction!r}",
-        f"krylov.tol = {cfg.krylov.tol!r}",
-        f"krylov.restart = {cfg.krylov.restart}",
-        f"krylov.maxit = {cfg.krylov.maxit}",
-        f"ic.kind = {cfg.ic_kind}",
-        f"ic.k0 = {','.join(repr(x) for x in cfg.ic_k0)}",
-        f"ic.beta = {cfg.ic_beta!r}",
-        f"ic.x0 = {','.join(repr(x) for x in cfg.ic_x0)}",
-        f"ic.width = {cfg.ic_width!r}",
-    ]
-    if cfg.ic_path:
-        lines.append(f"ic.path = {cfg.ic_path}")
-    if cfg.out_dir:
-        lines.append(f"output.dir = {cfg.out_dir}")
-    lines.append(f"output.stride = {cfg.stride}")
+    holders = {RunConfig: cfg, **{owner: getattr(cfg, name) for name, owner in _PARTS.items()}}
+    lines = []
+    for key, owner, field, (_, show), _ in _SCHEMA:
+        text = show(getattr(holders[owner], field))
+        if text:  # an empty ic.path or output.dir is left out
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -360,10 +289,6 @@ class SimulationResult:
 
 # ---------------------------------------------------------------------------
 # snapshot / diagnostics files
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _snapshot_columns(obj):
@@ -446,13 +371,24 @@ def read_snapshot(path, grid: Grid, S: int) -> SpinorField:
     return SpinorField(values, grid)
 
 
+def diagnostics_csv(records) -> str:
+    """Header step,t,l2,l2_gamma,krylov_iters (empty for explicit schemes), a row a record."""
+    lines = ["step,t,l2,l2_gamma,krylov_iters\n"]
+    for r in records:
+        k = "" if r.krylov_iters is None else str(r.krylov_iters)
+        lines.append(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k}\n")
+    return "".join(lines)
+
+
+def sweep_csv(rows) -> str:
+    """Header param,error, a row per swept value."""
+    return "param,error\n" + "".join(f"{_fmt(p)},{_fmt(e)}\n" for p, e in rows)
+
+
 def write_diagnostics(records, path) -> str:
-    """CSV with header step,t,l2,l2_gamma,krylov_iters (empty for explicit schemes)."""
+    """Write the diagnostics CSV (see `diagnostics_csv`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,t,l2,l2_gamma,krylov_iters\n")
-        for r in records:
-            k = "" if r.krylov_iters is None else str(r.krylov_iters)
-            fh.write(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k}\n")
+        fh.write(diagnostics_csv(records))
     return path
 
 
@@ -576,9 +512,7 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
 
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("param,error\n")
-            for p, e in rows:
-                fh.write(f"{_fmt(p)},{_fmt(e)}\n")
+            fh.write(sweep_csv(rows))
     return rows
 
 

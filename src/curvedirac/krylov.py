@@ -6,6 +6,8 @@ once (blocked classical Gram-Schmidt: two BLAS products), with a second pass
 only on severe cancellation (||w|| < 1e-8 ||w0||); Givens rotations on Python
 complex scalars update the least-squares problem; warm starts supported
 through x0.  The true residual is re-checked before a converged solve returns.
+A non-finite operator output shows as a non-finite norm (of the residual or
+of a new Arnoldi vector) and raises KrylovError.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KrylovError
+from .errors import ConfigurationError, KrylovError
+
+
+def check_options(tol, restart, maxit):
+    """Reject a non-positive tolerance, restart length or iteration cap."""
+    if not tol > 0:
+        raise ConfigurationError(f"krylov tol must be positive, got {tol}", "tol")
+    for name, value in (("restart", restart), ("maxit", maxit)):
+        if not value >= 1:
+            raise ConfigurationError(f"krylov {name} must be >= 1, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -23,6 +34,9 @@ class KrylovOptions:
     tol: float = 1e-10
     restart: int = 30
     maxit: int = 200
+
+    def __post_init__(self):
+        check_options(self.tol, self.restart, self.maxit)
 
 
 @dataclass
@@ -52,8 +66,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     -------
     (x, KrylovReport)
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_options(tol, restart, maxit)
     b = np.asarray(b, dtype=np.complex128)
     shape = b.shape
     bnorm = float(np.linalg.norm(b))
@@ -65,15 +78,18 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
 
     def matvec(v):
         # copy: apply() may hand back a view of its input (e.g. the identity)
-        out = np.array(apply(v.reshape(shape)), dtype=np.complex128, copy=True)
-        if not np.all(np.isfinite(out)):
+        return np.array(apply(v.reshape(shape)), dtype=np.complex128, copy=True).ravel()
+
+    def finite(norm):
+        # a norm is non-finite whenever an entry of its vector is
+        if not math.isfinite(norm):
             raise KrylovError("operator produced non-finite values")
-        return out.ravel()
+        return norm
 
     resid = None
     while True:
         r = _flat(b) - matvec(_flat(x))
-        beta = np.linalg.norm(r)
+        beta = finite(np.linalg.norm(r))
         resid = beta / bnorm
         if resid <= tol:
             return x.reshape(shape), KrylovReport(total_iters, float(resid), True)
@@ -90,7 +106,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
         k_used = 0
         for k in range(m):
             w = matvec(Q[k])
-            wnorm0 = np.linalg.norm(w)
+            wnorm0 = finite(np.linalg.norm(w))
             basis = Q[:k + 1]
             # blocked classical Gram-Schmidt: h_j = <Q_j, w>, w -= sum_j h_j Q_j
             h = (basis @ w.conj()).conj()
@@ -147,5 +163,5 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             continue
         if total_iters >= maxit:
             r = _flat(b) - matvec(_flat(x))
-            resid = np.linalg.norm(r) / bnorm
+            resid = finite(np.linalg.norm(r)) / bnorm
             return x.reshape(shape), KrylovReport(total_iters, float(resid), resid <= tol)

@@ -46,13 +46,13 @@ class PmlConfig:
 
     def __post_init__(self):
         if self.profile not in PROFILES:
-            raise ConfigurationError(f"PML profile must be one of {PROFILES}")
+            raise ConfigurationError(f"PML profile must be one of {PROFILES}", "profile")
         if self.sigma0 < 0:
-            raise ConfigurationError("PML strength sigma0 must be >= 0")
+            raise ConfigurationError("PML strength sigma0 must be >= 0", "sigma0")
         if not 0.0 <= self.theta < np.pi / 2:
-            raise ConfigurationError("PML rotation theta must lie in [0, pi/2)")
+            raise ConfigurationError("PML rotation theta must lie in [0, pi/2)", "theta")
         if not 0.0 < self.fraction < 1.0:
-            raise ConfigurationError("PML fraction must lie in (0, 1)")
+            raise ConfigurationError("PML fraction must lie in (0, 1)", "fraction")
 
 
 def sigma_profile(profile, sigma0, x, lstar, l, h=0.0):

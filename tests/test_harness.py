@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from importlib import resources
 
@@ -7,6 +8,9 @@ import pytest
 from curvedirac.errors import ConfigurationError, SimulationError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.grid_spectral import SpinorField, make_grid
+from curvedirac.krylov import KrylovOptions
+from curvedirac.pml import PmlConfig
+from curvedirac import harness
 from curvedirac.harness import (
     PRESET_NAMES,
     RunConfig,
@@ -111,6 +115,73 @@ def test_graphene_pair_needs_two_components():
 def test_config_round_trip(name, scale):
     cfg = preset_config(name, scale)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+FLAT = RunConfig(d=1, a=5.0, N=64, metric=MetricModel("flat", mass=1.0),
+                 scheme="cn", dt=1e-3, T=0.01)
+
+
+def test_numpy_scalars_serialize_as_plain_numbers():
+    cfg = FLAT.replace(dt=np.float64(1e-3), T=np.float32(0.5), stride=np.int64(5),
+                       metric=MetricModel("flat", mass=np.float64(1.0)))
+    text = serialize_config(cfg)
+    assert "scheme.dt = 0.001\n" in text and "output.stride = 5\n" in text
+    assert parse_config(text) == cfg
+
+# each builds a config in Python the parser would reject; (field named, builder)
+BAD_PYTHON_CONFIGS = {
+    "unknown_ic_kind": ("ic_kind", lambda: FLAT.replace(ic_kind="bogus")),
+    "negative_T": ("T", lambda: FLAT.replace(T=-1.0)),
+    "infinite_T": ("T", lambda: FLAT.replace(T=float("inf"))),  # steps() would overflow
+    "infinite_dt": ("dt", lambda: FLAT.replace(dt=float("inf"))),  # would take no step
+    "zero_ic_width": ("ic_width", lambda: FLAT.replace(ic_width=0.0)),
+    "krylov_restart_0": ("restart", lambda: KrylovOptions(restart=0)),  # built, never run
+    "graphene_pair_S4": ("ic_kind", lambda: FLAT.replace(
+        metric=MetricModel("flat", spinor_dim=4), ic_kind="graphene_pair")),
+    "static1d_with_V": ("v_pot", lambda: MetricModel(
+        "static1d", v_pot=ScalarForm("linear", (5.0,)))),
+    "static2d_on_1d_grid": ("d", lambda: FLAT.replace(metric=MetricModel("static2d"))),
+    "custom_without_path": ("ic_kind", lambda: FLAT.replace(ic_kind="custom")),
+    "two_points": ("N", lambda: FLAT.replace(N=2)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PYTHON_CONFIGS)
+def test_python_built_configs_get_the_parsers_checks(case):
+    field, build = BAD_PYTHON_CONFIGS[case]
+    with pytest.raises(ConfigurationError) as err:
+        build()
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_shipped_preset_files_round_trip_byte_for_byte(name):
+    text = (resources.files("curvedirac") / "presets" / f"{name}.cfg").read_text()
+    assert serialize_config(parse_config(text)) == text
+
+
+def test_every_dataclass_field_has_one_schema_row():
+    rows = [(owner, field) for _, owner, field, _, _ in harness._SCHEMA]
+    assert len(rows) == len(set(rows)) == len({row[0] for row in harness._SCHEMA})
+    parts = {"metric", "pml", "krylov"}  # RunConfig fields holding the other owners
+    fields = {(owner, f.name) for owner in (RunConfig, MetricModel, PmlConfig, KrylovOptions)
+              for f in dataclasses.fields(owner) if f.init and f.name not in parts}
+    assert set(rows) == fields
+    # a key without a dataclass default must be given in the file
+    for key, owner, field, _, required in harness._SCHEMA:
+        f = next(f for f in dataclasses.fields(owner) if f.name == field)
+        if f.default is dataclasses.MISSING:
+            assert required, key
+
+
+def test_parse_errors_from_dataclass_checks_name_the_line():
+    bad = MINIMAL.replace("scheme.T = 0.01", "scheme.T = -1")
+    with pytest.raises(ConfigurationError, match=r"^line 9: scheme.T must be >= 0"):
+        parse_config(bad)
+    with pytest.raises(ConfigurationError, match=r"^line 12: krylov restart must be >= 1"):
+        parse_config(MINIMAL + "krylov.restart = 0\n")
+    with pytest.raises(ConfigurationError, match=r"^line 4: point count N\[0\] must be >= 4"):
+        parse_config(MINIMAL.replace("grid.N = 64", "grid.N = 2"))
 
 
 # (scheme, dt, N paper, N ci, T paper, T ci) as the paper runs them

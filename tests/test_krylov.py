@@ -70,6 +70,32 @@ def test_nan_from_operator_aborts():
         gmres(bad, b)
 
 
+@pytest.mark.parametrize("bad_call", [1, 2, 4])
+def test_nan_caught_by_each_norm(rng, bad_call):
+    # operator call 1 gives the initial residual, call 2 the first Arnoldi
+    # vector and, with maxit = 2, call 4 the residual returned on exit
+    A = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+    calls = []
+
+    def op(v):
+        calls.append(v)
+        out = A @ v
+        if len(calls) == bad_call:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(KrylovError):
+        gmres(op, np.ones(8, dtype=complex), tol=1e-14, maxit=2)
+    assert len(calls) == bad_call
+
+
+@pytest.mark.parametrize("option", ["tol", "restart", "maxit"])
+def test_nonpositive_options_rejected_before_iterating(option):
+    # with restart = 0 every restart cycle runs no iteration, so nothing ends the loop
+    with pytest.raises(ValueError, match=option):
+        gmres(lambda v: 2 * v, np.ones(4), **{option: 0})
+
+
 def test_residual_monotone_within_restart_cycle(rng):
     # truncate the same cycle at increasing depths: GMRES minimizes over a
     # growing Krylov space, so the true residuals must be non-increasing
