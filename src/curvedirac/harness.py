@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -188,11 +189,16 @@ def _build(owner, kwargs, lines):
         raise _cfg_error(line, exc, exc.field) from None
 
 
+# '#' starts a comment at the start of a line or after whitespace, so a value
+# such as a path may hold '#'
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the line-based config format; unknown keys are hard errors."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -228,6 +234,8 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key, owner, field, (_, show), _ in _SCHEMA:
         text = show(getattr(holders[owner], field))
+        if _COMMENT.search(text):
+            raise ConfigurationError(f"{key} value '{text}' would read back cut at its comment", field)
         if text:  # an empty ic.path or output.dir is left out
             lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
@@ -278,6 +286,7 @@ class DiagnosticsRecord:
     l2: float
     l2_gamma: float
     krylov_iters: int | None = None
+    krylov_residual: float | None = None
 
 
 @dataclass
@@ -372,11 +381,13 @@ def read_snapshot(path, grid: Grid, S: int) -> SpinorField:
 
 
 def diagnostics_csv(records) -> str:
-    """Header step,t,l2,l2_gamma,krylov_iters (empty for explicit schemes), a row a record."""
-    lines = ["step,t,l2,l2_gamma,krylov_iters\n"]
+    """Header step,t,l2,l2_gamma,krylov_iters,krylov_residual (the Krylov
+    columns empty for explicit schemes), a row a record."""
+    lines = ["step,t,l2,l2_gamma,krylov_iters,krylov_residual\n"]
     for r in records:
         k = "" if r.krylov_iters is None else str(r.krylov_iters)
-        lines.append(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k}\n")
+        res = "" if r.krylov_residual is None else _fmt(r.krylov_residual)
+        lines.append(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k},{res}\n")
     return "".join(lines)
 
 
@@ -447,8 +458,9 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         except (StepFailureError, KrylovError) as exc:
             halt(f"step {n}: {exc}", n - 1, exc)
         t += active.dt
-        kit = active.last_krylov.iterations if active.last_krylov is not None else None
-        records.append(DiagnosticsRecord(n, t, l2, gamma_norm(psi, weight), kit))
+        report = active.last_krylov
+        kit, kres = (report.iterations, report.residual) if report is not None else (None, None)
+        records.append(DiagnosticsRecord(n, t, l2, gamma_norm(psi, weight), kit, kres))
         if cfg.stride > 0 and (n % cfg.stride == 0 or n == nsteps):
             snap(n, psi)
 

@@ -8,6 +8,15 @@ complex scalars update the least-squares problem; warm starts supported
 through x0.  The true residual is re-checked before a converged solve returns.
 A non-finite operator output shows as a non-finite norm (of the residual or
 of a new Arnoldi vector) and raises KrylovError.
+
+An optional residual weight makes the exit check measure ||weight r|| /
+||weight b|| instead of ||r|| / ||b||.  A left-scaled system w A x = w b
+passes weight = 1/w, so `tol` then holds for the unscaled residual of A x = b
+(KrylovReport.residual reports the same figure).  The Arnoldi estimate only
+tracks the unweighted residual, and stops at `estimate_tol` (default `tol`):
+when it has met its target but the weighted residual has not, the next
+restart cycle aims lower by their ratio, so the solve goes on to the weighted
+`tol` instead of ending early or spinning.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ class KrylovOptions:
 @dataclass
 class KrylovReport:
     iterations: int
-    residual: float          # final relative residual
+    residual: float          # final relative residual, weighted when a weight is given
     converged: bool
 
 
@@ -50,7 +59,7 @@ def _flat(v):
     return np.ascontiguousarray(v).ravel()
 
 
-def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
+def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, estimate_tol=None):
     """Solve apply(x) = b to relative residual `tol`.
 
     Parameters
@@ -61,6 +70,12 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
         Right-hand side (any shape, complex).
     x0 : ndarray, optional
         Warm start; defaults to zero.
+    weight : ndarray, optional
+        Broadcasts against b; the exit check and the reported residual then
+        measure ||weight (b - apply(x))|| / ||weight b||.
+    estimate_tol : float, optional
+        First stop of the Arnoldi estimate ||r|| / ||b|| (defaults to tol);
+        a tighter value buys accuracy margin below the exit check.
 
     Returns
     -------
@@ -70,7 +85,8 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     b = np.asarray(b, dtype=np.complex128)
     shape = b.shape
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    wbnorm = bnorm if weight is None else float(np.linalg.norm(weight * b))
+    if wbnorm == 0.0:
         return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True)
 
     x = np.zeros(shape, dtype=np.complex128) if x0 is None else np.array(x0, dtype=np.complex128)
@@ -86,15 +102,23 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             raise KrylovError("operator produced non-finite values")
         return norm
 
-    resid = None
+    def true_resid(r):
+        if weight is not None:
+            r = weight * r.reshape(shape)
+        return float(finite(np.linalg.norm(r))) / wbnorm
+
+    target = tol if estimate_tol is None else estimate_tol   # stop of ||r|| / ||b||
     while True:
         r = _flat(b) - matvec(_flat(x))
         beta = finite(np.linalg.norm(r))
-        resid = beta / bnorm
+        resid = true_resid(r)
         if resid <= tol:
-            return x.reshape(shape), KrylovReport(total_iters, float(resid), True)
+            return x.reshape(shape), KrylovReport(total_iters, resid, True)
         if total_iters >= maxit:
-            return x.reshape(shape), KrylovReport(total_iters, float(resid), False)
+            return x.reshape(shape), KrylovReport(total_iters, resid, False)
+        if beta / bnorm <= target:
+            # the estimate met its target but the weighted residual did not
+            target = tol * (beta / bnorm) / resid
 
         m = min(restart, maxit - total_iters)
         Q = np.empty((m + 1, b.size), dtype=np.complex128)
@@ -143,8 +167,8 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             g.append(-s.conjugate() * g[k])
             g[k] = c * g[k]
 
-            resid = abs(g[k + 1]) / bnorm
-            if wnorm == 0.0 or resid <= tol or total_iters >= maxit:
+            estimate = abs(g[k + 1]) / bnorm
+            if wnorm == 0.0 or estimate <= target or total_iters >= maxit:
                 break
             Q[k + 1] = w / wnorm
 
@@ -158,10 +182,9 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             y = np.linalg.lstsq(H[:k_used, :k_used], rhs, rcond=None)[0]
         x = x + (y @ Q[:k_used]).reshape(shape)
 
-        if resid <= tol:
+        if estimate <= target:
             # recompute true residual on return path of the outer loop
             continue
         if total_iters >= maxit:
-            r = _flat(b) - matvec(_flat(x))
-            resid = finite(np.linalg.norm(r)) / bnorm
-            return x.reshape(shape), KrylovReport(total_iters, float(resid), resid <= tol)
+            resid = true_resid(_flat(b) - matvec(_flat(x)))
+            return x.reshape(shape), KrylovReport(total_iters, resid, resid <= tol)

@@ -14,7 +14,10 @@ order-2 accuracy is preserved.
 Transport variants:
 
 * ``cn``    semi-implicit Cayley form: solve (I + dt/2 a.alpha.[[grad]]) psi* =
-            (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES.
+            (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES.  On 1-D
+            grids the solve may be right-preconditioned by a circulant (see
+            `cn_transport_step`); either way one GMRES iteration costs one
+            FFT pair.
 * ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted,
             the shift taken in the alpha^i eigenbasis; explicit, one FFT pair
             per axis.
@@ -38,6 +41,13 @@ from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import alpha_matrix, diagonalize_alpha, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
+# The circulant preconditioner is used when kappa > PRECONDITION_RATIO * q
+# (see `cayley_preconditioner`).
+PRECONDITION_RATIO = 10.0
+# The preconditioned solve's Arnoldi estimate stops at this fraction of the
+# Krylov tolerance: at the tolerance itself its per-step errors add up
+# coherently over a run (cn's temporal order then drops from 2.00 to 1.76).
+PRECONDITIONED_TOL_SHARE = 0.1
 
 
 def _spin_matmul(mat, values):
@@ -94,6 +104,7 @@ class StepWorkspace:
             -tau * np.asarray(pot.G), [-tau * np.asarray(g) for g in pot.Gvec], self.S
         ) * phase
         self.last_krylov = None
+        self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
 
 
 def half_potential_step(f: SpinorField, ws: StepWorkspace) -> SpinorField:
@@ -115,15 +126,101 @@ def _cn_apply_values(values, ws, sign):
     return out
 
 
+class CirculantPreconditioner:
+    """M = m + c alpha [[d]] for the 1-D Cayley solve, c = dt/2.
+
+    Since alpha^2 = I, the symbol inverts in closed form:
+    M^-1 = F^-1 (m - c mult alpha) / (m^2 - c^2 mult^2) F, mult the
+    first-derivative multiplier (Nyquist policy kept).
+    """
+
+    def __init__(self, w, m, c, mult, alpha):
+        self.w = w                  # 1 / a_eff
+        self.m = m                  # midrange of Re w
+        self.shift = w - m
+        den = m * m - c * c * mult * mult
+        self.s0 = m / den
+        self.s1 = c * mult / den
+        self.alpha = alpha
+
+    def solve(self, values):
+        """M^-1 values, one FFT pair."""
+        vhat = np.fft.fft(values, axis=1)
+        out = self.s0 * vhat - self.s1 * _spin_matmul(self.alpha, vhat)
+        return np.fft.ifft(out, axis=1)
+
+
+def cayley_preconditioner(ws: StepWorkspace) -> CirculantPreconditioner | None:
+    """The circulant preconditioner of the cn solve, or None for plain GMRES.
+
+    With c = dt/2, a = a_eff, w = 1/a and m the midrange of Re w, the rule
+    compares kappa = |c| xi_max max|a|, which sets the plain iteration count,
+    with q = max|w - m| / m, which sets the preconditioned one, and picks the
+    preconditioner when kappa > PRECONDITION_RATIO * q.  2-D grids, a zero
+    velocity and a non-finite or non-positive w fall back to plain GMRES.
+    Built at the first solve from the workspace's current dt and a_eff, and
+    rebuilt when either is replaced.
+    """
+    if ws.grid.d != 1:
+        return None
+    a = ws.a_eff[0]
+    if ws.cayley is not None and ws.cayley[0] == ws.dt and ws.cayley[1] is a:
+        return ws.cayley[2]
+    pre = None
+    if np.all(a != 0):
+        w = 1.0 / a
+        if np.all(np.isfinite(w)):
+            m = 0.5 * (np.max(w.real) + np.min(w.real))
+            mult = ws.d1_mult[0]
+            c = 0.5 * ws.dt
+            kappa = abs(c) * np.max(np.abs(mult)) * np.max(np.abs(a))
+            if m > 0 and kappa > PRECONDITION_RATIO * np.max(np.abs(w - m)) / m:
+                pre = CirculantPreconditioner(w, m, c, mult, ws.alpha[0])
+    ws.cayley = (ws.dt, a, pre)
+    return pre
+
+
 def cn_transport_step(f: SpinorField, ws: StepWorkspace,
                       opts: KrylovOptions | None = None) -> SpinorField:
-    """Cayley transport: GMRES-solve G psi* = G~ psi with warm start psi."""
+    """Cayley transport: GMRES-solve A psi* = (2I - A) psi, A = I + c a alpha [[d]].
+
+    Plain GMRES starts from psi.  With a `cayley_preconditioner`, the system
+    is scaled on the left by w = 1/a and preconditioned on the right by M:
+
+        (I + (w - m) M^-1) y = w psi - c alpha [[d]] psi,   psi* = M^-1 y,
+
+    started from y0 = M psi = m psi + c alpha [[d]] psi, so one derivative
+    gives both the right-hand side and the warm start.  The residual weight a
+    keeps the exit check on the unscaled residual ||b - A psi*|| / ||b||,
+    and the Arnoldi estimate aims at PRECONDITIONED_TOL_SHARE of the
+    tolerance.  The closing true-residual product has already computed
+    M^-1 y, so psi* costs no further FFT pair: a step costs one FFT pair
+    more than its operator products, as on the plain path.
+    """
     opts = opts or KrylovOptions()
-    b = _cn_apply_values(f.values, ws, -1)
-    x, report = gmres(
-        lambda v: _cn_apply_values(v, ws, +1),
-        b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
-    )
+    pre = cayley_preconditioner(ws)
+    if pre is None:
+        b = _cn_apply_values(f.values, ws, -1)
+        x, report = gmres(
+            lambda v: _cn_apply_values(v, ws, +1),
+            b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
+        )
+    else:
+        psi = f.values
+        adv = 0.5 * ws.dt * _spin_matmul(pre.alpha, derivative_values(psi, 0, ws.d1_mult[0]))
+        last = [None, None]   # the operator's last input and its M^-1 image
+
+        def apply(y):
+            z = pre.solve(y)
+            last[:] = y, z
+            return y + pre.shift * z
+
+        y, report = gmres(
+            apply, pre.w * psi - adv, x0=pre.m * psi + adv,
+            tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
+            weight=ws.a_eff[0], estimate_tol=PRECONDITIONED_TOL_SHARE * opts.tol,
+        )
+        x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)
     ws.last_krylov = report
     if not report.converged:
         raise StepFailureError(

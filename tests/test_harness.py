@@ -72,6 +72,15 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.N == (64,) and cfg.scheme == "cn"
 
 
+def test_hash_inside_a_value_is_not_a_comment():
+    text = MINIMAL + "output.dir = /data/run#3.csv  # trailing comment\n"
+    cfg = parse_config(text + "output.stride = 5\t# tab before the comment\n")
+    assert cfg.out_dir == "/data/run#3.csv" and cfg.stride == 5
+    assert parse_config(serialize_config(cfg)) == cfg
+    with pytest.raises(ConfigurationError, match="output.dir"):
+        serialize_config(cfg.replace(out_dir="/data/run #3"))
+
+
 def test_wrong_tuple_arity_rejected():
     with pytest.raises(ConfigurationError, match="comma-separated"):
         parse_config(MINIMAL.replace("grid.a = 5.0", "grid.a = 1,2,3"))
@@ -337,9 +346,11 @@ def test_krylov_iterations_recorded_only_for_cn():
     cfg = preset_config("exp4", "ci").replace(T=0.05)
     res = run_simulation(cfg)
     assert all(r.krylov_iters is not None for r in res.diagnostics[1:])
+    assert all(0 < r.krylov_residual <= cfg.krylov.tol for r in res.diagnostics[1:])
     cfg = preset_config("exp3", "ci").replace(T=5 * 1.14e-4)
     res = run_simulation(cfg)
     assert all(r.krylov_iters is None for r in res.diagnostics[1:])
+    assert all(r.krylov_residual is None for r in res.diagnostics[1:])
 
 
 # ----------------------------------------------------------------- files
@@ -418,7 +429,7 @@ def test_diagnostics_csv_format(tmp_path):
     res = run_simulation(cfg)
     p = write_diagnostics(res.diagnostics, str(tmp_path / "d.csv"))
     lines = open(p).read().splitlines()
-    assert lines[0] == "step,t,l2,l2_gamma,krylov_iters"
+    assert lines[0] == "step,t,l2,l2_gamma,krylov_iters,krylov_residual"
     assert lines[1].startswith("0,0.0,")
     assert lines[-1].endswith(",")  # explicit scheme: empty krylov column
 

@@ -3,14 +3,17 @@ import pytest
 
 from conftest import flat_exact_evolution, loglog_slope
 
+from curvedirac import propagators
 from curvedirac.errors import ConfigurationError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.grid_spectral import SpinorField, make_grid
-from curvedirac.harness import RunConfig, convergence_sweep, run_simulation
+from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions
+from curvedirac.oracle import dense_cn_step
 from curvedirac.propagators import (
     StepWorkspace,
     _spin_matmul,
+    cayley_preconditioner,
     cn_operator_apply,
     cn_transport_step,
     half_potential_step,
@@ -170,6 +173,69 @@ def test_cn_time_reversibility():
     f1 = strang_step(f0, "cn", fwd, KrylovOptions(tol=1e-13))
     f2 = strang_step(f1, "cn", bwd, KrylovOptions(tol=1e-13))
     assert np.max(np.abs(f2.values - f0.values)) < 1e-11
+
+
+# ------------------------------------------------------------ preconditioned cn
+
+
+def preset_workspace(name, scale, **changes):
+    cfg = preset_config(name, scale).replace(**changes)
+    return cfg, StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+
+
+@pytest.mark.parametrize("name,scale,changes,preconditioned", [
+    ("exp5", "ci", {}, True),            # kappa 7.45, q 0.652: 98 -> 25 iterations
+    ("exp1", "paper", {}, True),         # kappa 1.57, q 0.052: 11 -> 5
+    ("exp2", "paper", {}, True),         # kappa 1.73, q 0.048: 12 -> 5
+    ("exp4", "ci", {}, False),           # kappa 1.58, q 0.338: 9 plain, 14 preconditioned
+    ("exp4", "paper", {}, False),        # kappa 3.17, q 0.338: 9 plain, 14 preconditioned
+    ("exp6", "ci", {}, False),           # kappa 3.17, q 0.338: 15 plain, 14 preconditioned
+    ("exp6", "paper", {}, False),
+    ("exp4", "paper", {"dt": 1e-5, "N": (2560,)}, False),   # C08: kappa 0.004, 2 plain, 9
+    ("exp3", "ci", {}, False),           # 2-D grid
+])
+def test_preconditioner_selection(name, scale, changes, preconditioned):
+    _, ws = preset_workspace(name, scale, **changes)
+    assert ws.cayley is None             # nothing is built with the workspace
+    assert (cayley_preconditioner(ws) is not None) == preconditioned
+
+
+def test_preconditioner_is_built_lazily_and_follows_dt_and_velocity():
+    ws = StepWorkspace(FLAT1, make_grid(1, 5.0, 64), 0.1)
+    first = cayley_preconditioner(ws)    # flat space: q = 0, so always chosen
+    assert first is not None and cayley_preconditioner(ws) is first
+    ws.dt = -0.1
+    assert cayley_preconditioner(ws) not in (None, first)
+    ws.a_eff[0] = np.zeros(64)           # zero velocity: plain GMRES
+    assert cayley_preconditioner(ws) is None
+
+
+def test_preconditioned_step_matches_dense_oracle():
+    cfg, ws = preset_workspace("exp5", "ci")
+    f = initial_condition(cfg, ws.grid)
+    out = cn_transport_step(f, ws, cfg.krylov)
+    assert ws.cayley[2] is not None
+    dense = dense_cn_step(f, ws)
+    rel = np.linalg.norm(out.values - dense.values) / np.linalg.norm(dense.values)
+    assert rel <= 1e-10
+    # the reported residual is the unscaled one of A psi* = (2I - A) psi
+    b = cn_operator_apply(f, ws, -1).values
+    unscaled = np.linalg.norm(b - cn_operator_apply(out, ws, +1).values) / np.linalg.norm(b)
+    assert ws.last_krylov.residual == pytest.approx(unscaled, rel=1e-2)
+    assert ws.last_krylov.residual <= cfg.krylov.tol
+
+
+def test_preconditioned_solve_costs_one_fft_pair_per_operator_product(monkeypatch):
+    cfg, ws = preset_workspace("exp5", "ci")
+    f = initial_condition(cfg, ws.grid)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
+    cn_transport_step(f, ws, cfg.krylov)
+    # the right-hand side, one product per iteration, the initial and the
+    # closing residual; psi* = M^-1 y is taken from the closing product
+    assert ws.last_krylov.iterations < cfg.krylov.restart
+    assert len(calls) == ws.last_krylov.iterations + 3
 
 
 # ------------------------------------------------------------ poly steps
@@ -354,6 +420,20 @@ def test_temporal_orders(scheme, lo, hi):
     rows = convergence_sweep(cfg, "dt", [4e-3, 2e-3, 1e-3, 5e-4], refine=4)
     slope = loglog_slope([p for p, _ in rows], [e for _, e in rows])
     assert lo <= slope <= hi
+
+
+def test_preconditioned_cn_keeps_the_plain_temporal_errors(monkeypatch):
+    # test_temporal_orders' cn case forced onto the circulant path (its
+    # kappa / q is 2.7, so the rule picks plain GMRES there).  Stopping the
+    # Arnoldi estimate at the tolerance itself drops the slope to 1.76.
+    cfg = RunConfig(d=1, a=5.0, N=256, metric=WELL, scheme="cn", dt=1e-3, T=0.1,
+                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
+    dts = [4e-3, 2e-3, 1e-3, 5e-4]
+    plain = [e for _, e in convergence_sweep(cfg, "dt", dts, refine=4)]
+    monkeypatch.setattr(propagators, "PRECONDITION_RATIO", 0.0)
+    pre = [e for _, e in convergence_sweep(cfg, "dt", dts, refine=4)]
+    assert 1.95 <= loglog_slope(dts, pre) <= 2.05
+    assert np.allclose(pre, plain, rtol=1e-2, atol=0)
 
 
 def test_spatial_error_decays_spectrally():
