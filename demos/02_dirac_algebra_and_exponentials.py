@@ -8,7 +8,8 @@ transport scheme.
 
 import numpy as np
 
-from curvedirac import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac, expm_small
+from curvedirac import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac
+from curvedirac.spinor_algebra import expm_small
 
 print("anticommutators of the 4x4 set (should be 2 delta_ij I):")
 for i in (1, 2, 3):

@@ -15,19 +15,10 @@ from .grid_spectral import (
     Grid,
     SpinorField,
     dense_diff_matrix,
-    forward_dft_axis,
-    inverse_dft_axis,
     make_grid,
     spectral_derivative,
 )
-from .spinor_algebra import (
-    AlphaDiagonalization,
-    alpha_matrix,
-    beta_matrix,
-    diagonalize_alpha,
-    exp_dirac,
-    expm_small,
-)
+from .spinor_algebra import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac
 from .geometry import (
     MetricModel,
     PotentialField,
@@ -44,14 +35,13 @@ from .pml import PmlConfig, apply_pml, sigma_profile, stretch_factor
 from .krylov import KrylovOptions, KrylovReport, gmres
 from .propagators import (
     StepWorkspace,
-    cn_operator_apply,
     cn_transport_step,
     half_potential_step,
     poly_axis_step,
     poly_axis_step2,
     strang_step,
 )
-from .oracle import build_dense_G, dense_cn_step, reference_run, restrict_to_coarse
+from .oracle import build_dense_G, dense_cn_step
 from .harness import (
     DiagnosticsRecord,
     RunConfig,
@@ -64,6 +54,7 @@ from .harness import (
     parse_config,
     preset_config,
     read_snapshot,
+    restrict_to_coarse,
     run_simulation,
     serialize_config,
     write_diagnostics,
@@ -73,19 +64,18 @@ from .harness import (
 __all__ = [
     "BudgetError", "ConfigurationError", "GeometryError", "KrylovError",
     "SimulationError", "StepFailureError", "Grid", "SpinorField",
-    "dense_diff_matrix", "forward_dft_axis", "inverse_dft_axis", "make_grid",
-    "spectral_derivative", "AlphaDiagonalization", "alpha_matrix",
-    "beta_matrix", "diagonalize_alpha", "exp_dirac", "expm_small",
-    "MetricModel", "PotentialField", "ScalarForm", "connection_fields",
-    "gamma_weight", "graphene_f", "parse_form", "potential_field",
-    "velocity_bound", "velocity_fields", "PmlConfig", "apply_pml",
-    "sigma_profile", "stretch_factor", "KrylovOptions", "KrylovReport",
-    "gmres", "StepWorkspace", "cn_operator_apply", "cn_transport_step",
-    "half_potential_step", "poly_axis_step", "poly_axis_step2", "strang_step",
-    "build_dense_G", "dense_cn_step", "reference_run", "restrict_to_coarse",
-    "DiagnosticsRecord", "RunConfig", "SimulationResult", "convergence_sweep",
-    "density", "gamma_norm", "initial_condition", "l2_norm", "parse_config",
-    "preset_config", "read_snapshot", "run_simulation", "serialize_config",
+    "dense_diff_matrix", "make_grid", "spectral_derivative", "alpha_matrix",
+    "beta_matrix", "diagonalize_alpha", "exp_dirac", "MetricModel",
+    "PotentialField", "ScalarForm", "connection_fields", "gamma_weight",
+    "graphene_f", "parse_form", "potential_field", "velocity_bound",
+    "velocity_fields", "PmlConfig", "apply_pml", "sigma_profile",
+    "stretch_factor", "KrylovOptions", "KrylovReport", "gmres",
+    "StepWorkspace", "cn_transport_step", "half_potential_step",
+    "poly_axis_step", "poly_axis_step2", "strang_step", "build_dense_G",
+    "dense_cn_step", "DiagnosticsRecord", "RunConfig", "SimulationResult",
+    "convergence_sweep", "density", "gamma_norm", "initial_condition",
+    "l2_norm", "parse_config", "preset_config", "read_snapshot",
+    "restrict_to_coarse", "run_simulation", "serialize_config",
     "write_diagnostics", "write_snapshot",
 ]
 __version__ = "0.1.0"

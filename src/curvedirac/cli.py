@@ -12,13 +12,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, GeometryError, SimulationError
 from . import harness
 
 
 def _load(path) -> harness.RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return harness.parse_config(fh.read())
+
+
+def _values(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        msg = f"expected comma-separated numbers, got '{text}'"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _print_summary(res):
@@ -49,7 +57,7 @@ def main(argv=None) -> int:
     p_con = sub.add_parser("converge", help="resolution sweep against a fine reference")
     p_con.add_argument("config")
     p_con.add_argument("--sweep", choices=("h", "dt"), required=True)
-    p_con.add_argument("--values", required=True, help="comma-separated, descending")
+    p_con.add_argument("--values", type=_values, required=True, help="comma-separated, descending")
     p_con.add_argument("--out", default=None, help="CSV output path")
 
     p_nrm = sub.add_parser("norms", help="run and print diagnostics only")
@@ -69,15 +77,14 @@ def main(argv=None) -> int:
             _print_summary(harness.run_simulation(cfg))
         elif args.command == "converge":
             cfg = _load(args.config)
-            values = [float(v) for v in args.values.split(",")]
-            rows = harness.convergence_sweep(cfg, args.sweep, values,
+            rows = harness.convergence_sweep(cfg, args.sweep, args.values,
                                              out_path=args.out or "")
             print(harness.sweep_csv(rows), end="")
         elif args.command == "norms":
             cfg = _load(args.config).replace(out_dir="", stride=0)
             res = harness.run_simulation(cfg)
             print(harness.diagnostics_csv(res.diagnostics), end="")
-    except (ConfigurationError, SimulationError, OSError) as exc:
+    except (ConfigurationError, GeometryError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

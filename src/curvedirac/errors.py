@@ -24,10 +24,6 @@ class KrylovError(RuntimeError):
 class StepFailureError(RuntimeError):
     """A transport solve did not converge; the simulation cannot continue."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class BudgetError(RuntimeError):
     """An oracle or reference computation exceeded its configured size budget."""

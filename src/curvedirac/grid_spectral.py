@@ -116,9 +116,6 @@ class SpinorField:
     def spinor_dim(self):
         return self.values.shape[0]
 
-    def copy(self):
-        return SpinorField(self.values.copy(), self.grid)
-
     def is_finite(self):
         return bool(np.all(np.isfinite(self.values)))
 

@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, KrylovError, SimulationError, StepFailureError
+from .errors import BudgetError, ConfigurationError, KrylovError, SimulationError, StepFailureError
 from .geometry import MetricModel, gamma_weight, parse_form
 from .grid_spectral import Grid, SpinorField, grid_axes, per_axis
 from .krylov import KrylovOptions
@@ -300,16 +300,6 @@ class SimulationResult:
 # snapshot / diagnostics files
 
 
-def _snapshot_columns(obj):
-    if isinstance(obj, SpinorField):
-        cols = []
-        for s in range(obj.spinor_dim):
-            cols.append((f"re{s}", np.real(obj.values[s])))
-            cols.append((f"im{s}", np.imag(obj.values[s])))
-        return obj.grid, cols
-    raise TypeError("write_snapshot takes a SpinorField or (ndarray, grid)")
-
-
 def write_snapshot(obj, path, grid: Grid | None = None) -> str:
     """Write a field or density to CSV (or DCRV binary above 256^2 in 2-D).
 
@@ -317,7 +307,10 @@ def write_snapshot(obj, path, grid: Grid | None = None) -> str:
     ``x[,y],density`` for real densities; one row per node in row-major order.
     """
     if isinstance(obj, SpinorField):
-        grid, cols = _snapshot_columns(obj)
+        grid, cols = obj.grid, []
+        for s in range(obj.spinor_dim):
+            cols.append((f"re{s}", np.real(obj.values[s])))
+            cols.append((f"im{s}", np.imag(obj.values[s])))
     else:
         if grid is None:
             raise TypeError("writing a density needs the grid")
@@ -473,8 +466,18 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 # convergence driver
 
 
+def restrict_to_coarse(fine: SpinorField, coarse_grid: Grid) -> SpinorField:
+    """Index-subsample a nested fine-grid field onto the coarse grid."""
+    for i in range(coarse_grid.d):
+        if fine.grid.N[i] % coarse_grid.N[i] != 0 or fine.grid.a[i] != coarse_grid.a[i]:
+            raise ValueError("grids do not nest; restriction must be loss-free")
+    steps = tuple(fine.grid.N[i] // coarse_grid.N[i] for i in range(coarse_grid.d))
+    sl = (slice(None),) + tuple(slice(None, None, s) for s in steps)
+    return SpinorField(fine.values[sl].copy(), coarse_grid)
+
+
 def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
-                      out_path: str = "", budget: int = None):
+                      out_path: str = "", budget: int | None = None):
     """Error table against a refined self-reference run.
 
     sweep = 'h': each value is a target spacing (2a/h must be an integer);
@@ -483,20 +486,25 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
     temporal error floors the table), restricted onto each coarse grid by
     index subsampling.
     sweep = 'dt': fixed grid, reference at min(values)/refine^2.
+    A reference run costing more than `budget` node-steps
+    (max(1, steps) * prod(N)) raises BudgetError; None disables the guard.
 
     Returns a list of (value, error) rows, optionally written as CSV
     'param,error'.
     """
-    from . import oracle
-
     if sweep not in ("h", "dt"):
         raise ConfigurationError("sweep must be 'h' or 'dt'")
     values = list(values)
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigurationError(f"sweep values must be positive and finite, got {values}")
     if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
         raise ConfigurationError("sweep values must be strictly decreasing")
 
     def run_guarded(rcfg):
-        oracle.check_budget(rcfg, budget)
+        cost = max(1, rcfg.steps()) * int(np.prod(rcfg.N))
+        if budget is not None and cost > budget:
+            raise BudgetError(
+                f"reference run would cost {cost:.3g} node-steps (> budget {budget:.3g})")
         return run_simulation(rcfg)
 
     rows = []
@@ -513,7 +521,7 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
         for h, N in zip(values, grids):
             res = run_simulation(base.replace(N=N))
             coarse = res.final.grid
-            diff = res.final.values - oracle.restrict_to_coarse(ref.final, coarse).values
+            diff = res.final.values - restrict_to_coarse(ref.final, coarse).values
             rows.append((h, l2_norm(SpinorField(diff, coarse))))
     else:
         ref = run_guarded(base.replace(dt=values[-1] / refine ** 2))

@@ -112,12 +112,8 @@ def half_potential_step(f: SpinorField, ws: StepWorkspace) -> SpinorField:
     return SpinorField(_spin_matmul(ws.exp_half, f.values), f.grid)
 
 
-def cn_operator_apply(f: SpinorField, ws: StepWorkspace, sign: int) -> SpinorField:
-    """Apply I + sign (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]], matrix-free."""
-    return SpinorField(_cn_apply_values(f.values, ws, sign), f.grid)
-
-
-def _cn_apply_values(values, ws, sign):
+def cn_apply_values(values, ws, sign):
+    """Apply I + sign (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] to field values, matrix-free."""
     out = values.copy()
     coef = sign * 0.5 * ws.dt
     for i in range(ws.grid.d):
@@ -200,9 +196,9 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
     if pre is None:
-        b = _cn_apply_values(f.values, ws, -1)
+        b = cn_apply_values(f.values, ws, -1)
         x, report = gmres(
-            lambda v: _cn_apply_values(v, ws, +1),
+            lambda v: cn_apply_values(v, ws, +1),
             b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
         )
     else:
@@ -225,7 +221,7 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     if not report.converged:
         raise StepFailureError(
             f"transport solve stalled: residual {report.residual:.3e} "
-            f"after {report.iterations} iterations", report)
+            f"after {report.iterations} iterations")
     return SpinorField(x, f.grid)
 
 

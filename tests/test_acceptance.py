@@ -33,7 +33,7 @@ from curvedirac.krylov import KrylovOptions
 from curvedirac.oracle import build_dense_G, dense_cn_step
 from curvedirac.pml import stretch_factor
 from curvedirac.propagators import StepWorkspace, cn_transport_step
-from curvedirac.propagators import _cn_apply_values
+from curvedirac.propagators import cn_apply_values
 from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac, expm_small
 
 EXP1_METRIC = MetricModel("static1d", mass=1.0,
@@ -268,7 +268,7 @@ def test_c11_complexity_trend():
         def apply_at(N):
             ws = StepWorkspace(flat, make_grid(1, 5.0, N), 1e-3)
             v = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
-            return lambda: _cn_apply_values(v, ws, +1)
+            return lambda: cn_apply_values(v, ws, +1)
 
         def dense_at(N):
             ws = StepWorkspace(flat, make_grid(1, 5.0, N), 1e-3)

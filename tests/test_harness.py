@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from importlib import resources
 
@@ -460,6 +461,13 @@ def test_sweep_requires_descending_values():
         convergence_sweep(cfg, "x", [1e-3])
 
 
+@pytest.mark.parametrize("values", [[math.nan], [0.2, math.nan], [math.inf, 0.1], [0.0]])
+def test_sweep_rejects_non_finite_or_zero_spacings(values):
+    # each used to end in a ValueError or ZeroDivisionError from the grid sizing
+    with pytest.raises(ConfigurationError, match="sweep values must be positive and finite"):
+        convergence_sweep(parse_config(MINIMAL), "h", values)
+
+
 def test_sweep_writes_csv(tmp_path):
     cfg = RunConfig(d=1, a=5.0, N=128, metric=MetricModel("flat", mass=1.0),
                     scheme="cn", dt=1e-3, T=0.02, ic_kind="gaussian_wavepacket", ic_k0=3.0)
@@ -538,3 +546,21 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad.write_text("grid.d = 7\n")
     assert cli.main(["run", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_degenerate_graphene_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfgfile = tmp_path / "graphene.cfg"
+    # a0 = 5, k0 = 3, ell = 1 puts the strain f far above 1
+    graphene = "metric.kind = graphene\nmetric.a0 = 5.0\nmetric.k0 = 3.0\nmetric.ell = 1.0"
+    cfgfile.write_text(MINIMAL.replace("metric.kind = flat", graphene))
+    assert cli.main(["run", str(cfgfile)]) == 1
+    assert "error: degenerate graphene metric" in capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_sweep_values(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", str(cfgfile), "--sweep", "dt", "--values", "0.01,abc"])
+    assert exc.value.code == 2
+    assert "--values: expected comma-separated numbers, got '0.01,abc'" in capsys.readouterr().err

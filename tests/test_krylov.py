@@ -183,18 +183,17 @@ def _mgs_gmres(apply, b, x0, tol, restart, maxit):
 def test_exp5_solve_matches_modified_gram_schmidt_reference():
     # the blocked classical Gram-Schmidt solve takes the same path as MGS on
     # the graphene Cayley operator: same iterations, same solution
-    from curvedirac.grid_spectral import SpinorField
     from curvedirac.harness import initial_condition, preset_config
-    from curvedirac.propagators import StepWorkspace, cn_operator_apply, half_potential_step
+    from curvedirac.propagators import StepWorkspace, cn_apply_values, half_potential_step
 
     cfg = preset_config("exp5", "ci")
     grid = cfg.grid()
     ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
     f = half_potential_step(initial_condition(cfg, grid), ws)
-    b = cn_operator_apply(f, ws, -1).values
+    b = cn_apply_values(f.values, ws, -1)
 
     def apply(v):
-        return cn_operator_apply(SpinorField(v, grid), ws, +1).values
+        return cn_apply_values(v, ws, +1)
 
     opts = cfg.krylov
     x, rep = gmres(apply, b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit)

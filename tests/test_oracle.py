@@ -6,16 +6,10 @@ from conftest import flat_exact_evolution
 from curvedirac.errors import BudgetError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.grid_spectral import SpinorField, make_grid
-from curvedirac.harness import RunConfig, run_simulation
+from curvedirac.harness import RunConfig, initial_condition, restrict_to_coarse, run_simulation
 from curvedirac.krylov import KrylovOptions
-from curvedirac.oracle import (
-    build_dense_G,
-    dense_cn_step,
-    reference_run,
-    refine_config,
-    restrict_to_coarse,
-)
-from curvedirac.propagators import StepWorkspace, cn_operator_apply, cn_transport_step
+from curvedirac.oracle import build_dense_G, dense_cn_step
+from curvedirac.propagators import StepWorkspace, cn_apply_values, cn_transport_step
 from curvedirac.spinor_algebra import alpha_matrix
 
 EXP1 = MetricModel("static1d", mass=1.0,
@@ -35,8 +29,7 @@ def test_dense_G_matches_matrix_free_1d(rng):
     G = build_dense_G(ws)
     for _ in range(20):
         v = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-        f = SpinorField(v, g)
-        assert np.max(np.abs(G @ v.ravel() - cn_operator_apply(f, ws, +1).values.ravel())) < 1e-11
+        assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws, +1).ravel())) < 1e-11
 
 
 def test_dense_G_matches_matrix_free_2d(rng):
@@ -46,8 +39,7 @@ def test_dense_G_matches_matrix_free_2d(rng):
     ws = StepWorkspace(m2, g, 1e-2)
     G = build_dense_G(ws)
     v = rng.standard_normal((2, 8, 6)) + 1j * rng.standard_normal((2, 8, 6))
-    f = SpinorField(v, g)
-    assert np.max(np.abs(G @ v.ravel() - cn_operator_apply(f, ws, +1).values.ravel())) < 1e-11
+    assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws, +1).ravel())) < 1e-11
 
 
 def test_dense_G_anti_hermitian_part_flat():
@@ -125,31 +117,6 @@ def test_dense_vs_matrix_free_agree_on_presets(rng):
 # ------------------------------------------------------------- reference runs
 
 
-def test_refine_config_scaling():
-    cfg = RunConfig(d=1, a=5.0, N=128, metric=EXP1, scheme="cn", dt=4e-3, T=0.1,
-                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    r = refine_config(cfg, 4)
-    assert r.N == (512,) and r.dt == pytest.approx(2.5e-4)
-    with pytest.raises(ValueError):
-        refine_config(cfg, 0)
-
-
-def test_reference_run_refine_one_is_identical():
-    cfg = RunConfig(d=1, a=5.0, N=64, metric=EXP1, scheme="cn", dt=5e-3, T=0.05,
-                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    a = run_simulation(cfg)
-    b = reference_run(cfg, refine=1)
-    assert a.final.values.tobytes() == b.final.values.tobytes()
-    assert [r.l2 for r in a.diagnostics] == [r.l2 for r in b.diagnostics]
-
-
-def test_reference_run_budget_guard():
-    cfg = RunConfig(d=1, a=5.0, N=1024, metric=EXP1, scheme="cn", dt=1e-4, T=1.0,
-                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    with pytest.raises(BudgetError):
-        reference_run(cfg, refine=8, budget=10_000_000)
-
-
 def test_restriction_subsamples_nested_nodes(rng):
     fine = make_grid(1, 5.0, 96)
     coarse = make_grid(1, 5.0, 32)
@@ -162,13 +129,11 @@ def test_restriction_subsamples_nested_nodes(rng):
 
 
 def test_reference_run_matches_analytic_flat_dispersion():
-    from curvedirac.harness import initial_condition
-
-    cfg = RunConfig(d=1, a=6.0, N=256, metric=MetricModel("flat", mass=1.0),
-                    scheme="cn", dt=4e-4, T=0.1,
-                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    ref = reference_run(cfg, refine=3)
-    rcfg = refine_config(cfg, 3)
+    # the run refined by 3 (h/3, dt/9) against the exact flat evolution
+    rcfg = RunConfig(d=1, a=6.0, N=3 * 256, metric=MetricModel("flat", mass=1.0),
+                     scheme="cn", dt=4e-4 / 3 ** 2, T=0.1,
+                     ic_kind="gaussian_wavepacket", ic_k0=3.0)
+    ref = run_simulation(rcfg)
     f0 = initial_condition(rcfg, rcfg.grid())
     exact = flat_exact_evolution(f0, 1.0, 0.1)
     err = np.linalg.norm(ref.final.values - exact.values) / np.linalg.norm(exact.values)
