@@ -201,6 +201,17 @@ def graphene_f(x, a0, k0, ell):
     return 2.0 * np.pi ** 2 * a0 ** 2 * k0 ** 2 * s * s / ell ** 2
 
 
+def _graphene_strain(model: MetricModel, grid: Grid) -> np.ndarray:
+    """f(x) at the grid nodes; GeometryError where the metric degenerates (f >= 1)."""
+    f = graphene_f(grid.meshes()[0], model.a0, model.k0, model.ell)
+    fmax = float(np.max(f))
+    if fmax >= 1.0:
+        raise GeometryError(
+            f"degenerate graphene metric: max f = {fmax:.6g} >= 1 on the grid"
+        )
+    return f
+
+
 def velocity_fields(model: MetricModel, grid: Grid):
     """Per-axis velocity fields a^i(x), full grid shape, always real."""
     model.check_grid(grid)
@@ -209,13 +220,7 @@ def velocity_fields(model: MetricModel, grid: Grid):
         ones = np.ones(grid.shape)
         return [ones.copy() for _ in range(grid.d)]
     if model.kind == "graphene":
-        f = graphene_f(coords[0], model.a0, model.k0, model.ell)
-        fmax = float(np.max(f))
-        if fmax >= 1.0:
-            raise GeometryError(
-                f"degenerate graphene metric: max f = {fmax:.6g} >= 1 on the grid"
-            )
-        return [1.0 / (1.0 - f)]
+        return [1.0 / (1.0 - _graphene_strain(model, grid))]
     a = np.exp(model.phi.value(*coords) - model.psi.value(*coords))
     return [a.copy() for _ in range(grid.d)]
 
@@ -269,8 +274,7 @@ def potential_field(model: MetricModel, grid: Grid) -> PotentialField:
         return PotentialField(S, G, gvec, scal)
     if model.kind == "graphene":
         x = coords[0]
-        f = graphene_f(x, model.a0, model.k0, model.ell)
-        a = 1.0 / (1.0 - f)
+        a = 1.0 / (1.0 - _graphene_strain(model, grid))
         v = model.v_pot.value(x) if model.v_pot.name != "zero" else zero
         axp = model.ax_pot.value(x) if model.ax_pot.name != "zero" else zero
         return PotentialField(S, model.mass - v, (-a * axp, 0.0, 0.0), zero)
@@ -286,7 +290,7 @@ def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:
     if model.kind == "flat":
         return np.ones(grid.shape)
     if model.kind == "graphene":
-        return 1.0 - graphene_f(coords[0], model.a0, model.k0, model.ell)
+        return 1.0 - _graphene_strain(model, grid)
     return np.exp(grid.d * model.psi.value(*coords))
 
 

@@ -27,6 +27,7 @@ import re
 import struct
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .propagators import SCHEMES, StepWorkspace, strang_step
 
 IC_KINDS = ("gaussian_wavepacket", "graphene_pair", "custom")
 BINARY_SNAPSHOT_THRESHOLD = 256 * 256  # 2-D fields above this go to .dcrv
+_SLAB_NODES = 4096  # nodes a CSV snapshot formats and writes at a time
 _DCRV_MAGIC = b"DCRV"
 
 
@@ -304,7 +306,8 @@ def write_snapshot(obj, path, grid: Grid | None = None) -> str:
     """Write a field or density to CSV (or DCRV binary above 256^2 in 2-D).
 
     CSV header: ``x[,y],re0,im0,re1,im1[,re2,im2,re3,im3]`` for spinor fields,
-    ``x[,y],density`` for real densities; one row per node in row-major order.
+    ``x[,y],density`` for real densities; one row per node in row-major order,
+    streamed in slabs of about 4096 nodes.
     """
     if isinstance(obj, SpinorField):
         grid, cols = obj.grid, []
@@ -317,23 +320,42 @@ def write_snapshot(obj, path, grid: Grid | None = None) -> str:
         arr = np.asarray(obj)
         if arr.shape != grid.shape:
             raise ConfigurationError("density shape does not match grid")
-        cols = [("density", np.real(arr))]
+        cols = [("density", np.real(arr).astype(np.float64, copy=False))]
 
     nodes = int(np.prod(grid.shape))
     if grid.d == 2 and nodes > BINARY_SNAPSHOT_THRESHOLD:
         return _write_snapshot_binary(cols, path, grid)
 
-    coord_names = ["x", "y"][: grid.d]
-    meshes = grid.meshes()
-    header = ",".join(coord_names + [name for name, _ in cols])
-    flat_coords = [np.broadcast_to(m, grid.shape).ravel() for m in meshes]
-    flat_cols = [c.ravel() for _, c in cols]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for idx in range(nodes):
-            row = [_fmt(c[idx]) for c in flat_coords] + [_fmt(c[idx]) for c in flat_cols]
-            fh.write(",".join(row) + "\n")
+        fh.write(_csv_header(grid.d, [name for name, _ in cols]) + "\n")
+        fh.writelines(_csv_slabs(grid, [c for _, c in cols]))
     return path
+
+
+def _csv_header(d, names) -> str:
+    return ",".join(["x", "y"][:d] + list(names))
+
+
+def _csv_slabs(grid: Grid, cols):
+    """CSV rows in slabs of leading-axis rows, about _SLAB_NODES nodes each.
+
+    Each value is formatted once (``repr`` of a Python float is `_fmt`) and
+    each axis's coordinates once per file.  A memoryview hands the values to
+    ``repr`` one Python float at a time, so a slab's floats are never all
+    boxed at once.
+    """
+    axes = [list(map(repr, ax.tolist())) for ax in grid.axes]
+    inner = grid.N[1] if grid.d == 2 else 1
+    rows = max(1, _SLAB_NODES // inner)
+    for i in range(0, grid.N[0], rows):
+        lead = axes[0][i:i + rows]
+        if grid.d == 1:
+            coords = (lead,)
+        else:  # row-major ('ij'): each x repeats over all of y
+            coords = (chain.from_iterable(repeat(x, inner) for x in lead),
+                      chain.from_iterable(repeat(axes[1], len(lead))))
+        vals = (map(repr, memoryview(c[i:i + rows].ravel())) for c in cols)
+        yield "\n".join(map(",".join, zip(*coords, *vals))) + "\n"
 
 
 def _write_snapshot_binary(cols, path, grid: Grid) -> str:
@@ -362,15 +384,32 @@ def read_snapshot(path, grid: Grid, S: int) -> SpinorField:
             ncols = struct.unpack("<I", fh.read(4))[0]
             data = np.frombuffer(fh.read(), dtype="<f8").reshape(dims + (ncols,))
     else:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        dims = grid.shape
-        data = raw[:, grid.d:].reshape(dims + (raw.shape[1] - grid.d,))
+        data = _read_snapshot_csv(path, grid, S)
     if data.shape[:-1] != grid.shape or data.shape[-1] != 2 * S:
         raise ConfigurationError(f"{path}: snapshot does not match grid/spinor shape")
     values = np.empty((S,) + grid.shape, dtype=np.complex128)
     for s in range(S):
         values[s] = data[..., 2 * s] + 1j * data[..., 2 * s + 1]
     return SpinorField(values, grid)
+
+
+def _read_snapshot_csv(path, grid: Grid, S: int) -> np.ndarray:
+    """The value columns of a CSV snapshot, shape grid.shape + (2S,), after
+    checking its header and that its coordinates are the grid's nodes."""
+    want = _csv_header(grid.d, [f"{p}{s}" for s in range(S) for p in ("re", "im")])
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+    if header != want:
+        raise ConfigurationError(f"{path}: header '{header}' is not '{want}'")
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    nodes = int(np.prod(grid.shape))
+    if raw.shape[0] != nodes:
+        raise ConfigurationError(f"{path}: {raw.shape[0]} rows, the grid has {nodes} nodes")
+    for i, mesh in enumerate(grid.meshes()):
+        if not np.all(np.abs(raw[:, i] - mesh.ravel()) <= 1e-9 * grid.h[i]):
+            raise ConfigurationError(
+                f"{path}: column {'xy'[i]} does not hold the grid's nodes on axis {i}")
+    return raw[:, grid.d:].reshape(grid.shape + (2 * S,))
 
 
 def diagnostics_csv(records) -> str:

@@ -95,6 +95,13 @@ def test_graphene_degeneracy_raises():
         velocity_fields(MetricModel("graphene", a0=1.0, k0=2.0, ell=5.0), g)
 
 
+@pytest.mark.parametrize("field", [gamma_weight, potential_field])
+def test_other_graphene_fields_reject_a_degenerate_metric(field):
+    g = make_grid(1, 10.0, 256)
+    with pytest.raises(GeometryError, match="degenerate graphene metric"):
+        field(MetricModel("graphene", a0=1.0, k0=2.0, ell=5.0), g)
+
+
 def test_velocity_bound_reports_supremum():
     g = make_grid(1, 5.0, 512)
     assert velocity_bound(EXP1, g) == pytest.approx(np.e ** (np.exp(-0.125) - np.exp(-0.25)), rel=1e-3)

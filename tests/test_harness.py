@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 import math
 import os
+import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvedirac.errors import ConfigurationError, SimulationError
+from curvedirac.errors import ConfigurationError, GeometryError, SimulationError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.krylov import KrylovOptions
@@ -402,6 +405,123 @@ def test_snapshot_density_and_roundtrip_floats(tmp_path):
     assert np.array_equal(vals, rho)  # shortest round-trip decimals reparse exactly
 
 
+# The expected bytes below were written by the per-node writer that the
+# streamed one replaced: the files must not change.
+TINY_S4_CSV = """\
+x,y,re0,im0,re1,im1,re2,im2,re3,im3
+-1.0,-2.0,-0.0,5e-324,-2.5,1.25,0.0,0.0,2.5,-1.25
+-1.0,-1.2,-4.875,2.4375,-2.375,1.1875,0.125,-0.0625,2.625,-1.3125
+-1.0,-0.3999999999999999,-4.75,2.375,-2.25,1.125,0.25,-0.125,2.75,-1.375
+-1.0,0.40000000000000036,-4.625,2.3125,-2.125,1.0625,0.375,-0.1875,2.875,-1.4375
+-1.0,1.2000000000000002,-4.5,2.25,-2.0,1.0,0.5,-0.25,3.0,-1.5
+-0.5,-2.0,-4.375,2.1875,-1.875,0.9375,0.625,-0.3125,3.125,-1.5625
+-0.5,-1.2,-4.25,2.125,-1.75,0.875,0.75,-0.375,3.25,-1.625
+-0.5,-0.3999999999999999,-4.125,2.0625,-1.625,0.8125,0.875,-0.4375,3.375,-1.6875
+-0.5,0.40000000000000036,-4.0,2.0,-1.5,0.75,1.0,-0.5,3.5,-1.75
+-0.5,1.2000000000000002,-3.875,1.9375,-1.375,0.6875,1.125,-0.5625,3.625,-1.8125
+0.0,-2.0,-3.75,1.875,-1.25,0.625,1.25,-0.625,3.75,-1.875
+0.0,-1.2,-3.625,1.8125,-1.125,0.5625,1.375,-0.6875,3.875,-1.9375
+0.0,-0.3999999999999999,-3.5,1.75,-1.0,0.5,1.5,-0.75,4.0,-2.0
+0.0,0.40000000000000036,-3.375,1.6875,-0.875,0.4375,1.625,-0.8125,4.125,-2.0625
+0.0,1.2000000000000002,-3.25,1.625,-0.75,0.375,1.75,-0.875,4.25,-2.125
+0.5,-2.0,-3.125,1.5625,-0.625,0.3125,1.875,-0.9375,4.375,-2.1875
+0.5,-1.2,-3.0,1.5,-0.5,0.25,2.0,-1.0,4.5,-2.25
+0.5,-0.3999999999999999,-2.875,1.4375,-0.375,0.1875,2.125,-1.0625,4.625,-2.3125
+0.5,0.40000000000000036,-2.75,1.375,-0.25,0.125,2.25,-1.125,4.75,-2.375
+0.5,1.2000000000000002,-2.625,1.3125,-0.125,0.0625,2.375,-1.1875,1e+300,-1e-300
+"""
+
+
+def test_snapshot_golden_tiny_2d_s4(tmp_path):
+    g = make_grid(2, (1.0, 2.0), (4, 5))
+    v = (np.arange(80).reshape(4, 4, 5) - 40) / 8.0 * (1 - 0.5j)
+    v[0, 0, 0] = complex(-0.0, 5e-324)
+    v[3, 3, 4] = complex(1e300, -1e-300)
+    p = write_snapshot(SpinorField(v, g), str(tmp_path / "tiny.csv"))
+    assert Path(p).read_bytes() == TINY_S4_CSV.encode()
+
+
+GOLDEN_SPECIALS = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 0.1]
+
+# name: (d, N, S, sha256 of the spinor file, sha256 of the density file);
+# the 'slabs' grids end part-way through a slab of rows
+GOLDEN_CASES = {
+    "1d-s2-odd": (1, (37,), 2,
+                  "e2ee9b5fa6fd85d012cfeb6465aa4328283333175b9400a4dc4ea8118b41b227",
+                  "7a56904c8a9f54634a71c819bbaa9475cce35fa4233c12a4d36f9fd78e087cbc"),
+    "1d-s4-slabs": (1, (5001,), 4,
+                    "ebe9ba00312d1169947a0b0f94a977e0559c075bda2b5728a0e0a51ca231a064",
+                    "b55b7bd593d6f407e6a0a049035d5ce6bdfc8e878b9095cf8908523cfeea5be8"),
+    "2d-s2-odd": (2, (9, 7), 2,
+                  "61583987bc49e0d668088b29664545e03750a696c6f50827a1afc2f362bd6252",
+                  "3e96771b8a006d6061e6585a4983e67353de5a3ab17e1d769d66276cc9d69938"),
+    "2d-s4-slabs": (2, (67, 129), 4,
+                    "c7361b4b86fac9768db29f9d44be8344cd5325f6449b302b78d9229154a6e39f",
+                    "2e322d38faefa33726aa333281b5aa8af27f83a22ed83a42705b662bed41644a"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,name", list(enumerate(GOLDEN_CASES)))
+def test_snapshot_golden_digests(tmp_path, seed, name):
+    d, N, S, spinor_digest, density_digest = GOLDEN_CASES[name]
+    g = make_grid(d, (2.5, 1.5)[:d], N)
+    rng = np.random.default_rng(seed)
+    shape = (2, S) + g.shape
+    parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    flat = parts.reshape(2, -1)
+    flat[:, :len(GOLDEN_SPECIALS)] = GOLDEN_SPECIALS
+    flat[:, -len(GOLDEN_SPECIALS):] = GOLDEN_SPECIALS[::-1]
+    v = parts[0] + 1j * parts[1]
+    assert _sha256(write_snapshot(SpinorField(v, g), str(tmp_path / "f.csv"))) == spinor_digest
+    assert _sha256(write_snapshot(v[0].real, str(tmp_path / "d.csv"), g)) == density_digest
+
+
+def test_snapshot_golden_integer_density(tmp_path):
+    # integers are written as floats ('-31.0'), as for any other density
+    g = make_grid(2, (2.5, 1.5), (9, 7))
+    p = write_snapshot(np.arange(63).reshape(9, 7) - 31, str(tmp_path / "d.csv"), g)
+    assert _sha256(p) == "f1876db6d09a22aa5dadc347459d4e41c2455a6589152b87a1d71cadc67a98b6"
+
+
+def test_snapshot_csv_is_streamed(tmp_path):
+    g = make_grid(2, (3.0, 2.0), (256, 256))
+    rng = np.random.default_rng(0)
+    f = SpinorField(rng.standard_normal((4, 256, 256)) + 1j * rng.standard_normal((4, 256, 256)), g)
+    tracemalloc.start()
+    try:
+        p = write_snapshot(f, str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.endswith(".csv")
+    assert peak < os.path.getsize(p) / 4
+
+
+def test_read_snapshot_rejects_another_half_width(tmp_path):
+    f = SpinorField(np.ones((2, 64), dtype=complex), make_grid(1, 5.0, 64))
+    p = write_snapshot(f, str(tmp_path / "a5.csv"))
+    with pytest.raises(ConfigurationError, match="a5.csv: column x"):
+        read_snapshot(p, make_grid(1, 10.0, 64), 2)
+
+
+def test_read_snapshot_rejects_another_grid_shape(tmp_path):
+    f = SpinorField(np.ones((2, 8, 8), dtype=complex), make_grid(2, (1.0, 1.0), (8, 8)))
+    p = write_snapshot(f, str(tmp_path / "g8x8.csv"))
+    with pytest.raises(ConfigurationError, match="g8x8.csv: column x"):
+        read_snapshot(p, make_grid(2, (1.0, 1.0), (16, 4)), 2)
+
+
+def test_read_snapshot_rejects_another_header(tmp_path):
+    g = make_grid(1, 5.0, 64)
+    p = write_snapshot(np.ones(64), str(tmp_path / "rho.csv"), g)
+    with pytest.raises(ConfigurationError, match="rho.csv: header 'x,density' is not 'x,re0"):
+        read_snapshot(p, g, 2)
+
+
 def test_large_2d_snapshot_goes_binary(tmp_path):
     g = make_grid(2, (1.0, 1.0), (260, 260))
     v = np.zeros((2, 260, 260), dtype=complex)
@@ -555,6 +675,13 @@ def test_cli_degenerate_graphene_is_an_error_not_a_traceback(tmp_path, capsys):
     cfgfile.write_text(MINIMAL.replace("metric.kind = flat", graphene))
     assert cli.main(["run", str(cfgfile)]) == 1
     assert "error: degenerate graphene metric" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_degenerate_graphene_stops_before_any_norm():
+    cfg = parse_config(MINIMAL).replace(metric=MetricModel("graphene", a0=5.0, k0=3.0, ell=1.0))
+    with pytest.raises(GeometryError, match="degenerate graphene metric"):
+        run_simulation(cfg)
 
 
 def test_cli_rejects_malformed_sweep_values(tmp_path, capsys):
