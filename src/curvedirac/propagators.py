@@ -1,15 +1,17 @@
 """Strang-split time steppers: Crank-Nicolson transport and directional
-exponential-polynomial transport, shared half-potential stages.
+exponential-polynomial transport, shared pointwise stages.
 
 One step advances psi by dt as
 
-    half potential -> [connection factor] -> transport -> [connection factor] -> half potential
+    lead (pointwise) -> transport -> trail (pointwise)
 
-where the half-potential stage is the exact pointwise exponential
-exp(-i dt/2 M(x)) (unitary whenever M is Hermitian) and the
-connection factor exp(-dt/2 sum_i a c^i alpha^i) carries the anti-Hermitian
-spin-connection term of the static metrics, split symmetrically so the overall
-order-2 accuracy is preserved.
+The pointwise factors are exact exponentials evaluated at every node.  The
+half potential E = exp(-i dt/2 M(x)) is unitary whenever M is Hermitian.  In
+the static metrics, the connection factor C = exp(-dt/2 sum_i a c^i alpha^i)
+carries the anti-Hermitian spin-connection term, split symmetrically about
+the transport so the overall order-2 accuracy is preserved.  The workspace
+folds the two into lead = C E and trail = E C, so a step applies one matrix
+field on each side of the transport; without a connection lead = trail = E.
 
 Transport variants:
 
@@ -19,8 +21,9 @@ Transport variants:
             `cn_transport_step`); either way one GMRES iteration costs one
             FFT pair.
 * ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted,
-            the shift taken in the alpha^i eigenbasis; explicit, one FFT pair
-            per axis.
+            the shift exp(-i dt xi alpha^i) = cos(dt xi) - i sin(dt xi) alpha^i
+            applied to the Fourier coefficients; explicit, one FFT pair per
+            axis.
 * ``poly2`` poly1 plus the explicit dt^2 a [[d_i^2]] correction applied to the
             shifted field.  Note the correction term is explicit, so unlike
             poly1 this variant is subject to a dt * xi_max < sqrt(2) restriction.
@@ -38,7 +41,7 @@ from .geometry import MetricModel, connection_fields, potential_field, velocity_
 from .grid_spectral import Grid, SpinorField, derivative_multiplier, derivative_values
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
-from .spinor_algebra import alpha_matrix, diagonalize_alpha, exp_dirac
+from .spinor_algebra import alpha_matrix, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
 # The circulant preconditioner is used when kappa > PRECONDITION_RATIO * q
@@ -57,12 +60,56 @@ def _spin_matmul(mat, values):
     return np.einsum("ab...,b...->a...", mat, values)
 
 
-class StepWorkspace:
-    """Precomputed per-step data: potential exponentials, stretched velocities,
-    alpha diagonalizations, directional phases, connection factors.
+def _field_product(A, B, out=None):
+    """Pointwise S x S product A(x) B(x) of two (S, S, *grid) matrix fields,
+    entry by entry.  With out=A the product overwrites A, each row formed in
+    one scratch row first."""
+    S = A.shape[0]
+    if out is None:
+        out = np.empty(A.shape, dtype=np.complex128)
+    row = np.empty(A.shape[1:], dtype=np.complex128) if out is A else None
+    term = np.empty(A.shape[2:], dtype=np.complex128)
+    for a in range(S):
+        dst = out[a] if row is None else row
+        for b in range(S):
+            np.multiply(A[a, 0], B[0, b], out=dst[b])
+            for k in range(1, S):
+                np.multiply(A[a, k], B[k, b], out=term)
+                dst[b] += term
+        if row is not None:
+            out[a] = row
+    return out
 
-    Potentials of the built-in models are static, so one workspace serves
-    every step of size dt.
+
+def _half_potential(model, grid, tau, S):
+    """E = exp(-i tau M) at every node."""
+    pot = potential_field(model, grid)
+    out = exp_dirac(-tau * np.asarray(pot.G), [-tau * np.asarray(g) for g in pot.Gvec], S)
+    if np.any(pot.scalar):
+        out *= np.exp(-1j * tau * np.asarray(pot.scalar))
+    return out
+
+
+def _connection_half(model, grid, vel, tau, S):
+    """C = exp(-tau sum_i a c^i alpha^i) at every node, or None without a
+    connection.  As exp(i alpha . (i u)), u = tau a c, it is a real
+    hyperbolic factor."""
+    conn = connection_fields(model, grid)
+    if not any(np.any(c) for c in conn):
+        return None
+    return exp_dirac(0.0, [1j * tau * v * c for v, c in zip(vel, conn)], S)
+
+
+class StepWorkspace:
+    """Precomputed per-step data: the two fused pointwise factors, stretched
+    velocities and derivative multipliers.
+
+    ``lead`` is applied before the transport and ``trail`` after it.  Each is
+    the half-potential exponential E = exp(-i dt/2 M), with the connection's
+    half factor C = exp(-dt/2 sum_i a c^i alpha^i) folded in when the metric
+    has one: lead = C E and trail = E C.  Without a connection one array
+    serves as both.  Potentials of the built-in models are static, so one
+    workspace serves every step of size dt.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -72,44 +119,37 @@ class StepWorkspace:
         self.dt = float(dt)
         self.S = model.spinor_dim
 
-        self.vel = velocity_fields(model, grid)
+        vel = velocity_fields(model, grid)
         if pml is not None and pml.enabled:
-            self.a_eff = [apply_pml(self.vel[i], stretch_factor(pml, i, grid), i)
+            self.a_eff = [apply_pml(vel[i], stretch_factor(pml, i, grid), i)
                           for i in range(grid.d)]
         else:
-            self.a_eff = [a.copy() for a in self.vel]
+            self.a_eff = vel
 
         self.alpha = [alpha_matrix(i + 1, self.S) for i in range(grid.d)]
-        self.diag = [diagonalize_alpha(i + 1, self.S) for i in range(grid.d)]
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
         self.d2_mult = [derivative_multiplier(grid, i, 2) for i in range(grid.d)]
-        # directional phases exp(-i dt lam_s xi_p), shape (S, N_i)
-        self.poly_phase = [
-            np.exp(-1j * self.dt * np.outer(self.diag[i].Lam, grid.freqs[i]))
-            for i in range(grid.d)
-        ]
 
-        conn = connection_fields(model, grid)
-        if any(np.any(c) for c in conn):
-            u = [1j * 0.5 * self.dt * self.vel[i] * conn[i] for i in range(grid.d)]
-            # exp(i alpha . (i u)) = exp(-(dt/2) sum a c^i alpha^i), real hyperbolic factor
-            self.conn_half = exp_dirac(0.0, u, self.S)
-        else:
-            self.conn_half = None
-
-        pot = potential_field(model, grid)
+        # the factors are built in helpers, so that their inputs are freed
+        # before the products; trail is new and lead overwrites conn_half,
+        # so the build peaks at three matrix fields and a scratch row
         tau = 0.5 * self.dt
-        phase = np.exp(-1j * tau * np.asarray(pot.scalar))
-        self.exp_half = exp_dirac(
-            -tau * np.asarray(pot.G), [-tau * np.asarray(g) for g in pot.Gvec], self.S
-        ) * phase
+        exp_half = _half_potential(model, grid, tau, self.S)
+        conn_half = _connection_half(model, grid, vel, tau, self.S)
+        if conn_half is None:
+            self.lead = self.trail = exp_half
+        else:
+            self.trail = _field_product(exp_half, conn_half)
+            self.lead = _field_product(conn_half, exp_half, out=conn_half)
         self.last_krylov = None
         self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
 
 
-def half_potential_step(f: SpinorField, ws: StepWorkspace) -> SpinorField:
-    """Pointwise product with exp(-i dt/2 M) at every node."""
-    return SpinorField(_spin_matmul(ws.exp_half, f.values), f.grid)
+def half_potential_step(f: SpinorField, ws: StepWorkspace, trailing: bool = False) -> SpinorField:
+    """Pointwise product with exp(-i dt/2 M) at every node, the connection's
+    half factor folded in when the metric has one: ws.lead before the
+    transport, ws.trail (``trailing``) after it."""
+    return SpinorField(_spin_matmul(ws.trail if trailing else ws.lead, f.values), f.grid)
 
 
 def cn_apply_values(values, ws, sign):
@@ -228,22 +268,31 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool) -> SpinorField:
     """The directional sweep shared by poly1 and poly2:
 
-        Xi = Pi F^-1[exp(-i dt Lam xi) F Pi^dagger psi],
-        psi' = a Xi + (1 - a) psi [+ dt^2 a [[d_i^2]] Xi for poly2].
+        Xi = F^-1[(cos(dt xi) - i sin(dt xi) alpha^i) F psi],
+        psi' = psi + a (Xi - psi) [+ dt^2 a [[d_i^2]] Xi for poly2].
+
+    The bracket is exp(-i dt xi alpha^i), since (alpha^i)^2 = I.
     """
-    Pi = ws.diag[axis].Pi
-    phi = _spin_matmul(Pi.conj().T, f.values)
-    shape = [1] * phi.ndim
-    shape[0] = ws.S
-    shape[1 + axis] = ws.grid.N[axis]
-    phase = ws.poly_phase[axis].reshape(shape)
-    shifted = np.fft.ifft(phase * np.fft.fft(phi, axis=1 + axis), axis=1 + axis)
-    xi = _spin_matmul(Pi, shifted)
+    ax = 1 + axis
+    shape = [1] * f.values.ndim
+    shape[ax] = ws.grid.N[axis]
+    theta = (ws.dt * ws.grid.freqs[axis]).reshape(shape)
+    vhat = np.fft.fft(f.values, axis=ax)
+    rot = _spin_matmul(ws.alpha[axis], vhat)
+    rot *= -1j * np.sin(theta)
+    vhat *= np.cos(theta)
+    vhat += rot
+    xi = np.fft.ifft(vhat, axis=ax)
     a = ws.a_eff[axis]
-    out = a * xi + (1.0 - a) * f.values
     if second_order:
-        out += (ws.dt ** 2) * a * derivative_values(xi, axis, ws.d2_mult[axis])
-    return SpinorField(out, f.grid)
+        corr = derivative_values(xi, axis, ws.d2_mult[axis])
+        corr *= (ws.dt ** 2) * a
+    xi -= f.values
+    xi *= a
+    xi += f.values
+    if second_order:
+        xi += corr
+    return SpinorField(xi, f.grid)
 
 
 def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
@@ -258,7 +307,8 @@ def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField
 
 def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
                 krylov: KrylovOptions | None = None) -> SpinorField:
-    """One full Strang step of size ws.dt with the named transport scheme.
+    """One full Strang step of size ws.dt with the named transport scheme:
+    ws.lead, the transport, ws.trail (see `StepWorkspace`).
 
     The Krylov report (cn only) lands on ws.last_krylov.
     """
@@ -266,14 +316,10 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
     ws.last_krylov = None
     f = half_potential_step(f, ws)
-    if ws.conn_half is not None:
-        f = SpinorField(_spin_matmul(ws.conn_half, f.values), f.grid)
     if scheme == "cn":
         f = cn_transport_step(f, ws, krylov)
     else:
         step = poly_axis_step if scheme == "poly1" else poly_axis_step2
         for axis in range(ws.grid.d):
             f = step(f, axis, ws)
-    if ws.conn_half is not None:
-        f = SpinorField(_spin_matmul(ws.conn_half, f.values), f.grid)
-    return half_potential_step(f, ws)
+    return half_potential_step(f, ws, trailing=True)

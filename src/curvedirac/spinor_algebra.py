@@ -10,8 +10,12 @@ The closed-form exponential exploits (beta*G + alpha.Gvec)^2 = (G^2 + Gvec^2) I:
     exp(i [beta G + alpha . Gvec]) = I cos|G| + i (beta G + alpha . Gvec) sin|G|/|G|,
 
 with |G| = sqrt(G^2 + Gvec^2).  cos and sin/x are even, so the formula also
-analytically continues to complex G, Gvec (used for the real hyperbolic
-factors coming from the spin connection).
+analytically continues to complex G, Gvec.  When G^2 + Gvec^2 is real it
+becomes cosh and sinh/x where it is negative, which gives the real
+hyperbolic factors of the spin connection (imaginary Gvec).
+
+The alpha diagonalization is kept as a reference for the directional sweep,
+which itself needs none: exp(-i t alpha^i) = cos t - i sin t alpha^i.
 """
 
 from __future__ import annotations
@@ -59,35 +63,107 @@ def alpha_matrix(i: int, S: int) -> np.ndarray:
     return m
 
 
+def _real_field(values):
+    """(u, imaginary) with values == u, or 1j * u when imaginary, for a real u;
+    None when values is neither real nor purely imaginary."""
+    v = np.asarray(values)
+    if not np.iscomplexobj(v):
+        return v.astype(np.float64, copy=False), False
+    if not np.any(v.imag):
+        return v.real, False
+    if not np.any(v.real):
+        return v.imag, True
+    return None
+
+
+def _cos_sinc(q):
+    """c = cos(sqrt q) and s = sin(sqrt q) / sqrt q for real q, continued to
+    q < 0 as cosh and sinh of sqrt(-q); c = s = 1 where sqrt|q| < 1e-150."""
+    mag = np.sqrt(np.abs(q))
+    small = mag < 1e-150
+    if np.any(small):
+        mag = np.where(small, 1.0, mag)
+    pos = q >= 0
+    neg = ~pos
+    c, s = np.empty_like(mag), np.empty_like(mag)
+    for out, trig, hyp in ((c, np.cos, np.cosh), (s, np.sin, np.sinh)):
+        trig(mag, out=out, where=pos)
+        hyp(mag, out=out, where=neg)
+    s /= mag
+    np.copyto(c, 1.0, where=small)
+    np.copyto(s, 1.0, where=small)
+    return c, s
+
+
+def _fill(dst, terms):
+    """dst = sum(sign * x for sign, x in terms), signs +/-1; dst is left as is
+    when terms is empty."""
+    for k, (sign, x) in enumerate(terms):
+        if k == 0:
+            np.copyto(dst, x) if sign > 0 else np.negative(x, out=dst)
+        else:
+            (np.add if sign > 0 else np.subtract)(dst, x, out=dst)
+
+
 def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
     """exp(i [beta G + alpha . Gvec]) via the closed form; |G| -> 0 is handled.
 
     G may be a scalar or a field array; Gvec a sequence of up to three scalars
-    or field arrays (missing entries are treated as zero).  The result has
-    shape (S, S) + field_shape.
-    """
-    parts = [np.asarray(g, dtype=np.complex128) for g in Gvec]
-    while len(parts) < 3:
-        parts.append(np.zeros(()))
-    G = np.asarray(G, dtype=np.complex128)
-    shape = np.broadcast_shapes(G.shape, *(p.shape for p in parts))
-    nd = len(shape)
+    or field arrays (missing entries are treated as zero).  The result is a
+    C-contiguous array of shape (S, S) + field_shape.
 
-    mag = np.sqrt(G * G + sum(p * p for p in parts))
-    safe = np.where(np.abs(mag) < 1e-150, 1.0, mag)
-    small = np.abs(mag) < 1e-150
-    c = np.where(small, 1.0, np.cos(safe))
-    s = np.where(small, 1.0, np.sin(safe) / safe)
+    When every coefficient is real or purely imaginary, G^2 + Gvec^2 is real
+    and c, s are taken in real arithmetic (cos/sin where it is >= 0,
+    cosh/sinh where it is < 0).  This covers the Hermitian potential and the
+    spin connection's imaginary argument.  Each (a, b) entry of
+    I c + i s (beta G + alpha . Gvec) is then written once: the matrices'
+    entries are 0, +/-1 or +/-i, so every real and imaginary part is a signed
+    sum of c and the fields s * u.  Other inputs take the complex formula.
+    """
+    parts = [G] + list(Gvec)
+    shape = np.broadcast_shapes(*(np.shape(p) for p in parts))
+    terms = []   # (matrix, field) with exponent i sum matrix * field
+    for i, p in enumerate(parts):
+        if not np.any(p):
+            continue  # also keeps zero third components away from alpha^3 at S = 2
+        mat = beta_matrix(S) if i == 0 else alpha_matrix(i, S)
+        terms.append((mat, p))
+    real = [_real_field(p) for _, p in terms]
+    if any(r is None for r in real):
+        return _exp_dirac_complex(terms, shape, S)
+
+    q = sum(-u * u if imag else u * u for u, imag in real)
+    c, s = _cos_sinc(np.asarray(q, dtype=np.float64))
+    # exponent matrix times i, per term: i * mat, or -mat for an imaginary field
+    scaled = [(-mat if imag else 1j * mat, s * u) for (mat, _), (u, imag) in zip(terms, real)]
+    out = np.zeros((S, S) + shape, dtype=np.complex128)
+    for a in range(S):
+        for b in range(S):
+            entry = out[a, b, ...]
+            re = [(1.0, c)] if a == b else []
+            re += [(m[a, b].real, t) for m, t in scaled if m[a, b].real]
+            _fill(entry.real, re)
+            _fill(entry.imag, [(m[a, b].imag, t) for m, t in scaled if m[a, b].imag])
+    return out
+
+
+def _exp_dirac_complex(terms, shape, S):
+    """exp_dirac's complex formula, for coefficients neither real nor imaginary."""
+    nd = len(shape)
 
     def lift(mat):
         return mat.reshape((S, S) + (1,) * nd)
 
-    arg = lift(beta_matrix(S)) * G
-    for i, p in enumerate(parts):
-        if not np.any(p):
-            continue  # also keeps zero third components away from alpha^3 at S = 2
-        arg = arg + lift(alpha_matrix(i + 1, S)) * p
-    return lift(identity(S)) * c + 1j * s * arg
+    fields = [np.asarray(p, dtype=np.complex128) for _, p in terms]
+    mag = np.sqrt(sum(p * p for p in fields))
+    small = np.abs(mag) < 1e-150
+    safe = np.where(small, 1.0, mag)
+    c = np.where(small, 1.0, np.cos(safe))
+    s = np.where(small, 1.0, np.sin(safe) / safe)
+    arg = sum(lift(mat) * p for (mat, _), p in zip(terms, fields))
+    out = np.empty((S, S) + shape, dtype=np.complex128)
+    out[...] = lift(identity(S)) * c + 1j * s * arg
+    return out
 
 
 def expm_small(M: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,14 @@ from conftest import flat_exact_evolution, loglog_slope
 
 from curvedirac import propagators
 from curvedirac.errors import ConfigurationError, StepFailureError
-from curvedirac.geometry import MetricModel, ScalarForm
-from curvedirac.grid_spectral import SpinorField, make_grid
+from curvedirac.geometry import (
+    MetricModel,
+    ScalarForm,
+    connection_fields,
+    potential_field,
+    velocity_fields,
+)
+from curvedirac.grid_spectral import SpinorField, derivative_values, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions
 from curvedirac.oracle import dense_cn_step
@@ -21,7 +29,7 @@ from curvedirac.propagators import (
     poly_axis_step2,
     strang_step,
 )
-from curvedirac.spinor_algebra import alpha_matrix, diagonalize_alpha
+from curvedirac.spinor_algebra import alpha_matrix, diagonalize_alpha, exp_dirac
 
 FLAT0 = MetricModel("flat", mass=0.0)
 FLAT1 = MetricModel("flat", mass=1.0)
@@ -160,15 +168,20 @@ def test_cn_transport_failure_raises():
         cn_transport_step(f, ws, KrylovOptions(tol=1e-14, restart=2, maxit=2))
 
 
+def inverse_field(mat):
+    """Pointwise inverse of an (S, S, *grid) matrix field."""
+    return np.moveaxis(np.linalg.inv(np.moveaxis(mat, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+
+
 def test_cn_time_reversibility():
-    # with frozen potentials, the inverse of every factor is its dt -> -dt version
+    # with frozen potentials, the inverse of the transport is its dt -> -dt
+    # version; the backward step inverts the fused factors in reverse order
     g = make_grid(1, 5.0, 128)
     fwd = StepWorkspace(EXP1, g, 1e-3)
     bwd = StepWorkspace(EXP1, g, 1e-3)
     bwd.dt = -1e-3
-    bwd.exp_half = np.conj(fwd.exp_half.transpose(1, 0, 2))
-    if fwd.conn_half is not None:
-        bwd.conn_half = np.linalg.inv(fwd.conn_half.transpose(2, 0, 1)).transpose(1, 2, 0)
+    bwd.lead = inverse_field(fwd.trail)
+    bwd.trail = inverse_field(fwd.lead)
     f0 = gaussian_field(g)
     f1 = strang_step(f0, "cn", fwd, KrylovOptions(tol=1e-13))
     f2 = strang_step(f1, "cn", bwd, KrylovOptions(tol=1e-13))
@@ -265,6 +278,31 @@ def test_poly_axis_unit_velocity_is_exact_shift():
     assert np.max(np.abs(phi[1])) < 1e-13
 
 
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("second_order", [False, True], ids=["poly1", "poly2"])
+def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
+    # Xi = Pi F^-1[exp(-i dt Lam xi) F Pi^dagger psi], blended with a
+    m = MetricModel("static2d", spinor_dim=S, mass=1.0, phi=ScalarForm("gauss", (1.0, 0.5)),
+                    psi=ScalarForm("gauss", (1.0, 0.3)))
+    g = make_grid(2, (3.0, 2.0), (16, 12))
+    ws = StepWorkspace(m, g, 0.05)
+    shape = (S,) + g.shape
+    f = SpinorField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), g)
+    step = poly_axis_step2 if second_order else poly_axis_step
+    for axis in range(2):
+        d = diagonalize_alpha(axis + 1, S)
+        phi = np.fft.fft(np.einsum("ba,b...->a...", d.Pi.conj(), f.values), axis=1 + axis)
+        phase = np.exp(-1j * ws.dt * np.outer(d.Lam, g.freqs[axis]))
+        phase = phase.reshape((S,) + tuple(g.N[axis] if i == axis else 1 for i in range(2)))
+        xi = np.einsum("ab,b...->a...", d.Pi, np.fft.ifft(phase * phi, axis=1 + axis))
+        a = ws.a_eff[axis]
+        ref = a * xi + (1 - a) * f.values
+        if second_order:
+            ref += ws.dt ** 2 * a * derivative_values(xi, axis, ws.d2_mult[axis])
+        out = step(f, axis, ws)
+        assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_poly_axis_norm_nonexpansive_for_unit_bounded_velocity():
     g = make_grid(1, 5.0, 256)
     ws = StepWorkspace(WELL, g, 5e-4)
@@ -340,6 +378,57 @@ def test_strang_identity_for_zero_hamiltonian():
     for scheme in ("cn", "poly1", "poly2"):
         out = strang_step(f, scheme, ws, KrylovOptions())
         assert np.max(np.abs(out.values - f.values)) < 1e-12
+
+
+def unfused_strang_step(f, scheme, ws, model, krylov):
+    """The five-stage step: half potential, connection factor, transport,
+    connection factor, half potential, each factor built on its own."""
+    grid, tau, S = ws.grid, 0.5 * ws.dt, ws.S
+    pot = potential_field(model, grid)
+    E = exp_dirac(-tau * pot.G, [-tau * np.asarray(g) for g in pot.Gvec], S)
+    E = E * np.exp(-1j * tau * pot.scalar)
+    u = [1j * tau * v * c for v, c in zip(velocity_fields(model, grid), connection_fields(model, grid))]
+    C = exp_dirac(0.0, u, S)
+    assert np.max(np.abs(C - np.eye(S).reshape((S, S) + (1,) * grid.d))) > 1e-6
+
+    def apply(mat, field):
+        return SpinorField(np.einsum("ab...,b...->a...", mat, field.values), grid)
+
+    f = apply(C, apply(E, f))
+    if scheme == "cn":
+        f = cn_transport_step(f, ws, krylov)
+    else:
+        for axis in range(grid.d):
+            f = (poly_axis_step if scheme == "poly1" else poly_axis_step2)(f, axis, ws)
+    return apply(E, apply(C, f))
+
+
+@pytest.mark.parametrize("name,scheme", [("exp3", "poly1"), ("exp3", "poly2"), ("exp1", "cn")])
+def test_fused_step_matches_the_unfused_stages(name, scheme):
+    cfg, ws = preset_workspace(name, "ci")
+    f = initial_condition(cfg, ws.grid)
+    ref = unfused_strang_step(f, scheme, ws, cfg.metric, cfg.krylov)
+    out = strang_step(f, scheme, ws, cfg.krylov)
+    assert np.linalg.norm(out.values - ref.values) <= 1e-13 * np.linalg.norm(ref.values)
+
+
+def test_workspace_build_is_lean(monkeypatch):
+    # exp3 at 256^2: the build peaks at 4.0 matrix fields (S, S, *grid), the
+    # unfused parent at 7.3; no FFT runs while it builds
+    cfg = preset_config("exp3", "ci").replace(N=(256, 256))
+    grid = cfg.grid()
+    S = cfg.metric.spinor_dim
+    field_bytes = S * S * int(np.prod(grid.N)) * np.dtype(np.complex128).itemsize
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("FFT during the build"))
+    tracemalloc.start()
+    try:
+        ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.lead.shape == (S, S) + grid.shape
+    assert peak < 5.5 * field_bytes
 
 
 def test_unknown_scheme_and_nonpositive_dt_rejected():
@@ -521,7 +610,7 @@ def test_half_potential_exponential_unitary():
     m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0,
                     ax_pot=ScalarForm("linear", (5.0,)), v_pot=ScalarForm("linear", (5.0,)))
     ws = StepWorkspace(m, g, 1e-2)
-    E = ws.exp_half
+    E = ws.lead   # graphene has no spin connection: the bare half potential
     prod = np.einsum("ab...,cb...->ac...", E, E.conj())
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(prod - eye)) < 1e-12

@@ -106,6 +106,85 @@ def test_exp_dirac_tiny_argument_limit():
     assert np.allclose(E, identity(2) + 1j * 1e-200 * beta_matrix(2))
 
 
+def dirac_argument(G, gv, S):
+    """beta G + alpha . gv at one node, as a dense S x S matrix."""
+    M = beta_matrix(S) * G
+    for k, g in enumerate(gv):
+        if g:
+            M = M + alpha_matrix(k + 1, S) * g
+    return M
+
+
+def assert_matches_expm_at_every_node(G, gv, S, tol):
+    E = exp_dirac(G, gv, S)
+    G = np.broadcast_to(G, E.shape[2:])
+    gv = [np.broadcast_to(g, E.shape[2:]) for g in gv]
+    for idx in np.ndindex(*E.shape[2:]):
+        ref = expm_small(1j * dirac_argument(G[idx], [g[idx] for g in gv], S))
+        assert np.max(np.abs(E[(...,) + idx] - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+
+def components(S, *fields):
+    """Gvec with the unused third component zero at S = 2."""
+    return list(fields[:2]) + [fields[2] if S == 4 else 0.0]
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_exp_dirac_hyperbolic_branch_matches_expm(rng, S):
+    # purely imaginary Gvec, as the spin connection passes it: G^2 + Gvec^2 < 0
+    u = [1j * rng.uniform(-2.0, 2.0, (5, 3)) for _ in range(3)]
+    assert_matches_expm_at_every_node(0.0, components(S, *u), S, 1e-13)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_exp_dirac_sign_change_across_nodes_matches_expm(rng, S):
+    # real G and g2, imaginary g1 and g3: G^2 + Gvec^2 changes sign from node to node
+    G = np.linspace(-1.5, 1.5, 13)
+    gv = components(S, 1j * np.linspace(2.0, -0.4, 13), 0.3 * rng.standard_normal(13),
+                    0.2j * rng.standard_normal(13))
+    q = G ** 2 + sum(np.real(g * g) for g in gv)
+    assert np.any(q > 0) and np.any(q < 0)
+    assert_matches_expm_at_every_node(G, gv, S, 1e-13)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("unit", [1.0, 1j], ids=["trigonometric", "hyperbolic"])
+def test_exp_dirac_small_argument_limit_in_both_branches(S, unit):
+    # exactly zero and far below the 1e-150 cut-off, beside an ordinary node
+    g = unit * np.array([0.0, 1e-200, 1e-160, 1e-8, 0.5])
+    E = exp_dirac(0.0, components(S, g, 0.0, 0.0), S)
+    for k, gk in enumerate(g):
+        ref = expm_small(1j * alpha_matrix(1, S) * gk)
+        assert np.max(np.abs(E[..., k] - ref)) < 1e-15
+    assert np.array_equal(E[..., 0], identity(S))
+    for k in (1, 2):   # sin|G| / |G| -> 1: E - I = i alpha g to full relative precision
+        assert np.allclose(E[..., k] - identity(S), 1j * alpha_matrix(1, S) * g[k], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_exp_dirac_complex_argument_takes_the_complex_formula(rng, S):
+    # neither real nor imaginary: G^2 + Gvec^2 is complex
+    G = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    gv = components(S, rng.standard_normal(7), 1j * rng.standard_normal(7),
+                    rng.standard_normal(7) - 0.5j)
+    assert_matches_expm_at_every_node(G, gv, S, 1e-12)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("kind", ["real", "imaginary", "complex", "scalar"])
+def test_exp_dirac_result_is_c_contiguous(rng, S, kind):
+    field = rng.standard_normal((4, 6))
+    G, gv = {
+        "real": (field, (0.0, np.asfortranarray(field), 0.0)),
+        "imaginary": (0.0, (1j * field, 1j * field, 0.0)),
+        "complex": ((1 + 1j) * field, (field, 0.0, 0.0)),
+        "scalar": (0.3, (0.2, -0.1, 0.0)),
+    }[kind]
+    E = exp_dirac(G, gv, S)
+    assert E.shape == (S, S) + np.shape(G if kind != "imaginary" else field)
+    assert E.flags.c_contiguous and E.dtype == np.complex128
+
+
 # ----------------------------------------------------------------- expm_small
 
 
