@@ -10,11 +10,12 @@ import os
 
 import numpy as np
 
-from curvedirac import preset_config, run_simulation, velocity_bound
+from curvedirac import preset_config, run_simulation, sample_metric
 
 cfg = preset_config("exp1", "ci")
 print(f"grid N = {cfg.N[0]}, dt = {cfg.dt}, steps = {cfg.steps()}, scheme = {cfg.scheme}")
-print(f"velocity bound sup a(x) = {velocity_bound(cfg.metric, cfg.grid()):.6f}")
+a = sample_metric(cfg.metric, cfg.grid()).velocity[0]
+print(f"velocity bound sup a(x) = {np.max(a):.6f}")
 
 out = os.path.join(os.path.dirname(__file__), "out", "exp1")
 res = run_simulation(cfg.replace(out_dir=out, stride=250))

@@ -9,12 +9,12 @@ to solver tolerance while the plain l2 norm visibly oscillates.
 
 import numpy as np
 
-from curvedirac import gamma_weight, graphene_f, preset_config, run_simulation, velocity_fields
+from curvedirac import gamma_weight, graphene_f, preset_config, run_simulation, sample_metric
 
 cfg = preset_config("exp4", "paper")
 g = cfg.grid()
 f = graphene_f(g.axes[0], cfg.metric.a0, cfg.metric.k0, cfg.metric.ell)
-a = velocity_fields(cfg.metric, g)[0]
+a = sample_metric(cfg.metric, g).velocity[0]
 w = gamma_weight(cfg.metric, g)
 print(f"strain f in [{f.min():.4f}, {f.max():.4f}]  ->  velocity a in [{a.min():.4f}, {a.max():.4f}]")
 print(f"weight * velocity == 1 exactly: max deviation {np.max(np.abs(w * a - 1)):.2e}")

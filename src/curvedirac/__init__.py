@@ -21,15 +21,11 @@ from .grid_spectral import (
 from .spinor_algebra import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac
 from .geometry import (
     MetricModel,
-    PotentialField,
     ScalarForm,
-    connection_fields,
     gamma_weight,
     graphene_f,
     parse_form,
-    potential_field,
-    velocity_bound,
-    velocity_fields,
+    sample_metric,
 )
 from .pml import PmlConfig, apply_pml, sigma_profile, stretch_factor
 from .krylov import KrylovOptions, KrylovReport, gmres
@@ -66,9 +62,8 @@ __all__ = [
     "SimulationError", "StepFailureError", "Grid", "SpinorField",
     "dense_diff_matrix", "make_grid", "spectral_derivative", "alpha_matrix",
     "beta_matrix", "diagonalize_alpha", "exp_dirac", "MetricModel",
-    "PotentialField", "ScalarForm", "connection_fields", "gamma_weight",
-    "graphene_f", "parse_form", "potential_field", "velocity_bound",
-    "velocity_fields", "PmlConfig", "apply_pml", "sigma_profile",
+    "ScalarForm", "gamma_weight", "graphene_f", "parse_form", "sample_metric",
+    "PmlConfig", "apply_pml", "sigma_profile",
     "stretch_factor", "KrylovOptions", "KrylovReport", "gmres",
     "StepWorkspace", "cn_transport_step", "half_potential_step",
     "poly_axis_step", "poly_axis_step2", "strang_step", "build_dense_G",

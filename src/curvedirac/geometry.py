@@ -1,11 +1,12 @@
-"""Metric models: velocity fields, local potential matrices, covariant weights.
+"""Metric models: the stepper's sampled coefficients and the covariant weight.
 
-A model turns a chosen background into the three ingredients the propagation
-schemes consume:
+A model turns a chosen background into what the rest of the package consumes:
 
-* per-axis velocity fields a^i(x) multiplying the transport operators,
-* the local potential matrix M(x) applied in the half steps,
-* the covariant-norm weight w(x) for the conserved diagnostic norm.
+* `sample_metric` gives the stepper's coefficients at the grid nodes: the
+  per-axis velocity fields a^i(x) multiplying the transport operators, the
+  spin-connection shifts c^i(x) and the local potential matrix M(x) applied
+  in the half steps;
+* `gamma_weight` gives the weight w(x) of the conserved diagnostic norm.
 
 Profiles and potentials are closed forms with analytic gradients; no finite
 differencing is used anywhere, so sampled fields inherit spectral accuracy.
@@ -15,26 +16,26 @@ Model kinds
 flat        a = 1, M = beta m + I V - alpha . A, w = 1
 static1d    ds^2 = e^{2 Phi} dt^2 - e^{2 Psi} dx^2:
             a = e^{Phi - Psi}, M = e^{Phi} sigma^3 m, w = e^{Psi},
-            spin-connection shift c = Phi'/2 handled in the transport stage
+            spin-connection shift c = Phi'/2 applied around the transport stage
 static2d    same with two axes, w = e^{2 Psi}
 graphene    rippled sheet h(x) = a0 cos(2 pi k0 x / ell), f = (h')^2 / 2:
             a = 1/(1 - f), M = -a A_x sigma^1 + sigma^3 (m - V), w = 1 - f
 
 The anti-Hermitian connection term -i a(x) c(x) sigma^1 is deliberately NOT
 folded into M (that would break the Hermitian-potential invariant and the
-unitary half steps); the propagators apply it as a separate pointwise factor
-wrapped symmetrically around the transport stage.
+unitary half steps); the propagators exponentiate it on its own and multiply
+it into the half-step factors on either side of the transport stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 from .grid_spectral import Grid
-from .spinor_algebra import alpha_matrix, beta_matrix, identity
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,10 @@ class ScalarForm:
             raise ConfigurationError(
                 f"form '{self.name}' takes {nparams} coefficients, got {len(self.params)}"
             )
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(float(p) for p in self.params)
+        if not all(map(math.isfinite, params)):
+            raise ConfigurationError(f"form '{self.name}' needs finite coefficients, got {params}")
+        object.__setattr__(self, "params", params)
 
     def value(self, *coords):
         return _FORMS[self.name][1](self.params, coords)
@@ -174,6 +178,10 @@ class MetricModel:
             raise ConfigurationError(f"unknown metric kind '{self.kind}'", "kind")
         if self.spinor_dim not in (2, 4):
             raise ConfigurationError("spinor_dim must be 2 or 4", "spinor_dim")
+        for name in ("mass", "a0", "k0", "ell"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"metric {name} must be finite, got {value}", name)
         if self.kind == "graphene" and not self.ell > 0:
             raise ConfigurationError("graphene sheet length ell must be positive", "ell")
         if self.kind in ("static1d", "static2d"):
@@ -202,85 +210,57 @@ def graphene_f(x, a0, k0, ell):
 
 
 def _graphene_strain(model: MetricModel, grid: Grid) -> np.ndarray:
-    """f(x) at the grid nodes; GeometryError where the metric degenerates (f >= 1)."""
+    """f(x) at the grid nodes; GeometryError where the metric degenerates
+    (f >= 1, or a NaN strain)."""
     f = graphene_f(grid.meshes()[0], model.a0, model.k0, model.ell)
     fmax = float(np.max(f))
-    if fmax >= 1.0:
+    if not fmax < 1.0:
         raise GeometryError(
-            f"degenerate graphene metric: max f = {fmax:.6g} >= 1 on the grid"
+            f"degenerate graphene metric: max f = {fmax:.6g} on the grid is not below 1"
         )
     return f
 
 
-def velocity_fields(model: MetricModel, grid: Grid):
-    """Per-axis velocity fields a^i(x), full grid shape, always real."""
-    model.check_grid(grid)
-    coords = grid.meshes()
-    if model.kind == "flat":
-        ones = np.ones(grid.shape)
-        return [ones.copy() for _ in range(grid.d)]
-    if model.kind == "graphene":
-        return [1.0 / (1.0 - _graphene_strain(model, grid))]
-    a = np.exp(model.phi.value(*coords) - model.psi.value(*coords))
-    return [a.copy() for _ in range(grid.d)]
-
-
-def connection_fields(model: MetricModel, grid: Grid):
-    """Spin-connection shifts c^i = (d_i Phi)/2; zero for flat and graphene."""
-    model.check_grid(grid)
-    coords = grid.meshes()
-    if model.kind in ("static1d", "static2d"):
-        return [0.5 * g for g in model.phi.grad(*coords)]
-    return [np.zeros(grid.shape) for _ in range(grid.d)]
-
-
 @dataclass
-class PotentialField:
-    """Sampled local potential M(x) in the split form beta*G + alpha.Gvec + scalar*I."""
+class MetricSample:
+    """The stepper's coefficients at the grid nodes (see `sample_metric`).
 
-    spinor_dim: int
-    G: np.ndarray          # coefficient of beta
-    Gvec: tuple            # up to three alpha coefficients (arrays or scalars)
-    scalar: np.ndarray     # coefficient of the identity
+    The potential is M = beta G + alpha . Gvec + scalar I; Gvec holds up to
+    three alpha coefficients, arrays or scalars.
+    """
 
-    def matrix(self) -> np.ndarray:
-        """Assemble the dense (S, S, ...) matrix field."""
-        S = self.spinor_dim
-        shape = np.broadcast_shapes(
-            np.shape(self.G), np.shape(self.scalar), *(np.shape(g) for g in self.Gvec)
-        )
-        nd = len(shape)
-        lift = lambda m: m.reshape((S, S) + (1,) * nd)
-        out = lift(beta_matrix(S)) * np.asarray(self.G)
-        out = out + lift(identity(S)) * np.asarray(self.scalar)
-        for i, g in enumerate(self.Gvec):
-            if np.size(g) == 1 and not np.any(g):
-                continue
-            out = out + lift(alpha_matrix(i + 1, S)) * np.asarray(g)
-        return np.broadcast_to(out, (S, S) + shape).copy()
+    velocity: list          # a^i(x) per axis, real; axes may share one array
+    connection: list | None  # c^i(x) per axis, None when every c^i is zero
+    G: np.ndarray
+    Gvec: tuple
+    scalar: np.ndarray
 
 
-def potential_field(model: MetricModel, grid: Grid) -> PotentialField:
-    """M(x) sampled at the grid nodes (Hermitian for all built-in models)."""
+def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
+    """Velocities, connection shifts and potential at the grid nodes, each
+    closed form (and the graphene strain) evaluated once."""
     model.check_grid(grid)
     coords = grid.meshes()
-    S = model.spinor_dim
     zero = np.zeros(grid.shape)
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
         scal = model.v_pot.value(*coords) if model.v_pot.name != "zero" else zero
         ax = model.ax_pot.value(*coords) if model.ax_pot.name != "zero" else 0.0
         gvec = (-np.asarray(ax) if np.ndim(ax) else 0.0, 0.0, 0.0)
-        return PotentialField(S, G, gvec, scal)
+        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
     if model.kind == "graphene":
         x = coords[0]
         a = 1.0 / (1.0 - _graphene_strain(model, grid))
         v = model.v_pot.value(x) if model.v_pot.name != "zero" else zero
         axp = model.ax_pot.value(x) if model.ax_pot.name != "zero" else zero
-        return PotentialField(S, model.mass - v, (-a * axp, 0.0, 0.0), zero)
-    # static diagonal metrics: M = e^{Phi} sigma^3 m
-    G = np.exp(model.phi.value(*coords)) * model.mass
-    return PotentialField(S, np.asarray(G, dtype=float), (0.0, 0.0, 0.0), zero)
+        return MetricSample([a], None, model.mass - v, (-a * axp, 0.0, 0.0), zero)
+    # static diagonal metrics: a = e^{Phi - Psi}, c = grad(Phi)/2, M = e^{Phi} sigma^3 m
+    phi = model.phi.value(*coords)
+    a = np.exp(phi - model.psi.value(*coords))
+    conn = [0.5 * g for g in model.phi.grad(*coords)]
+    if not any(np.any(c) for c in conn):
+        conn = None
+    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (0.0, 0.0, 0.0), zero)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:
@@ -292,8 +272,3 @@ def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:
     if model.kind == "graphene":
         return 1.0 - _graphene_strain(model, grid)
     return np.exp(grid.d * model.psi.value(*coords))
-
-
-def velocity_bound(model: MetricModel, grid: Grid) -> float:
-    """sup over the grid of the velocity fields (stability hypotheses cite it)."""
-    return max(float(np.max(a)) for a in velocity_fields(model, grid))

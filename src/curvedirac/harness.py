@@ -374,15 +374,19 @@ def _write_snapshot_binary(cols, path, grid: Grid) -> str:
 
 
 def read_snapshot(path, grid: Grid, S: int) -> SpinorField:
-    """Read a spinor snapshot written by `write_snapshot` back onto a grid."""
+    """Read a spinor snapshot written by `write_snapshot` back onto a grid; a
+    file cut short, ragged or not numeric raises ConfigurationError."""
     if path.endswith(".dcrv"):
         with open(path, "rb") as fh:
-            if fh.read(4) != _DCRV_MAGIC:
-                raise ConfigurationError(f"{path}: not a DCRV snapshot")
-            ndim = struct.unpack("<I", fh.read(4))[0]
-            dims = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            ncols = struct.unpack("<I", fh.read(4))[0]
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(dims + (ncols,))
+            blob = fh.read()
+        if blob[:4] != _DCRV_MAGIC:
+            raise ConfigurationError(f"{path}: not a DCRV snapshot")
+        try:  # u32 ndim, then ndim dims and ncols, then the payload
+            (ndim,) = struct.unpack_from("<I", blob, 4)
+            *dims, ncols = struct.unpack_from(f"<{ndim + 1}I", blob, 8)
+            data = np.frombuffer(blob, "<f8", offset=12 + 4 * ndim).reshape((*dims, ncols))
+        except (struct.error, ValueError) as exc:
+            raise ConfigurationError(f"{path}: broken DCRV snapshot ({exc})") from None
     else:
         data = _read_snapshot_csv(path, grid, S)
     if data.shape[:-1] != grid.shape or data.shape[-1] != 2 * S:
@@ -395,16 +399,19 @@ def read_snapshot(path, grid: Grid, S: int) -> SpinorField:
 
 def _read_snapshot_csv(path, grid: Grid, S: int) -> np.ndarray:
     """The value columns of a CSV snapshot, shape grid.shape + (2S,), after
-    checking its header and that its coordinates are the grid's nodes."""
+    checking its header, its table and that its coordinates are the grid's nodes."""
     want = _csv_header(grid.d, [f"{p}{s}" for s in range(S) for p in ("re", "im")])
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
     if header != want:
         raise ConfigurationError(f"{path}: header '{header}' is not '{want}'")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    nodes = int(np.prod(grid.shape))
-    if raw.shape[0] != nodes:
-        raise ConfigurationError(f"{path}: {raw.shape[0]} rows, the grid has {nodes} nodes")
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not a table of numbers ({exc})") from None
+    want = (int(np.prod(grid.shape)), grid.d + 2 * S)
+    if raw.shape != want:
+        raise ConfigurationError(f"{path}: {raw.shape} table, the grid needs {want}")
     for i, mesh in enumerate(grid.meshes()):
         if not np.all(np.abs(raw[:, i] - mesh.ravel()) <= 1e-9 * grid.h[i]):
             raise ConfigurationError(

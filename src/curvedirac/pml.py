@@ -47,8 +47,9 @@ class PmlConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigurationError(f"PML profile must be one of {PROFILES}", "profile")
-        if self.sigma0 < 0:
-            raise ConfigurationError("PML strength sigma0 must be >= 0", "sigma0")
+        if not 0 <= self.sigma0 < np.inf:
+            raise ConfigurationError(
+                f"PML strength sigma0 must be finite and >= 0, got {self.sigma0}", "sigma0")
         if not 0.0 <= self.theta < np.pi / 2:
             raise ConfigurationError("PML rotation theta must lie in [0, pi/2)", "theta")
         if not 0.0 < self.fraction < 1.0:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
-from .geometry import MetricModel, connection_fields, potential_field, velocity_fields
+from .geometry import MetricModel, MetricSample, sample_metric
 from .grid_spectral import Grid, SpinorField, derivative_multiplier, derivative_values
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
@@ -81,61 +81,62 @@ def _field_product(A, B, out=None):
     return out
 
 
-def _half_potential(model, grid, tau, S):
+def _half_potential(sample: MetricSample, tau, S):
     """E = exp(-i tau M) at every node."""
-    pot = potential_field(model, grid)
-    out = exp_dirac(-tau * np.asarray(pot.G), [-tau * np.asarray(g) for g in pot.Gvec], S)
-    if np.any(pot.scalar):
-        out *= np.exp(-1j * tau * np.asarray(pot.scalar))
+    out = exp_dirac(-tau * sample.G, [-tau * np.asarray(g) for g in sample.Gvec], S)
+    if np.any(sample.scalar):
+        out *= np.exp(-1j * tau * sample.scalar)
     return out
 
 
-def _connection_half(model, grid, vel, tau, S):
+def _connection_half(sample: MetricSample, tau, S):
     """C = exp(-tau sum_i a c^i alpha^i) at every node, or None without a
     connection.  As exp(i alpha . (i u)), u = tau a c, it is a real
     hyperbolic factor."""
-    conn = connection_fields(model, grid)
-    if not any(np.any(c) for c in conn):
+    if sample.connection is None:
         return None
-    return exp_dirac(0.0, [1j * tau * v * c for v, c in zip(vel, conn)], S)
+    return exp_dirac(0.0, [1j * tau * v * c for v, c in zip(sample.velocity, sample.connection)], S)
 
 
 class StepWorkspace:
     """Precomputed per-step data: the two fused pointwise factors, stretched
-    velocities and derivative multipliers.
+    velocities and derivative multipliers, all built from one
+    `geometry.sample_metric` of the model.
 
     ``lead`` is applied before the transport and ``trail`` after it.  Each is
     the half-potential exponential E = exp(-i dt/2 M), with the connection's
     half factor C = exp(-dt/2 sum_i a c^i alpha^i) folded in when the metric
     has one: lead = C E and trail = E C.  Without a connection one array
-    serves as both.  Potentials of the built-in models are static, so one
+    serves as both.  ``a_eff`` holds the per-axis velocities, divided by the
+    layer's stretch when one is enabled; without a layer the axes may share
+    one array.  Potentials of the built-in models are static, so one
     workspace serves every step of size dt.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
                  pml: PmlConfig | None = None):
-        model.check_grid(grid)
+        sample = sample_metric(model, grid)
         self.grid = grid
         self.dt = float(dt)
         self.S = model.spinor_dim
 
-        vel = velocity_fields(model, grid)
         if pml is not None and pml.enabled:
-            self.a_eff = [apply_pml(vel[i], stretch_factor(pml, i, grid), i)
+            self.a_eff = [apply_pml(sample.velocity[i], stretch_factor(pml, i, grid), i)
                           for i in range(grid.d)]
         else:
-            self.a_eff = vel
+            self.a_eff = sample.velocity
 
         self.alpha = [alpha_matrix(i + 1, self.S) for i in range(grid.d)]
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
         self.d2_mult = [derivative_multiplier(grid, i, 2) for i in range(grid.d)]
 
-        # the factors are built in helpers, so that their inputs are freed
-        # before the products; trail is new and lead overwrites conn_half,
-        # so the build peaks at three matrix fields and a scratch row
+        # the sample is dropped before the products; trail is new and lead
+        # overwrites conn_half, so the build peaks at three matrix fields and
+        # a scratch row
         tau = 0.5 * self.dt
-        exp_half = _half_potential(model, grid, tau, self.S)
-        conn_half = _connection_half(model, grid, vel, tau, self.S)
+        exp_half = _half_potential(sample, tau, self.S)
+        conn_half = _connection_half(sample, tau, self.S)
+        del sample
         if conn_half is None:
             self.lead = self.trail = exp_half
         else:

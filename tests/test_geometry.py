@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,14 @@ from curvedirac.errors import ConfigurationError, GeometryError
 from curvedirac.geometry import (
     MetricModel,
     ScalarForm,
-    connection_fields,
     gamma_weight,
     graphene_f,
     parse_form,
-    potential_field,
-    velocity_bound,
-    velocity_fields,
+    sample_metric,
 )
 from curvedirac.grid_spectral import make_grid
 from curvedirac.harness import RunConfig, run_simulation
-from curvedirac.spinor_algebra import SIGMA1, SIGMA3
+from curvedirac.spinor_algebra import SIGMA1, SIGMA3, alpha_matrix, beta_matrix, identity
 
 
 EXP1 = MetricModel("static1d", mass=1.0,
@@ -24,6 +23,17 @@ EXP1 = MetricModel("static1d", mass=1.0,
 EXP4 = MetricModel("graphene", mass=0.0, a0=0.4, k0=2.0, ell=5.0,
                    ax_pot=ScalarForm("linear", (5.0,)),
                    v_pot=ScalarForm("linear", (5.0,)))
+
+
+def potential_matrix(sample, S):
+    """The dense (S, S, *grid) potential beta G + alpha . Gvec + scalar I of a sample."""
+    shape = np.shape(sample.G)
+    lift = lambda m: m.reshape((S, S) + (1,) * len(shape))
+    out = lift(beta_matrix(S)) * sample.G + lift(identity(S)) * sample.scalar
+    for i, g in enumerate(sample.Gvec):
+        if np.ndim(g) or g:  # S = 2 has two alpha matrices: skip a zero third
+            out = out + lift(alpha_matrix(i + 1, S)) * np.asarray(g)
+    return np.broadcast_to(out, (S, S) + shape)
 
 
 # ----------------------------------------------------------------- forms
@@ -57,13 +67,15 @@ def test_unknown_form_rejected():
 
 def test_flat_velocity_is_one():
     g = make_grid(2, (3.0, 3.0), (8, 8))
-    for a in velocity_fields(MetricModel("flat"), g):
-        assert np.all(a == 1.0)
+    vel = sample_metric(MetricModel("flat"), g).velocity
+    assert len(vel) == 2
+    for a in vel:
+        assert a.shape == g.shape and np.all(a == 1.0)
 
 
 def test_exp1_velocity_at_origin_is_one():
     g = make_grid(1, 5.0, 100)  # h = 0.1 puts a node exactly at x = 0
-    a = velocity_fields(EXP1, g)[0]
+    a = sample_metric(EXP1, g).velocity[0]
     k0 = np.argmin(np.abs(g.axes[0]))
     assert abs(g.axes[0][k0]) < 1e-12
     assert abs(a[k0] - 1.0) < 1e-14
@@ -71,7 +83,7 @@ def test_exp1_velocity_at_origin_is_one():
 
 def test_graphene_velocity_at_origin_is_one():
     g = make_grid(1, 10.0, 2000)
-    a = velocity_fields(MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0), g)[0]
+    a = sample_metric(MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0), g).velocity[0]
     k0 = np.argmin(np.abs(g.axes[0]))
     assert abs(g.axes[0][k0]) < 1e-12
     assert abs(a[k0] - 1.0) < 1e-14
@@ -92,10 +104,17 @@ def test_graphene_f_values():
 def test_graphene_degeneracy_raises():
     g = make_grid(1, 10.0, 256)
     with pytest.raises(GeometryError):
-        velocity_fields(MetricModel("graphene", a0=1.0, k0=2.0, ell=5.0), g)
+        sample_metric(MetricModel("graphene", a0=1.0, k0=2.0, ell=5.0), g)
+    # finite parameters whose strain overflows: inf at most nodes, NaN (inf * 0)
+    # at x = 0, so the largest strain reads NaN
+    huge = MetricModel("graphene", a0=1e150, k0=1e150, ell=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.max(graphene_f(g.axes[0], huge.a0, huge.k0, huge.ell)))
+        with pytest.raises(GeometryError, match="max f = nan"):
+            sample_metric(huge, g)
 
 
-@pytest.mark.parametrize("field", [gamma_weight, potential_field])
+@pytest.mark.parametrize("field", [gamma_weight, sample_metric])
 def test_other_graphene_fields_reject_a_degenerate_metric(field):
     g = make_grid(1, 10.0, 256)
     with pytest.raises(GeometryError, match="degenerate graphene metric"):
@@ -104,8 +123,9 @@ def test_other_graphene_fields_reject_a_degenerate_metric(field):
 
 def test_velocity_bound_reports_supremum():
     g = make_grid(1, 5.0, 512)
-    assert velocity_bound(EXP1, g) == pytest.approx(np.e ** (np.exp(-0.125) - np.exp(-0.25)), rel=1e-3)
-    assert velocity_bound(EXP1, g) > 1.0  # the bump profiles make this metric superluminal-free but > 1
+    amax = max(float(np.max(a)) for a in sample_metric(EXP1, g).velocity)
+    assert amax == pytest.approx(np.e ** (np.exp(-0.125) - np.exp(-0.25)), rel=1e-3)
+    assert amax > 1.0  # the bump profiles make this metric superluminal-free but > 1
 
 
 # ----------------------------------------------------------------- potentials
@@ -113,7 +133,7 @@ def test_velocity_bound_reports_supremum():
 
 def test_flat_potential_mass_only():
     g = make_grid(1, 5.0, 16)
-    M = potential_field(MetricModel("flat", mass=1.0), g).matrix()
+    M = potential_matrix(sample_metric(MetricModel("flat", mass=1.0), g), 2)
     for k in range(16):
         assert np.allclose(M[:, :, k], SIGMA3)
 
@@ -124,7 +144,7 @@ def test_graphene_potential_example_at_x_one():
     assert abs(g.axes[0][k] - 1.0) < 1e-12
     f1 = graphene_f(1.0, 0.4, 2.0, 5.0)
     expected = -(1.0 / (1.0 - f1)) * 5.0 * SIGMA1 - 5.0 * SIGMA3
-    M = potential_field(EXP4, g).matrix()
+    M = potential_matrix(sample_metric(EXP4, g), 2)
     assert np.max(np.abs(M[:, :, k] - expected)) < 1e-12
 
 
@@ -137,16 +157,74 @@ def test_graphene_potential_example_at_x_one():
 ])
 def test_potential_hermitian_everywhere(model, d, a, N):
     g = make_grid(d, a, N)
-    M = potential_field(model, g).matrix()
+    M = potential_matrix(sample_metric(model, g), model.spinor_dim)
     swap = M.conj().transpose((1, 0) + tuple(range(2, M.ndim)))
     assert np.max(np.abs(M - swap)) < 1e-13
 
 
+def _node(g, *x):
+    """Grid index of the node at coordinates x, which must be a node."""
+    k = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(g.axes, x))
+    assert all(abs(ax[i] - xi) < 1e-12 for ax, i, xi in zip(g.axes, k, x))
+    return k
+
+
+@pytest.mark.parametrize("kind", ["flat", "static1d", "static2d", "graphene"])
+def test_sample_matches_the_readme_table_at_a_node(kind):
+    """velocity, connection shift and potential matrix of each kind at one
+    node, from the closed forms of the README's table (S = 2: beta = sigma3,
+    alpha = (sigma1, sigma2))."""
+    m, r_phi, r_psi = 0.7, 1e-2, 5e-3
+    phi, psi = ScalarForm("gauss", (1.0, r_phi)), ScalarForm("gauss", (1.0, r_psi))
+    if kind == "flat":  # a = 1, M = beta m + I V - alpha . A
+        model = MetricModel("flat", mass=m, v_pot=ScalarForm("linear", (3.0,)),
+                            ax_pot=ScalarForm("quadratic", (2.0,)))
+        g, x = make_grid(1, 10.0, 2000), (1.0,)
+        vel, conn = [1.0], None
+        M = m * SIGMA3 + 3.0 * np.eye(2) - 2.0 * SIGMA1
+    elif kind == "graphene":  # a = 1/(1 - f), M = -a A_x sigma1 + sigma3 (m - V)
+        model = dataclasses.replace(EXP4, mass=m)
+        g, x = make_grid(1, 10.0, 2000), (1.0,)
+        a = 1.0 / (1.0 - graphene_f(1.0, 0.4, 2.0, 5.0))
+        vel, conn = [a], None
+        M = -a * 5.0 * SIGMA1 + (m - 5.0) * SIGMA3
+    else:  # a = e^(Phi - Psi), c^i = d_i Phi / 2, M = e^Phi sigma3 m
+        model = MetricModel(kind, mass=m, phi=phi, psi=psi)
+        if kind == "static1d":
+            g, x = make_grid(1, 5.0, 100), (1.0,)
+        else:
+            g, x = make_grid(2, (5.0, 5.0), (100, 100)), (1.0, -2.0)
+        rho2 = sum(xi * xi for xi in x)
+        P = np.exp(-r_phi * rho2)
+        vel = [np.exp(P - np.exp(-r_psi * rho2))] * len(x)
+        conn = [-r_phi * xi * P for xi in x]
+        M = np.exp(P) * m * SIGMA3
+    sample = sample_metric(model, g)
+    k = _node(g, *x)
+    assert len(sample.velocity) == g.d
+    for got, want in zip(sample.velocity, vel):
+        assert got[k] == pytest.approx(want, rel=1e-14)
+    if conn is None:
+        assert sample.connection is None
+    else:
+        for got, want in zip(sample.connection, conn):
+            assert got[k] == pytest.approx(want, rel=1e-13)
+    assert np.max(np.abs(potential_matrix(sample, 2)[(slice(None),) * 2 + k] - M)) < 1e-12
+
+
 def test_potential_sampling_is_pure():
-    g = make_grid(1, 10.0, 64)
-    A = potential_field(EXP4, g).matrix()
-    B = potential_field(EXP4, g).matrix()
-    assert A.tobytes() == B.tobytes()
+    def same(x, y):
+        return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    for model, g in ((EXP4, make_grid(1, 10.0, 64)), (EXP1, make_grid(1, 5.0, 64))):
+        A, B = sample_metric(model, g), sample_metric(model, g)
+        assert same(A.G, B.G) and same(A.scalar, B.scalar)
+        for name in ("velocity", "connection", "Gvec"):  # per-axis sequences
+            a, b = getattr(A, name), getattr(B, name)
+            assert (a is None) == (b is None)
+            assert len(a or ()) == len(b or ())
+            assert all(same(x, y) for x, y in zip(a or (), b or ())), name
+        assert same(potential_matrix(A, 2), potential_matrix(B, 2))
 
 
 # ----------------------------------------------------------------- connection
@@ -154,13 +232,19 @@ def test_potential_sampling_is_pure():
 
 def test_connection_zero_for_flat_and_graphene():
     g = make_grid(1, 10.0, 64)
-    assert not np.any(connection_fields(MetricModel("flat"), g)[0])
-    assert not np.any(connection_fields(EXP4, g)[0])
+    assert sample_metric(MetricModel("flat"), g).connection is None
+    assert sample_metric(EXP4, g).connection is None
+    # a constant Phi has no gradient, so no connection either
+    const = MetricModel("static1d", mass=1.0, phi=ScalarForm("const", (0.3,)),
+                        psi=ScalarForm("gauss", (1.0, 1e-2)))
+    assert sample_metric(const, g).connection is None
 
 
 def test_connection_matches_analytic_phi_derivative():
     g = make_grid(1, 5.0, 256)
-    c = connection_fields(EXP1, g)[0]
+    conn = sample_metric(EXP1, g).connection
+    assert len(conn) == 1
+    c = conn[0]
     x = g.axes[0]
     analytic = 0.5 * (-2 * 5e-3 * x * np.exp(-5e-3 * x ** 2))
     assert np.max(np.abs(c - analytic)) < 1e-14
@@ -183,7 +267,7 @@ def test_gamma_weight_values():
 def test_graphene_weight_inverts_velocity():
     g = make_grid(1, 10.0, 512)
     m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0)
-    assert np.max(np.abs(gamma_weight(m, g) * velocity_fields(m, g)[0] - 1.0)) < 1e-14
+    assert np.max(np.abs(gamma_weight(m, g) * sample_metric(m, g).velocity[0] - 1.0)) < 1e-14
 
 
 def test_static2d_weight_is_exp_two_psi():

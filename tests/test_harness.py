@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -195,6 +196,28 @@ def test_parse_errors_from_dataclass_checks_name_the_line():
         parse_config(MINIMAL + "krylov.restart = 0\n")
     with pytest.raises(ConfigurationError, match=r"^line 4: point count N\[0\] must be >= 4"):
         parse_config(MINIMAL.replace("grid.N = 64", "grid.N = 2"))
+
+
+# (preset, key, value): a model or layer parameter that is not finite
+NON_FINITE = [
+    ("exp5", "metric.m", "nan"),
+    ("exp4", "metric.a0", "inf"),
+    ("exp4", "metric.k0", "nan"),
+    ("exp4", "metric.ell", "inf"),
+    ("exp1", "metric.Phi", "gauss(nan,0.005)"),
+    ("exp4", "metric.V", "linear(inf)"),
+    ("exp6", "pml.sigma0", "nan"),
+    ("exp6", "pml.sigma0", "inf"),
+]
+
+
+@pytest.mark.parametrize("name,key,value", NON_FINITE)
+def test_non_finite_parameters_are_rejected_at_their_line(name, key, value):
+    lines = serialize_config(preset_config(name, "ci")).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[k] = f"{key} = {value}"
+    with pytest.raises(ConfigurationError, match=rf"^line {k + 1}: .*finite"):
+        parse_config("\n".join(lines))
 
 
 # (scheme, dt, N paper, N ci, T paper, T ci) as the paper runs them
@@ -533,6 +556,47 @@ def test_large_2d_snapshot_goes_binary(tmp_path):
         assert fh.read(4) == b"DCRV"
     back = read_snapshot(p, g, 2)
     assert np.max(np.abs(back.values - f.values)) < 1e-15
+
+
+def _broken_snapshot(tmp_path, case):
+    """A snapshot file of grid g, broken as `case` says; returns (path, g)."""
+    if case.startswith("dcrv"):
+        g = make_grid(2, (1.0, 1.0), (260, 260))
+        p = write_snapshot(SpinorField(np.ones((2,) + g.shape, dtype=complex), g),
+                           str(tmp_path / "big.csv"))
+        blob = Path(p).read_bytes()
+        # cut inside the dims, inside the payload, or at a whole float short
+        keep = {"dcrv_header": 10, "dcrv_payload": len(blob) - 12,
+                "dcrv_payload_float": len(blob) - 8}[case]
+        Path(p).write_bytes(blob[:keep])
+        return p, g
+    g = make_grid(1, 2.0, 8)
+    p = write_snapshot(SpinorField(np.ones((2, 8), dtype=complex), g), str(tmp_path / "ic.csv"))
+    lines = Path(p).read_text().splitlines()
+    if case == "csv_ragged":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    else:  # csv_text
+        lines[3] = lines[3].replace("1.0", "one", 1)
+    Path(p).write_text("\n".join(lines) + "\n")
+    return p, g
+
+
+@pytest.mark.parametrize("case", ["dcrv_header", "dcrv_payload", "dcrv_payload_float",
+                                  "csv_ragged", "csv_text"])
+def test_read_snapshot_reports_a_broken_file_by_its_path(tmp_path, case):
+    p, g = _broken_snapshot(tmp_path, case)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(p)}: "):
+        read_snapshot(p, g, 2)
+
+
+def test_cli_run_from_a_ragged_snapshot_is_an_error_not_a_traceback(tmp_path, capsys):
+    p, g = _broken_snapshot(tmp_path, "csv_ragged")
+    cfgfile = tmp_path / "custom.cfg"
+    cfgfile.write_text(serialize_config(RunConfig(
+        d=1, a=2.0, N=8, metric=MetricModel("flat"), scheme="cn", dt=1e-3, T=0.01,
+        ic_kind="custom", ic_path=p)))
+    assert cli.main(["run", str(cfgfile)]) == 1
+    assert f"error: {p}: " in capsys.readouterr().err
 
 
 def test_custom_initial_condition_from_snapshot(tmp_path):

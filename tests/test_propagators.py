@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,9 @@ import pytest
 
 from conftest import flat_exact_evolution, loglog_slope
 
-from curvedirac import propagators
+from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, StepFailureError
-from curvedirac.geometry import (
-    MetricModel,
-    ScalarForm,
-    connection_fields,
-    potential_field,
-    velocity_fields,
-)
+from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
 from curvedirac.grid_spectral import SpinorField, derivative_values, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions
@@ -384,10 +379,10 @@ def unfused_strang_step(f, scheme, ws, model, krylov):
     """The five-stage step: half potential, connection factor, transport,
     connection factor, half potential, each factor built on its own."""
     grid, tau, S = ws.grid, 0.5 * ws.dt, ws.S
-    pot = potential_field(model, grid)
-    E = exp_dirac(-tau * pot.G, [-tau * np.asarray(g) for g in pot.Gvec], S)
-    E = E * np.exp(-1j * tau * pot.scalar)
-    u = [1j * tau * v * c for v, c in zip(velocity_fields(model, grid), connection_fields(model, grid))]
+    sample = sample_metric(model, grid)
+    E = exp_dirac(-tau * sample.G, [-tau * np.asarray(g) for g in sample.Gvec], S)
+    E = E * np.exp(-1j * tau * sample.scalar)
+    u = [1j * tau * v * c for v, c in zip(sample.velocity, sample.connection)]
     C = exp_dirac(0.0, u, S)
     assert np.max(np.abs(C - np.eye(S).reshape((S, S) + (1,) * grid.d))) > 1e-6
 
@@ -429,6 +424,33 @@ def test_workspace_build_is_lean(monkeypatch):
         tracemalloc.stop()
     assert ws.lead.shape == (S, S) + grid.shape
     assert peak < 5.5 * field_bytes
+
+
+@pytest.mark.parametrize("name", ["exp3", "exp5"])
+def test_workspace_build_samples_the_metric_once(monkeypatch, name):
+    # each closed form's value and gradient, and the graphene strain, are
+    # evaluated at most once per build
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    for method in ("value", "grad"):
+        original = getattr(ScalarForm, method)
+        monkeypatch.setattr(ScalarForm, method,
+                            counted(lambda form, *x, m=method: (str(form), m), original))
+    monkeypatch.setattr(geometry, "graphene_f", counted(lambda *a: "strain", geometry.graphene_f))
+    cfg = preset_config(name, "ci")
+    StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+    if name == "exp3":
+        phi, psi = str(cfg.metric.phi), str(cfg.metric.psi)
+        assert {(phi, "value"), (phi, "grad"), (psi, "value")} <= set(calls)
+    else:
+        assert calls["strain"] == 1
+    assert max(calls.values()) == 1, dict(calls)
 
 
 def test_unknown_scheme_and_nonpositive_dt_rejected():
