@@ -6,7 +6,9 @@ A model turns a chosen background into what the rest of the package consumes:
   per-axis velocity fields a^i(x) multiplying the transport operators, the
   spin-connection shifts c^i(x) and the local potential matrix M(x) applied
   in the half steps;
-* `gamma_weight` gives the weight w(x) of the conserved diagnostic norm.
+* `gamma_weight` gives the weight w(x) of the conserved diagnostic norm;
+* `ripple_band` gives the graphene weight's three Fourier modes in closed
+  form, which the cn transport's preconditioner inverts exactly.
 
 Profiles and potentials are closed forms with analytic gradients; no finite
 differencing is used anywhere, so sampled fields inherit spectral accuracy.
@@ -219,6 +221,30 @@ def _graphene_strain(model: MetricModel, grid: Grid) -> np.ndarray:
             f"degenerate graphene metric: max f = {fmax:.6g} on the grid is not below 1"
         )
     return f
+
+
+def ripple_band(model: MetricModel, grid: Grid):
+    """The Fourier band of the graphene weight w = 1/a = 1 - f, in closed form.
+
+    Since sin^2 = (1 - cos 2 theta)/2 and x_k = -a + 2 a k / N,
+
+        w(x_k) = w0 + 2 wK cos(2 pi K k / N),   K = 4 k0 a / ell,
+        w0 = 1 - C/2,   wK = (-1)^K C/4,   C = 2 pi^2 a0^2 k0^2 / ell^2,
+
+    so w couples Fourier mode j only with j +- K.  Returns (K, w0, wK) when
+    the box holds a whole number of ripple periods that the grid resolves
+    (0 < K < N/2) and C < 1 (the band is then strictly diagonally dominant),
+    else None; no FFT is taken.
+    """
+    if model.kind != "graphene":
+        return None
+    N = grid.N[0]
+    K = abs(4.0 * model.k0 * grid.a[0] / model.ell)
+    C = 2.0 * np.pi ** 2 * model.a0 ** 2 * model.k0 ** 2 / model.ell ** 2
+    Kint = round(K)
+    if abs(K - Kint) > 1e-12 * K or not 0 < Kint < N / 2 or not C < 1.0:
+        return None
+    return Kint, 1.0 - 0.5 * C, (-1) ** Kint * 0.25 * C
 
 
 @dataclass

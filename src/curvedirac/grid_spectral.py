@@ -19,6 +19,7 @@ no special casing: the wavenumber set is symmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,9 @@ def grid_axes(d, a, N):
     a = per_axis(a, d, float, "a")
     N = per_axis(N, d, int, "N")
     for i in range(d):
-        if not a[i] > 0:
-            raise ConfigurationError(f"half-width a[{i}] must be positive, got {a[i]}", "a")
+        if not 0 < a[i] < math.inf:
+            raise ConfigurationError(
+                f"half-width a[{i}] must be positive and finite, got {a[i]}", "a")
         if N[i] < 4:
             raise ConfigurationError(f"point count N[{i}] must be >= 4, got {N[i]}", "N")
     return a, N

@@ -30,12 +30,16 @@ from .errors import ConfigurationError, KrylovError
 
 
 def check_options(tol, restart, maxit):
-    """Reject a non-positive tolerance, restart length or iteration cap."""
-    if not tol > 0:
-        raise ConfigurationError(f"krylov tol must be positive, got {tol}", "tol")
+    """Reject a tolerance that is not finite and positive, and a restart
+    length or iteration cap that is not a whole number >= 1; return the
+    counts as ints."""
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"krylov tol must be positive and finite, got {tol}", "tol")
     for name, value in (("restart", restart), ("maxit", maxit)):
-        if not value >= 1:
-            raise ConfigurationError(f"krylov {name} must be >= 1, got {value}", name)
+        if not (value >= 1 and float(value).is_integer()):
+            raise ConfigurationError(
+                f"krylov {name} must be >= 1 and a whole number, got {value}", name)
+    return tol, int(restart), int(maxit)
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,9 @@ class KrylovOptions:
     maxit: int = 200
 
     def __post_init__(self):
-        check_options(self.tol, self.restart, self.maxit)
+        _, restart, maxit = check_options(self.tol, self.restart, self.maxit)
+        object.__setattr__(self, "restart", restart)
+        object.__setattr__(self, "maxit", maxit)
 
 
 @dataclass
@@ -81,7 +87,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
     -------
     (x, KrylovReport)
     """
-    check_options(tol, restart, maxit)
+    tol, restart, maxit = check_options(tol, restart, maxit)
     b = np.asarray(b, dtype=np.complex128)
     shape = b.shape
     bnorm = float(np.linalg.norm(b))

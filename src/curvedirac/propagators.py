@@ -17,9 +17,12 @@ Transport variants:
 
 * ``cn``    semi-implicit Cayley form: solve (I + dt/2 a.alpha.[[grad]]) psi* =
             (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES.  On 1-D
-            grids the solve may be right-preconditioned by a circulant (see
-            `cn_transport_step`); either way one GMRES iteration costs one
-            FFT pair.
+            grids the solve may be right-preconditioned by one banded Fourier
+            preconditioner (see `BandPreconditioner`, `cn_transport_step`):
+            a circulant in general, and on rippled graphene whose ripple fits
+            the box the exact inverse of the scaled system, so GMRES stops at
+            its first check and a step costs 2 FFT pairs.  Otherwise one GMRES
+            iteration costs one FFT pair.
 * ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted,
             the shift exp(-i dt xi alpha^i) = cos(dt xi) - i sin(dt xi) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -34,18 +37,20 @@ complex stretch fields.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
-from .geometry import MetricModel, MetricSample, sample_metric
+from .geometry import MetricModel, MetricSample, ripple_band, sample_metric
 from .grid_spectral import Grid, SpinorField, derivative_multiplier, derivative_values
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import alpha_matrix, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
-# The circulant preconditioner is used when kappa > PRECONDITION_RATIO * q
-# (see `cayley_preconditioner`).
+# Away from a fitted graphene ripple, the circulant preconditioner is used
+# when kappa > PRECONDITION_RATIO * q (see `cayley_preconditioner`).
 PRECONDITION_RATIO = 10.0
 # The preconditioned solve's Arnoldi estimate stops at this fraction of the
 # Krylov tolerance: at the tolerance itself its per-step errors add up
@@ -109,8 +114,10 @@ class StepWorkspace:
     has one: lead = C E and trail = E C.  Without a connection one array
     serves as both.  ``a_eff`` holds the per-axis velocities, divided by the
     layer's stretch when one is enabled; without a layer the axes may share
-    one array.  Potentials of the built-in models are static, so one
-    workspace serves every step of size dt.
+    one array.  ``ripple`` is the model's `geometry.ripple_band` when no
+    layer is set, which the cn preconditioner inverts exactly.  Potentials
+    of the built-in models are static, so one workspace serves every step of
+    size dt.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -142,6 +149,7 @@ class StepWorkspace:
         else:
             self.trail = _field_product(exp_half, conn_half)
             self.lead = _field_product(conn_half, exp_half, out=conn_half)
+        self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
         self.last_krylov = None
         self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
 
@@ -163,38 +171,149 @@ def cn_apply_values(values, ws, sign):
     return out
 
 
-class CirculantPreconditioner:
-    """M = m + c alpha [[d]] for the 1-D Cayley solve, c = dt/2.
+class BandPreconditioner:
+    """M = w_band + c alpha [[d]] for the 1-D Cayley solve, c = dt/2, where
+    w_band = w0 + wK (e^{i K x} + e^{-i K x}) has Fourier modes 0 and +-K
+    only; the circulant is the case K = 0 (w_band = w0, wK = 0).
 
-    Since alpha^2 = I, the symbol inverts in closed form:
-    M^-1 = F^-1 (m - c mult alpha) / (m^2 - c^2 mult^2) F, mult the
-    first-derivative multiplier (Nyquist policy kept).
+    With the projectors P+- = (I +- alpha)/2, M = T+ P+ + T- P-: each T+-
+    is a scalar operator that couples Fourier mode j with j +- K, with
+    diagonal w0 +- c mult_j (mult the first-derivative multiplier, Nyquist
+    policy kept) and off-diagonal wK.  At K = 0 it is diagonal, and M^-1
+    has the closed-form symbol (w0 - c mult alpha) / (w0^2 - c^2 mult^2).
+    At K > 0 the modes fall into g = gcd(N, K) cyclic chains r, r + K,
+    r + 2K, ... of n = N/g modes each; every chain is a cyclic tridiagonal
+    system, factored once by Thomas elimination plus a Sherman-Morrison
+    correction for the corners, vectorised over the chains and +-, its
+    sweeps run in blocks of about sqrt(n) modes (see `_sweep`).  The
+    factors take O(N) storage.  w - w_band stays in the operator as
+    ``shift`` (see `cn_transport_step`).
     """
 
-    def __init__(self, w, m, c, mult, alpha):
+    def __init__(self, w, K, w0, wK, c, mult, alpha):
+        N = mult.size
         self.w = w                  # 1 / a_eff
-        self.m = m                  # midrange of Re w
-        self.shift = w - m
-        den = m * m - c * c * mult * mult
-        self.s0 = m / den
-        self.s1 = c * mult / den
         self.alpha = alpha
+        self.K = K
+        diag = w0 + np.multiply.outer([c, -c], mult)           # (2, N): T+ and T-
+        if K == 0:
+            self.shift = w - w0
+            inv = 1.0 / diag
+            # M^-1 = inv+ P+ + inv- P- = s0 + s1 alpha
+            self.s0 = 0.5 * (inv[0] + inv[1])
+            self.s1 = 0.5 * (inv[0] - inv[1])
+            return
+        self.shift = w - (w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N))
+        eye = np.eye(len(alpha))
+        self.proj = np.vstack([eye + alpha, eye - alpha]) / 2   # P+ over P-
+        g = math.gcd(N, K)
+        n = N // g
+        m = math.isqrt(n - 1) + 1     # block length of the sweeps, about sqrt(n)
+        nb = -(-n // m)
+
+        def blocked(a):
+            # chain position t = k m + s (block k, offset s) on the last two
+            # axes (t, chain) -> (s, k, chain)
+            return np.ascontiguousarray(a.reshape(a.shape[:-2] + (nb, m, g)).swapaxes(-3, -2))
+
+        # modes in chain order, r + t K (mod N) for chain r, padded to nb m
+        # positions that read mode 0 and carry zero weight
+        chain = (np.arange(g) + K * np.arange(nb * m)[:, None]) % N
+        chain[n:] = 0
+        self.order = blocked(chain)
+        real = blocked(np.broadcast_to(np.arange(nb * m)[:, None] < n, chain.shape)).ravel()
+        self.unorder = np.empty(N, dtype=np.intp)   # mode -> flat blocked position
+        self.unorder[self.order.ravel()[real]] = np.flatnonzero(real)
+        self.tips = (0, 0), ((n - 1) % m, (n - 1) // m)   # (s, k) of t = 0 and t = n - 1
+
+        b = diag[:, None, chain[:n]]                           # (2, 1, n, g)
+        # Sherman-Morrison: T = B + u v^T with u = (gamma, 0, ..., 0, wK) and
+        # v = (1, 0, ..., 0, wK / gamma), gamma = -b_0; B is tridiagonal
+        gamma = -b[..., 0, :]
+        b[..., 0, :] -= gamma
+        b[..., -1, :] -= wK * wK / gamma
+        inv = np.zeros(b.shape[:2] + chain.shape, dtype=np.complex128)   # 0 on the padding
+        inv[..., 0, :] = 1.0 / b[..., 0, :]   # 1 / pivot, pivot_t = b_t - wK^2 / pivot_{t-1}
+        for t in range(1, n):
+            inv[..., t, :] = 1.0 / (b[..., t, :] - wK * wK * inv[..., t - 1, :])
+        u = np.zeros_like(inv)
+        u[..., 0, :] = gamma
+        u[..., n - 1, :] = wK
+        self.inv = blocked(inv)
+        # the eliminated super-diagonal, and the products of -mu that carry
+        # a value into each position from its block's left and right ends
+        mu = wK * self.inv
+        self.mu = list(np.moveaxis(mu, -3, 0))
+        self.carry_in = np.cumprod(-mu, axis=-3)
+        self.carry_back = np.cumprod(-mu[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
+        self.ends_in = list(np.moveaxis(self.carry_in[..., -1, :, :], -2, 0))
+        self.ends_back = list(np.moveaxis(self.carry_back[..., 0, :, :], -2, 0))
+        self.corner = wK / gamma
+        z = blocked(u) * self.inv
+        self._sweep(z)
+        self.z = z / (1.0 + self._corners(z))[..., None, None, :]
+
+    def _corners(self, y):
+        """v^T y of the Sherman-Morrison correction: y_0 + (wK / gamma) y_{n-1}."""
+        (s0, k0), (s1, k1) = self.tips
+        return y[..., s0, k0, :] + self.corner * y[..., s1, k1, :]
+
+    def _sweep(self, y):
+        """B^-1 r in place on the blocked chain axes (s, k) of y, given
+        y = r / pivot.
+
+        Thomas elimination y_t -= mu_t y_{t-1}, then back substitution
+        y_t -= mu_t y_{t+1}.  Each linear recurrence runs inside every
+        block at once from a zero start, then along the block ends in turn,
+        and each other position adds its neighbouring block's end times
+        the products of -mu: about 2 sqrt(n) small updates instead of 2 n,
+        and since |mu| < 1 the products stay bounded.
+        """
+        mu, ends_in, ends_back = self.mu, self.ends_in, self.ends_back
+        rows = list(np.moveaxis(y, -3, 0))
+        m, nb = len(rows), len(ends_in)
+        for s in range(1, m):
+            rows[s] -= mu[s] * rows[s - 1]
+        end = list(np.moveaxis(rows[-1], -2, 0))
+        for k in range(1, nb):
+            end[k] += ends_in[k] * end[k - 1]
+        inner = y[..., :-1, 1:, :]
+        inner += self.carry_in[..., :-1, 1:, :] * rows[-1][..., None, :-1, :]
+        for s in range(m - 2, -1, -1):
+            rows[s] -= mu[s] * rows[s + 1]
+        start = list(np.moveaxis(rows[0], -2, 0))
+        for k in range(nb - 2, -1, -1):
+            start[k] += ends_back[k] * start[k + 1]
+        inner = y[..., 1:, :-1, :]
+        inner += self.carry_back[..., 1:, :-1, :] * rows[0][..., None, 1:, :]
 
     def solve(self, values):
         """M^-1 values, one FFT pair."""
         vhat = np.fft.fft(values, axis=1)
-        out = self.s0 * vhat - self.s1 * _spin_matmul(self.alpha, vhat)
-        return np.fft.ifft(out, axis=1)
+        if self.K == 0:
+            out = self.s0 * vhat + self.s1 * _spin_matmul(self.alpha, vhat)
+            return np.fft.ifft(out, axis=1)
+        S = len(vhat)
+        y = np.take(self.proj @ vhat, self.order, axis=1)      # (2S, m, nb, g)
+        y = y.reshape((2, S) + y.shape[1:])
+        y *= self.inv
+        self._sweep(y)
+        y -= self._corners(y)[..., None, None, :] * self.z
+        out = (y[0] + y[1]).reshape(S, -1)
+        return np.fft.ifft(np.take(out, self.unorder, axis=1), axis=1)
 
 
-def cayley_preconditioner(ws: StepWorkspace) -> CirculantPreconditioner | None:
-    """The circulant preconditioner of the cn solve, or None for plain GMRES.
+def cayley_preconditioner(ws: StepWorkspace) -> BandPreconditioner | None:
+    """The band preconditioner of the cn solve, or None for plain GMRES.
 
-    With c = dt/2, a = a_eff, w = 1/a and m the midrange of Re w, the rule
-    compares kappa = |c| xi_max max|a|, which sets the plain iteration count,
-    with q = max|w - m| / m, which sets the preconditioned one, and picks the
-    preconditioner when kappa > PRECONDITION_RATIO * q.  2-D grids, a zero
-    velocity and a non-finite or non-positive w fall back to plain GMRES.
+    With c = dt/2, a = a_eff and w = 1/a: on graphene whose ripple fits the
+    box and without a layer (``ws.ripple``, see `geometry.ripple_band`), w
+    is the band itself, so M inverts the scaled system exactly and is always
+    chosen.  Otherwise M is the circulant w_band = m, the midrange of Re w,
+    and the rule compares kappa = |c| xi_max max|a|, which sets the plain
+    iteration count, with q = max|w - m| / m, which sets the preconditioned
+    one, and picks the circulant when kappa > PRECONDITION_RATIO * q.  2-D
+    grids, a zero velocity and a non-finite w fall back to plain GMRES.
     Built at the first solve from the workspace's current dt and a_eff, and
     rebuilt when either is replaced.
     """
@@ -207,12 +326,15 @@ def cayley_preconditioner(ws: StepWorkspace) -> CirculantPreconditioner | None:
     if np.all(a != 0):
         w = 1.0 / a
         if np.all(np.isfinite(w)):
-            m = 0.5 * (np.max(w.real) + np.min(w.real))
             mult = ws.d1_mult[0]
             c = 0.5 * ws.dt
-            kappa = abs(c) * np.max(np.abs(mult)) * np.max(np.abs(a))
-            if m > 0 and kappa > PRECONDITION_RATIO * np.max(np.abs(w - m)) / m:
-                pre = CirculantPreconditioner(w, m, c, mult, ws.alpha[0])
+            if ws.ripple is not None:
+                pre = BandPreconditioner(w, *ws.ripple, c, mult, ws.alpha[0])
+            else:
+                m = 0.5 * (np.max(w.real) + np.min(w.real))
+                kappa = abs(c) * np.max(np.abs(mult)) * np.max(np.abs(a))
+                if m > 0 and kappa > PRECONDITION_RATIO * np.max(np.abs(w - m)) / m:
+                    pre = BandPreconditioner(w, 0, m, 0.0, c, mult, ws.alpha[0])
     ws.cayley = (ws.dt, a, pre)
     return pre
 
@@ -222,17 +344,19 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     """Cayley transport: GMRES-solve A psi* = (2I - A) psi, A = I + c a alpha [[d]].
 
     Plain GMRES starts from psi.  With a `cayley_preconditioner`, the system
-    is scaled on the left by w = 1/a and preconditioned on the right by M:
+    is scaled on the left by w = 1/a and preconditioned on the right by
+    M = w_band + c alpha [[d]]:
 
-        (I + (w - m) M^-1) y = w psi - c alpha [[d]] psi,   psi* = M^-1 y,
+        (I + (w - w_band) M^-1) y = b = w psi - c alpha [[d]] psi,   psi* = M^-1 y,
 
-    started from y0 = M psi = m psi + c alpha [[d]] psi, so one derivative
-    gives both the right-hand side and the warm start.  The residual weight a
-    keeps the exit check on the unscaled residual ||b - A psi*|| / ||b||,
-    and the Arnoldi estimate aims at PRECONDITIONED_TOL_SHARE of the
-    tolerance.  The closing true-residual product has already computed
-    M^-1 y, so psi* costs no further FFT pair: a step costs one FFT pair
-    more than its operator products, as on the plain path.
+    started from y0 = b.  The residual weight a keeps the exit check on the
+    unscaled residual ||b - A psi*|| / ||b||, and the Arnoldi estimate aims
+    at PRECONDITIONED_TOL_SHARE of the tolerance.  The closing true-residual
+    product has already computed M^-1 y, so psi* costs no further FFT pair:
+    a step costs one FFT pair more than its operator products, as on the
+    plain path.  On the band path w - w_band is at round-off, so the initial
+    residual already meets the tolerance: 0 iterations and 2 FFT pairs a
+    step.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
@@ -244,7 +368,8 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
         )
     else:
         psi = f.values
-        adv = 0.5 * ws.dt * _spin_matmul(pre.alpha, derivative_values(psi, 0, ws.d1_mult[0]))
+        b = pre.w * psi - 0.5 * ws.dt * _spin_matmul(
+            pre.alpha, derivative_values(psi, 0, ws.d1_mult[0]))
         last = [None, None]   # the operator's last input and its M^-1 image
 
         def apply(y):
@@ -253,8 +378,7 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
             return y + pre.shift * z
 
         y, report = gmres(
-            apply, pre.w * psi - adv, x0=pre.m * psi + adv,
-            tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
+            apply, b, x0=b, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
             weight=ws.a_eff[0], estimate_tol=PRECONDITIONED_TOL_SHARE * opts.tol,
         )
         x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from curvedirac.grid_spectral import (
     SpinorField,
     dense_diff_matrix,
     forward_dft_axis,
+    grid_axes,
     inverse_dft_axis,
     make_grid,
     spectral_derivative,
@@ -55,6 +58,13 @@ def test_make_grid_rejects_bad_input():
         make_grid(1, -1.0, 16)
     with pytest.raises(ConfigurationError):
         make_grid(3, 1.0, 8)
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan], ids=["inf", "nan"])
+def test_grid_axes_rejects_a_non_finite_half_width(a):
+    # an infinite box used to pass here and stop only at step 0
+    with pytest.raises(ConfigurationError, match="half-width"):
+        grid_axes(1, a, 64)
 
 
 # ----------------------------------------------------------------- DFTs

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from curvedirac.errors import KrylovError
-from curvedirac.krylov import gmres
+from curvedirac.errors import ConfigurationError, KrylovError
+from curvedirac.krylov import KrylovOptions, gmres
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -115,6 +117,25 @@ def test_nonpositive_options_rejected_before_iterating(option):
     # with restart = 0 every restart cycle runs no iteration, so nothing ends the loop
     with pytest.raises(ValueError, match=option):
         gmres(lambda v: 2 * v, np.ones(4), **{option: 0})
+
+
+@pytest.mark.parametrize("option,value", [
+    ("tol", math.inf),      # skipped the transport: every residual is <= inf
+    ("maxit", math.inf),    # no cap on a stalled solve
+    ("restart", 2.5),       # crashed inside np.empty
+], ids=["tol-inf", "maxit-inf", "restart-fraction"])
+def test_non_finite_and_fractional_options_rejected(option, value):
+    with pytest.raises(ConfigurationError, match=option):
+        KrylovOptions(**{option: value})
+    with pytest.raises(ConfigurationError, match=option):
+        gmres(lambda v: 2 * v, np.ones(4), **{option: value})
+
+
+def test_whole_float_counts_are_accepted_as_ints():
+    opts = KrylovOptions(restart=5.0, maxit=20.0)
+    assert (opts.restart, opts.maxit) == (5, 20) and type(opts.restart) is int
+    x, rep = gmres(lambda v: 2 * v, np.ones(4), restart=5.0, maxit=20.0)
+    assert rep.converged and np.allclose(x, 0.5)
 
 
 def test_residual_monotone_within_restart_cycle(rng):

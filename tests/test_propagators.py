@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -186,26 +187,41 @@ def test_cn_time_reversibility():
 # ------------------------------------------------------------ preconditioned cn
 
 
-def preset_workspace(name, scale, **changes):
+def preset_workspace(name, scale, metric=None, **changes):
+    """A preset's config and workspace; ``metric`` holds changes to its model."""
     cfg = preset_config(name, scale).replace(**changes)
+    if metric:
+        cfg = cfg.replace(metric=dataclasses.replace(cfg.metric, **metric))
     return cfg, StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
 
 
-@pytest.mark.parametrize("name,scale,changes,preconditioned", [
-    ("exp5", "ci", {}, True),            # kappa 7.45, q 0.652: 98 -> 25 iterations
-    ("exp1", "paper", {}, True),         # kappa 1.57, q 0.052: 11 -> 5
-    ("exp2", "paper", {}, True),         # kappa 1.73, q 0.048: 12 -> 5
-    ("exp4", "ci", {}, False),           # kappa 1.58, q 0.338: 9 plain, 14 preconditioned
-    ("exp4", "paper", {}, False),        # kappa 3.17, q 0.338: 9 plain, 14 preconditioned
-    ("exp6", "ci", {}, False),           # kappa 3.17, q 0.338: 15 plain, 14 preconditioned
-    ("exp6", "paper", {}, False),
-    ("exp4", "paper", {"dt": 1e-5, "N": (2560,)}, False),   # C08: kappa 0.004, 2 plain, 9
-    ("exp3", "ci", {}, False),           # 2-D grid
-])
-def test_preconditioner_selection(name, scale, changes, preconditioned):
+# exp5 with a ripple that does not fit its box: K = 4 k0 a / ell = 9.76
+EXP5_INCOMMENSURATE = {"ell": 10.25}
+
+
+def _path_id(value):
+    # the ids name whether a preconditioner is chosen at all
+    return str(value != "plain") if value in ("band", "circulant", "plain") else None
+
+
+# iterations of the first solve: plain, circulant, band
+@pytest.mark.parametrize("name,scale,changes,kind", [
+    ("exp5", "ci", {}, "band"),          # K = 10, kappa 7.45, q 0.652: 98, 28, 0
+    ("exp1", "paper", {}, "circulant"),  # kappa 1.57, q 0.052: 11, 5
+    ("exp2", "paper", {}, "circulant"),  # kappa 1.73, q 0.048: 12, 5
+    ("exp4", "ci", {}, "band"),          # K = 16, kappa 1.58, q 0.338: 9, 16, 0
+    ("exp4", "paper", {}, "band"),       # K = 16, kappa 3.17, q 0.338: 9, 16, 0
+    ("exp6", "ci", {}, "plain"),         # layer; kappa 3.17, q 0.338: 15, 16
+    ("exp6", "paper", {}, "plain"),
+    ("exp4", "paper", {"dt": 1e-5, "N": (2560,)}, "band"),   # C08: kappa 0.004: 2, 14, 0
+    ("exp3", "ci", {}, "plain"),         # 2-D grid
+    ("exp5", "ci", {"metric": EXP5_INCOMMENSURATE}, "circulant"),   # kappa 6.31, q 0.602: 79, 26
+], ids=_path_id)
+def test_preconditioner_selection(name, scale, changes, kind):
     _, ws = preset_workspace(name, scale, **changes)
     assert ws.cayley is None             # nothing is built with the workspace
-    assert (cayley_preconditioner(ws) is not None) == preconditioned
+    pre = cayley_preconditioner(ws)
+    assert ("plain" if pre is None else "band" if pre.K else "circulant") == kind
 
 
 def test_preconditioner_is_built_lazily_and_follows_dt_and_velocity():
@@ -218,23 +234,26 @@ def test_preconditioner_is_built_lazily_and_follows_dt_and_velocity():
     assert cayley_preconditioner(ws) is None
 
 
+def unscaled_residual(f, out, ws):
+    b = cn_apply_values(f.values, ws, -1)
+    return np.linalg.norm(b - cn_apply_values(out.values, ws, +1)) / np.linalg.norm(b)
+
+
 def test_preconditioned_step_matches_dense_oracle():
-    cfg, ws = preset_workspace("exp5", "ci")
+    cfg, ws = preset_workspace("exp5", "ci", metric=EXP5_INCOMMENSURATE)
     f = initial_condition(cfg, ws.grid)
     out = cn_transport_step(f, ws, cfg.krylov)
-    assert ws.cayley[2] is not None
+    assert ws.cayley[2].K == 0
     dense = dense_cn_step(f, ws)
     rel = np.linalg.norm(out.values - dense.values) / np.linalg.norm(dense.values)
     assert rel <= 1e-10
     # the reported residual is the unscaled one of A psi* = (2I - A) psi
-    b = cn_apply_values(f.values, ws, -1)
-    unscaled = np.linalg.norm(b - cn_apply_values(out.values, ws, +1)) / np.linalg.norm(b)
-    assert ws.last_krylov.residual == pytest.approx(unscaled, rel=1e-2)
+    assert ws.last_krylov.residual == pytest.approx(unscaled_residual(f, out, ws), rel=1e-2)
     assert ws.last_krylov.residual <= cfg.krylov.tol
 
 
 def test_preconditioned_solve_costs_one_fft_pair_per_operator_product(monkeypatch):
-    cfg, ws = preset_workspace("exp5", "ci")
+    cfg, ws = preset_workspace("exp5", "ci", metric=EXP5_INCOMMENSURATE)
     f = initial_condition(cfg, ws.grid)
     calls = []
     fft = np.fft.fft
@@ -242,8 +261,106 @@ def test_preconditioned_solve_costs_one_fft_pair_per_operator_product(monkeypatc
     cn_transport_step(f, ws, cfg.krylov)
     # the right-hand side, one product per iteration, the initial and the
     # closing residual; psi* = M^-1 y is taken from the closing product
-    assert ws.last_krylov.iterations < cfg.krylov.restart
+    assert ws.cayley[2].K == 0
+    assert 0 < ws.last_krylov.iterations < cfg.krylov.restart
     assert len(calls) == ws.last_krylov.iterations + 3
+
+
+# exp5 and exp4 at ci scale, and an odd ripple count (K = 15), where the
+# band's off-diagonal changes sign: wK = (-1)^K C/4
+BAND_CASES = [("exp5", {}), ("exp4", {}), ("exp4", {"k0": 1.875})]
+
+
+@pytest.mark.parametrize("name,changes", BAND_CASES, ids=["exp5", "exp4", "exp4-odd-K"])
+def test_band_step_matches_dense_oracle(name, changes):
+    cfg, ws = preset_workspace(name, "ci", metric=changes)
+    f = initial_condition(cfg, ws.grid)
+    out = cn_transport_step(f, ws, cfg.krylov)
+    pre = ws.cayley[2]
+    assert pre.K == ws.ripple[0] and np.sign(ws.ripple[2]) == (-1) ** pre.K
+    dense = dense_cn_step(f, ws)
+    rel = np.linalg.norm(out.values - dense.values) / np.linalg.norm(dense.values)
+    assert rel <= 1e-10
+    # both residuals sit at round-off, so they are bounded, not compared
+    assert ws.last_krylov.residual <= cfg.krylov.tol
+    assert unscaled_residual(f, out, ws) <= cfg.krylov.tol
+
+
+def test_ripple_band_matches_the_sampled_weight():
+    # the closed form is the weight's Fourier band: fft(w) / N has modes 0
+    # and +-K only, with the signs of (-1)^K
+    for name, changes in BAND_CASES:
+        cfg, ws = preset_workspace(name, "ci", metric=changes)
+        grid = ws.grid
+        K, w0, wK = geometry.ripple_band(cfg.metric, grid)
+        what = np.fft.fft(1.0 / sample_metric(cfg.metric, grid).velocity[0]) / grid.N[0]
+        band = np.zeros(grid.N[0], dtype=complex)
+        band[[0, K, -K]] = w0, wK, wK
+        assert np.max(np.abs(what - band)) <= 1e-14
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("exp4", {"metric": {"k0": 2.1}}),          # K = 16.8
+    ("exp4", {"N": (32,)}),                     # K = 16 = N / 2: not resolved
+    # C = 1.0001 >= 1, although max f on the grid is 0.99994
+    ("exp4", {"metric": {"a0": 2.5 * np.sqrt(1.0001 / (2 * np.pi ** 2))}}),
+    ("exp6", {"a": (5.0,)}),                    # K = 8, but a layer is set
+    ("exp1", {}),
+], ids=["K-fraction", "K-nyquist", "C-one", "layer", "static"])
+def test_no_band_without_a_fitted_ripple(name, changes):
+    _, ws = preset_workspace(name, "ci", **changes)
+    assert ws.ripple is None
+
+
+def test_band_solve_costs_two_fft_pairs_and_no_iteration(monkeypatch):
+    cfg, ws = preset_workspace("exp5", "ci")
+    f = initial_condition(cfg, ws.grid)
+    fft = np.fft.fft
+    calls = []
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
+    for _ in range(3):
+        f = cn_transport_step(f, ws, cfg.krylov)
+        assert ws.last_krylov.iterations == 0 and ws.last_krylov.converged
+    # per solve: the right-hand side's derivative and the one M^-1 product
+    assert len(calls) == 3 * 2
+
+
+def test_band_is_built_lazily_from_the_closed_form(monkeypatch):
+    cfg, ws = preset_workspace("exp5", "ci")
+    assert ws.cayley is None
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, **k: pytest.fail("FFT while the band is built"))
+    assert cayley_preconditioner(ws).K == 10
+
+
+def test_first_band_solve_keeps_linear_storage():
+    # exp4 paper: 16 chains of 125 modes.  The factors hold five arrays of
+    # about 2N entries, and the first solve peaks at 17 spinor fields, build
+    # included.  A dense inverse per chain would hold 2 * 16 * 125^2 entries,
+    # 125 spinor fields; plain GMRES's Krylov basis alone holds restart + 1 = 31
+    cfg, ws = preset_workspace("exp4", "paper")
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    tracemalloc.start()
+    try:
+        cn_transport_step(f, ws, cfg.krylov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.cayley[2].K == 16
+    assert peak < 20 * f.values.nbytes
+
+
+def test_band_cn_keeps_the_plain_temporal_errors(monkeypatch):
+    # test_preconditioned_cn_keeps_the_plain_temporal_errors on graphene:
+    # the band path against forced plain GMRES
+    cfg = preset_config("exp4", "ci").replace(N=(256,), T=0.1)
+    dts = [4e-3, 2e-3, 1e-3, 5e-4]
+    band = [e for _, e in convergence_sweep(cfg, "dt", dts, refine=4)]
+    monkeypatch.setattr(propagators, "cayley_preconditioner", lambda ws: None)
+    plain = [e for _, e in convergence_sweep(cfg, "dt", dts, refine=4)]
+    assert 1.95 <= loglog_slope(dts, band) <= 2.05
+    assert np.allclose(band, plain, rtol=1e-2, atol=0)
 
 
 # ------------------------------------------------------------ poly steps
