@@ -273,12 +273,16 @@ def density(f: SpinorField) -> np.ndarray:
 
 def l2_norm(f: SpinorField) -> float:
     """(h^d sum_k |psi_k|^2)^(1/2)."""
-    return float(np.sqrt(f.grid.cell_volume() * np.sum(np.abs(f.values) ** 2)))
+    return float(np.sqrt(f.grid.cell_volume() * np.vdot(f.values, f.values).real))
 
 
 def gamma_norm(f: SpinorField, weight: np.ndarray) -> float:
-    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm."""
-    return float(np.sqrt(f.grid.cell_volume() * np.sum(weight * density(f))))
+    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm: re^2 + im^2
+    summed over the spin axis, then one dot product with the weight."""
+    re, im = f.values.real, f.values.imag
+    dens = np.einsum("k...,k...->...", re, re)
+    dens += np.einsum("k...,k...->...", im, im)
+    return float(np.sqrt(f.grid.cell_volume() * np.dot(weight.ravel(), dens.ravel())))
 
 
 @dataclass

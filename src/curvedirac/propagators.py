@@ -23,16 +23,29 @@ Transport variants:
             the box the exact inverse of the scaled system, so GMRES stops at
             its first check and a step costs 2 FFT pairs.  Otherwise one GMRES
             iteration costs one FFT pair.
-* ``poly1`` per-axis blend a * (exponentially shifted) + (1 - a) * unshifted,
-            the shift exp(-i dt xi alpha^i) = cos(dt xi) - i sin(dt xi) alpha^i
+* ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
+            the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
-            axis.
-* ``poly2`` poly1 plus the explicit dt^2 a [[d_i^2]] correction applied to the
-            shifted field.  Note the correction term is explicit, so unlike
-            poly1 this variant is subject to a dt * xi_max < sqrt(2) restriction.
+            axis.  With ahat = max(1, max|a|) the shift is theta = dt ahat xi
+            and the weight w = a / ahat, so w stays in [0, 1] where a > 1
+            (0 <= a <= 1: ahat = 1, theta = dt xi, w = a).
+* ``poly2`` the blend with theta = dt xi and w = a, plus the explicit
+            dt^2 a [[d_i^2]] correction applied to the shifted field.  Note the
+            correction term is explicit, so unlike poly1 this variant is
+            subject to a dt * xi_max < sqrt(2) restriction.
 
 PML enters only through the transport stage: velocities are divided by the
 complex stretch fields.
+
+Memory.  An explicit step allocates only the field it returns: lead, the
+sweeps and trail alternate between that array and one scratch field that the
+workspace owns (`StepWorkspace.scratch`; poly2's correction takes a second
+one).  The scratch is allocated at the first explicit step, not in the
+build, and reused by every later step; the FFTs run in place, and the
+pointwise loops take temporaries of one grid slab (SLAB nodes).  The public
+stage functions return a fresh field unless a caller passes ``out``.  The
+``cn`` step allocates as before: its pointwise stages and GMRES return fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -56,33 +69,39 @@ PRECONDITION_RATIO = 10.0
 # Krylov tolerance: at the tolerance itself its per-step errors add up
 # coherently over a run (cn's temporal order then drops from 2.00 to 1.76).
 PRECONDITIONED_TOL_SHARE = 0.1
+# Grid nodes per slab of the explicit step's pointwise loops: their
+# temporaries stay small (128 KB each) and in cache.
+SLAB = 1 << 13
 
 
-def _spin_matmul(mat, values):
-    """Apply an (S, S) or (S, S, *grid) matrix field on the spinor axis."""
+def _slabs(shape, temps):
+    """(rows, scratch) over slabs of about SLAB nodes of a grid ``shape``:
+    ``rows`` slices its first axis, ``scratch`` holds ``temps`` complex
+    arrays shaped like the slab."""
+    step = max(1, SLAB // math.prod(shape[1:]))
+    buf = np.empty((temps, min(step, shape[0])) + tuple(shape[1:]), dtype=np.complex128)
+    for lo in range(0, shape[0], step):
+        yield slice(lo, lo + step), buf[:, :min(step, shape[0] - lo)]
+
+
+def _spin_matmul(mat, values, out=None):
+    """Apply an (S, S) or (S, S, *grid) matrix field on the spinor axis.
+
+    A matrix field is applied entry by entry, out[a] = values[0] mat[a, 0]
+    + values[1] mat[a, 1] + ..., one slab of the grid at a time, into
+    ``out`` when given; ``out`` must not overlap ``values``.
+    """
     if mat.ndim == 2:
         return (mat @ values.reshape(len(mat), -1)).reshape(values.shape)
-    return np.einsum("ab...,b...->a...", mat, values)
-
-
-def _field_product(A, B, out=None):
-    """Pointwise S x S product A(x) B(x) of two (S, S, *grid) matrix fields,
-    entry by entry.  With out=A the product overwrites A, each row formed in
-    one scratch row first."""
-    S = A.shape[0]
     if out is None:
-        out = np.empty(A.shape, dtype=np.complex128)
-    row = np.empty(A.shape[1:], dtype=np.complex128) if out is A else None
-    term = np.empty(A.shape[2:], dtype=np.complex128)
-    for a in range(S):
-        dst = out[a] if row is None else row
-        for b in range(S):
-            np.multiply(A[a, 0], B[0, b], out=dst[b])
-            for k in range(1, S):
-                np.multiply(A[a, k], B[k, b], out=term)
-                dst[b] += term
-        if row is not None:
-            out[a] = row
+        out = np.empty(values.shape, dtype=np.complex128)
+    for rows, (term,) in _slabs(values.shape[1:], 1):
+        m, v, o = mat[:, :, rows], values[:, rows], out[:, rows]
+        for a in range(len(mat)):
+            np.multiply(v[0], m[a, 0], out=o[a])
+            for k in range(1, len(mat)):
+                np.multiply(v[k], m[a, k], out=term)
+                o[a] += term
     return out
 
 
@@ -137,9 +156,12 @@ class StepWorkspace:
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
         self.d2_mult = [derivative_multiplier(grid, i, 2) for i in range(grid.d)]
 
-        # the sample is dropped before the products; trail is new and lead
-        # overwrites conn_half, so the build peaks at three matrix fields and
-        # a scratch row
+        # the sample is dropped before the products.  Row a of X Y is the
+        # kernel's Y^T applied to row a of X, so trail = E C is formed row by
+        # row, then lead = C E overwrites C one row at a time: the build peaks
+        # at three matrix fields and one (S, *grid) row.  (Overwriting E
+        # column by column instead costs the same, but left the benchmark's
+        # later set-ups 7% slower, through the allocator's state.)
         tau = 0.5 * self.dt
         exp_half = _half_potential(sample, tau, self.S)
         conn_half = _connection_half(sample, tau, self.S)
@@ -147,18 +169,37 @@ class StepWorkspace:
         if conn_half is None:
             self.lead = self.trail = exp_half
         else:
-            self.trail = _field_product(exp_half, conn_half)
-            self.lead = _field_product(conn_half, exp_half, out=conn_half)
+            self.trail = np.empty_like(exp_half)
+            row = np.empty(exp_half.shape[1:], dtype=np.complex128)
+            for a in range(self.S):
+                _spin_matmul(conn_half.swapaxes(0, 1), exp_half[a], out=self.trail[a])
+            for a in range(self.S):
+                conn_half[a] = _spin_matmul(exp_half.swapaxes(0, 1), conn_half[a], out=row)
+            self.lead = conn_half
         self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
         self.last_krylov = None
         self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
+        self.sweeps = {}     # (axis, second_order) -> (dt, a_eff[axis], factors)
+        self.fields = {}     # the explicit step's scratch, see `scratch`
+
+    def scratch(self, k):
+        """Scratch field k of the explicit step, (S, *grid): 0 carries
+        every other stage's result, 1 poly2's dt^2 correction.  Each is
+        allocated at its first use, not in the build, and reused by every
+        later step."""
+        if k not in self.fields:
+            self.fields[k] = np.empty((self.S,) + self.grid.shape, dtype=np.complex128)
+        return self.fields[k]
 
 
-def half_potential_step(f: SpinorField, ws: StepWorkspace, trailing: bool = False) -> SpinorField:
+def half_potential_step(f: SpinorField, ws: StepWorkspace, trailing: bool = False,
+                        out=None) -> SpinorField:
     """Pointwise product with exp(-i dt/2 M) at every node, the connection's
     half factor folded in when the metric has one: ws.lead before the
-    transport, ws.trail (``trailing``) after it."""
-    return SpinorField(_spin_matmul(ws.trail if trailing else ws.lead, f.values), f.grid)
+    transport, ws.trail (``trailing``) after it.  Written into ``out`` when
+    given (it must not overlap f), otherwise into a fresh array."""
+    mat = ws.trail if trailing else ws.lead
+    return SpinorField(_spin_matmul(mat, f.values, out=out), f.grid)
 
 
 def cn_apply_values(values, ws, sign):
@@ -390,44 +431,103 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     return SpinorField(x, f.grid)
 
 
-def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool) -> SpinorField:
-    """The directional sweep shared by poly1 and poly2:
+def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
+    """(cos, pairs, weight, corr) of one directional sweep, built from the
+    workspace's current dt and a_eff[axis] and rebuilt when either is
+    replaced; cos and the rot factors are views broadcast to the grid.
 
-        Xi = F^-1[(cos(dt xi) - i sin(dt xi) alpha^i) F psi],
-        psi' = psi + a (Xi - psi) [+ dt^2 a [[d_i^2]] Xi for poly2].
+    alpha^i has one nonzero entry phase_c in each row c, at a column b != c
+    with phase_b phase_c = 1, so the shift exp(-i theta alpha^i) maps
+    components c and b of the transform to
 
-    The bracket is exp(-i dt xi alpha^i), since (alpha^i)^2 = I.
+        cos(theta) v_c + rot_c v_b  and  cos(theta) v_b + rot_b v_c,
+
+    rot_c = -i sin(theta) phase_c; ``pairs`` holds (c, b, rot_c, rot_b).
+    poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
+    with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
+    max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
+    dt xi, blends with a, and its correction is (d2, dt^2 a), d2 the
+    second-derivative multiplier shaped for the field.
+    """
+    a = ws.a_eff[axis]
+    key = (axis, second_order)
+    cached = ws.sweeps.get(key)
+    if cached is not None and cached[0] == ws.dt and cached[1] is a:
+        return cached[2]
+    ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
+    shape = [1] * ws.grid.d
+    shape[axis] = ws.grid.N[axis]
+    theta = ((ws.dt * ahat) * ws.grid.freqs[axis]).reshape(shape)
+    sin = np.sin(theta)
+    alpha = ws.alpha[axis]
+    perm = np.argmax(np.abs(alpha), axis=1)
+
+    def grid_view(x):
+        return np.broadcast_to(x, ws.grid.shape)
+
+    pairs = [(c, b, grid_view((-1j * alpha[c, b]) * sin), grid_view((-1j * alpha[b, c]) * sin))
+             for c, b in enumerate(perm) if c < b]
+    corr = None
+    if second_order:
+        corr = ws.d2_mult[axis].reshape([1] + shape), (ws.dt ** 2) * a
+    factors = (grid_view(np.cos(theta)), pairs, a if ahat == 1.0 else a / ahat, corr)
+    ws.sweeps[key] = (ws.dt, a, factors)
+    return factors
+
+
+def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
+                out=None) -> SpinorField:
+    """The directional sweep shared by poly1 and poly2, written into ``out``
+    when given, otherwise into a fresh array:
+
+        Xi = F^-1[(cos(theta) - i sin(theta) alpha^i) F psi],
+        psi' = psi + w (Xi - psi) [+ dt^2 a [[d_i^2]] Xi for poly2],
+
+    with theta and w from `_sweep_factors`.  The bracket is
+    exp(-i theta alpha^i), since (alpha^i)^2 = I.  The transforms and the
+    shift run in place in ``out``, which must not overlap f; poly2's
+    correction runs in the workspace's scratch field 1.
     """
     ax = 1 + axis
-    shape = [1] * f.values.ndim
-    shape[ax] = ws.grid.N[axis]
-    theta = (ws.dt * ws.grid.freqs[axis]).reshape(shape)
-    vhat = np.fft.fft(f.values, axis=ax)
-    rot = _spin_matmul(ws.alpha[axis], vhat)
-    rot *= -1j * np.sin(theta)
-    vhat *= np.cos(theta)
-    vhat += rot
-    xi = np.fft.ifft(vhat, axis=ax)
-    a = ws.a_eff[axis]
-    if second_order:
-        corr = derivative_values(xi, axis, ws.d2_mult[axis])
-        corr *= (ws.dt ** 2) * a
-    xi -= f.values
-    xi *= a
-    xi += f.values
-    if second_order:
-        xi += corr
-    return SpinorField(xi, f.grid)
+    cos, pairs, weight, corr = _sweep_factors(ws, axis, second_order)
+    values = f.values
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    np.fft.fft(values, axis=ax, out=out)
+    for rows, (t_c, t_b) in _slabs(ws.grid.shape, 2):
+        for c, b, rot_c, rot_b in pairs:
+            v_c, v_b = out[c, rows], out[b, rows]
+            np.multiply(v_b, rot_c[rows], out=t_c)
+            np.multiply(v_c, rot_b[rows], out=t_b)
+            for v, t in ((v_c, t_c), (v_b, t_b)):
+                v *= cos[rows]
+                v += t
+    np.fft.ifft(out, axis=ax, out=out)
+    if corr is not None:
+        d2 = np.fft.fft(out, axis=ax, out=ws.scratch(1))
+        d2 *= corr[0]
+        np.fft.ifft(d2, axis=ax, out=d2)
+        d2 *= corr[1]
+    for rows, _ in _slabs(ws.grid.shape, 0):
+        o, v = out[:, rows], values[:, rows]
+        o -= v
+        o *= weight[rows]
+        o += v
+        if corr is not None:
+            o += d2[:, rows]
+    return SpinorField(out, f.grid)
 
 
-def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
-    """One directional step of the exponential blend scheme (poly1)."""
-    return _poly_sweep(f, axis, ws, second_order=False)
+def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
+    """One directional step of the exponential blend scheme (poly1), into
+    ``out`` when given, otherwise into a fresh array."""
+    return _poly_sweep(f, axis, ws, False, out)
 
 
-def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace) -> SpinorField:
-    """Directional step with the explicit dt^2 second-derivative correction (poly2)."""
-    return _poly_sweep(f, axis, ws, second_order=True)
+def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
+    """Directional step with the explicit dt^2 second-derivative correction
+    (poly2), into ``out`` when given, otherwise into a fresh array."""
+    return _poly_sweep(f, axis, ws, True, out)
 
 
 def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
@@ -435,16 +535,23 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     """One full Strang step of size ws.dt with the named transport scheme:
     ws.lead, the transport, ws.trail (see `StepWorkspace`).
 
-    The Krylov report (cn only) lands on ws.last_krylov.
+    The explicit schemes allocate only the returned array.  Their stages
+    alternate between it and the workspace's scratch field 0, so that the
+    last sweep lands in the scratch and trail writes the result; the
+    returned field never shares memory with the workspace.  The Krylov
+    report (cn only) lands on ws.last_krylov.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
     ws.last_krylov = None
-    f = half_potential_step(f, ws)
     if scheme == "cn":
-        f = cn_transport_step(f, ws, krylov)
-    else:
-        step = poly_axis_step if scheme == "poly1" else poly_axis_step2
-        for axis in range(ws.grid.d):
-            f = step(f, axis, ws)
-    return half_potential_step(f, ws, trailing=True)
+        f = cn_transport_step(half_potential_step(f, ws), ws, krylov)
+        return half_potential_step(f, ws, trailing=True)
+    step = poly_axis_step if scheme == "poly1" else poly_axis_step2
+    result = np.empty(f.values.shape, dtype=np.complex128)
+    bufs = (ws.scratch(0), result)
+    d = ws.grid.d
+    f = half_potential_step(f, ws, out=bufs[d % 2])
+    for axis in range(d):
+        f = step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
+    return half_potential_step(f, ws, trailing=True, out=result)

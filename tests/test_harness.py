@@ -301,6 +301,16 @@ def test_density_values():
     assert not np.any(density(zero))
 
 
+@pytest.mark.parametrize("S,shape", [(2, (48,)), (4, (12, 10))], ids=["1d-S2", "2d-S4"])
+def test_norms_match_the_weighted_sums(rng, S, shape):
+    g = make_grid(len(shape), (3.0,) * len(shape), shape)
+    f = SpinorField(rng.standard_normal((S,) + shape) + 1j * rng.standard_normal((S,) + shape), g)
+    weight = rng.random(shape)
+    rho = np.sum(np.abs(f.values) ** 2, axis=0)
+    assert l2_norm(f) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(rho)), rel=1e-14)
+    assert gamma_norm(f, weight) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(weight * rho)), rel=1e-14)
+
+
 # ----------------------------------------------------------------- simulation
 
 

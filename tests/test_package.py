@@ -1,16 +1,19 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvedirac
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 # every demo but 06, the convergence study (about 8 s on its own)
 SMOKE_DEMOS = sorted(p.name for p in DEMOS.glob("*.py") if not p.name.startswith("06_"))
 
@@ -21,6 +24,16 @@ def test_exported_names_resolve_and_are_not_modules():
     for name in names:
         obj = getattr(curvedirac, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_installed_numpy_meets_the_declared_floor():
+    # the explicit step's in-place transforms need np.fft.fft(..., out=)
+    def version(text):
+        return tuple(int(part) for part in re.match(r"\d+(?:\.\d+)*", text).group().split("."))
+
+    floor = re.search(r'"numpy>=([^"]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert version(floor) >= (2, 0)
+    assert version(np.__version__) >= version(floor)
 
 
 def test_demo_imports_resolve():

@@ -543,6 +543,75 @@ def test_workspace_build_is_lean(monkeypatch):
     assert peak < 5.5 * field_bytes
 
 
+# ------------------------------------------------------------ buffered explicit step
+
+
+@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+def test_returned_fields_never_alias_the_scratch(scheme):
+    cfg, ws = preset_workspace("exp3", "ci")
+    f = initial_condition(cfg, ws.grid)
+    first = strang_step(f, scheme, ws)
+    second = strang_step(first, scheme, ws)
+    kept = first.values.copy(), second.values.copy()
+    third = strang_step(second, scheme, ws)
+    assert np.array_equal(first.values, kept[0]) and np.array_equal(second.values, kept[1])
+    # one scratch field, and poly2's correction one more
+    assert len(ws.fields) == (1 if scheme == "poly1" else 2)
+    for out in (first, second, third):
+        assert not any(np.shares_memory(out.values, buf) for buf in ws.fields.values())
+
+
+@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+def test_explicit_step_allocates_only_its_result(scheme):
+    # exp3 at 256^2: after one warm-up step a step allocates its result (1
+    # spinor field); the unbuffered step peaked at 4.06 (poly1) and 6.0 (poly2)
+    cfg = preset_config("exp3", "ci").replace(N=(256, 256))
+    grid = cfg.grid()
+    ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
+    f = strang_step(initial_condition(cfg, grid), scheme, ws)
+    tracemalloc.start()
+    try:
+        strang_step(f, scheme, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+def test_step_follows_a_replaced_dt_and_velocity(scheme):
+    # the cached sweep factors are rebuilt when ws.dt or ws.a_eff is replaced
+    cfg, ws = preset_workspace("exp3", "ci")
+    f = initial_condition(cfg, ws.grid)
+    step = poly_axis_step if scheme == "poly1" else poly_axis_step2
+    strang_step(f, scheme, ws)
+    ws.dt = 0.5 * cfg.dt
+    fresh = StepWorkspace(cfg.metric, ws.grid, ws.dt)
+    for axis in range(2):
+        assert np.array_equal(step(f, axis, ws).values, step(f, axis, fresh).values)
+    # lead and trail are built for one dt: compare the whole step at cfg.dt
+    ws.dt = cfg.dt
+    fresh = StepWorkspace(cfg.metric, ws.grid, ws.dt)
+    for w in (ws, fresh):
+        w.a_eff[0] = 1.5 * w.a_eff[0]   # max a 1.5: poly1 shifts by dt ahat xi
+    assert np.array_equal(strang_step(f, scheme, ws).values, strang_step(f, scheme, fresh).values)
+
+
+@pytest.mark.parametrize("scheme,pairs", [("poly1", 2), ("poly2", 4)])
+def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
+    # one pair per axis, and poly2's dt^2 correction one more
+    cfg, ws = preset_workspace("exp3", "ci")
+    f = initial_condition(cfg, ws.grid)
+    strang_step(f, scheme, ws)
+    calls = collections.Counter()
+    for name in ("fft", "ifft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _n=name, _fn=fn, **k: calls.update([_n]) or _fn(*a, **k))
+    strang_step(f, scheme, ws)
+    assert calls == {"fft": pairs, "ifft": pairs}
+
+
 @pytest.mark.parametrize("name", ["exp3", "exp5"])
 def test_workspace_build_samples_the_metric_once(monkeypatch, name):
     # each closed form's value and gradient, and the graphene strain, are
@@ -639,6 +708,20 @@ def test_poly1_literal_bump_metric_grows_but_stays_bounded():
     ratios = l2[1:] / l2[:-1]
     assert np.max(ratios) > 1 + 1e-9          # genuinely not monotone
     assert np.max(l2) / l2[0] < 1.01          # but bounded (Lax stability)
+
+
+@pytest.mark.parametrize("name", ["exp4", "exp5"])
+def test_poly1_stays_bounded_where_the_velocity_exceeds_one(name):
+    # max a is 2.02 (exp4) and 4.75 (exp5): blending with a itself grew
+    # l2_gamma 1.7e32x and 5.8e55x over the ci run; shifting by dt ahat xi
+    # and blending with a / ahat leaves it at 0.88x and 0.48x
+    cfg = preset_config(name, "ci").replace(scheme="poly1")
+    res = run_simulation(cfg)
+    gamma = np.array([r.l2_gamma for r in res.diagnostics])
+    assert np.max(np.abs(StepWorkspace(cfg.metric, cfg.grid(), cfg.dt).a_eff[0])) > 2
+    assert np.all(np.isfinite(gamma))
+    assert np.max(gamma) <= gamma[0] * (1 + 1e-12)
+    assert gamma[-1] < gamma[0]
 
 
 @pytest.mark.parametrize("scheme,lo,hi", [("cn", 1.8, 2.3), ("poly1", 0.85, 1.4), ("poly2", 0.85, 1.4)])
