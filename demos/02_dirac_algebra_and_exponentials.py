@@ -1,15 +1,15 @@
 """Dirac matrix algebra and the closed-form exponential.
 
 Shows the anticommutation relations, the one-line exponential
-exp(i [beta G + alpha . Gvec]) = cos|G| I + i sin|G|/|G| (beta G + alpha . Gvec),
-and the unitary diagonalization of the alpha matrices used by the directional
-transport scheme.
+exp(i [beta G + alpha . Gvec]) = cos|G| I + i sin|G|/|G| (beta G + alpha . Gvec)
+checked against an eigendecomposition, and the special case the directional
+transport sweep applies to each Fourier mode:
+exp_dirac(0, (-theta, 0, 0), S) = cos(theta) I - i sin(theta) alpha^1.
 """
 
 import numpy as np
 
-from curvedirac import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac
-from curvedirac.spinor_algebra import expm_small
+from curvedirac import alpha_matrix, beta_matrix, exp_dirac
 
 print("anticommutators of the 4x4 set (should be 2 delta_ij I):")
 for i in (1, 2, 3):
@@ -22,13 +22,16 @@ rng = np.random.default_rng(1)
 G = rng.standard_normal()
 gv = rng.standard_normal(3)
 E = exp_dirac(G, gv, 4)
-M = 1j * (beta_matrix(4) * G + sum(alpha_matrix(k + 1, 4) * gv[k] for k in range(3)))
-print(f"\nclosed form vs reference expm: {np.max(np.abs(E - expm_small(M))):.3e}")
-print(f"unitarity of the closed form:  {np.max(np.abs(E.conj().T @ E - np.eye(4))):.3e}")
+H = beta_matrix(4) * G + sum(alpha_matrix(k + 1, 4) * gv[k] for k in range(3))
+w, V = np.linalg.eigh(H)   # H is Hermitian: exp(i H) = V diag(exp(i w)) V^H
+reference = (V * np.exp(1j * w)) @ V.conj().T
+print(f"\nclosed form vs eigendecomposition: {np.max(np.abs(E - reference)):.3e}")
+print(f"unitarity of the closed form:      {np.max(np.abs(E.conj().T @ E - np.eye(4))):.3e}")
 
-print("\nalpha diagonalizations alpha^i = Pi Lam Pi^H:")
+print("\nsweep shift exp(-i theta alpha^1) = cos(theta) I - i sin(theta) alpha^1:")
+theta = np.linspace(-3.0, 3.0, 7)
 for S in (2, 4):
-    for i in (1, 2) if S == 2 else (1, 2, 3):
-        d = diagonalize_alpha(i, S)
-        err = np.max(np.abs((d.Pi * d.Lam) @ d.Pi.conj().T - alpha_matrix(i, S)))
-        print(f"  S = {S}, i = {i}: Lam = {d.Lam.astype(int)}, reconstruction error {err:.1e}")
+    E = exp_dirac(0.0, (-theta, 0.0, 0.0), S)
+    shift = (np.cos(theta) * np.eye(S)[:, :, None]
+             - 1j * np.sin(theta) * alpha_matrix(1, S)[:, :, None])
+    print(f"  S = {S}: max deviation over theta in [-3, 3] {np.max(np.abs(E - shift)):.1e}")

@@ -18,7 +18,7 @@ from .grid_spectral import (
     make_grid,
     spectral_derivative,
 )
-from .spinor_algebra import alpha_matrix, beta_matrix, diagonalize_alpha, exp_dirac
+from .spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
 from .geometry import (
     MetricModel,
     ScalarForm,
@@ -61,7 +61,7 @@ __all__ = [
     "BudgetError", "ConfigurationError", "GeometryError", "KrylovError",
     "SimulationError", "StepFailureError", "Grid", "SpinorField",
     "dense_diff_matrix", "make_grid", "spectral_derivative", "alpha_matrix",
-    "beta_matrix", "diagonalize_alpha", "exp_dirac", "MetricModel",
+    "beta_matrix", "exp_dirac", "MetricModel",
     "ScalarForm", "gamma_weight", "graphene_f", "parse_form", "sample_metric",
     "PmlConfig", "apply_pml", "sigma_profile",
     "stretch_factor", "KrylovOptions", "KrylovReport", "gmres",

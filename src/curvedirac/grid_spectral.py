@@ -150,13 +150,17 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return -(xi * xi).astype(np.complex128)
 
 
-def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
-    """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array."""
+def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None) -> np.ndarray:
+    """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array.
+
+    With ``out`` the transform, the product and the inverse all run in that
+    array, which is returned; otherwise the result is a fresh array.
+    """
     shape = [1] * values.ndim
     shape[1 + axis] = mult.size
-    vhat = np.fft.fft(values, axis=1 + axis)
+    vhat = np.fft.fft(values, axis=1 + axis, out=out)
     vhat *= mult.reshape(shape)
-    return np.fft.ifft(vhat, axis=1 + axis)
+    return np.fft.ifft(vhat, axis=1 + axis, out=out)
 
 
 def spectral_derivative(f: SpinorField, axis: int, order: int = 1) -> SpinorField:

@@ -530,7 +530,8 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
                       out_path: str = "", budget: int | None = None):
     """Error table against a refined self-reference run.
 
-    sweep = 'h': each value is a target spacing (2a/h must be an integer);
+    sweep = 'h': each value is a target spacing (2a/h must be an integer,
+    and each grid must divide the reference grid, checked before any run);
     the reference runs the finest listed grid refined by `refine` in space at
     the SAME time step (isolating the spatial error; otherwise the run's own
     temporal error floors the table), restricted onto each coarse grid by
@@ -567,7 +568,12 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
                 if abs(2.0 * ai / ni - h) > 1e-9 * h:
                     raise ConfigurationError(f"spacing {h} does not divide the domain")
             grids.append(N)
-        ref = run_guarded(base.replace(N=tuple(n * refine for n in grids[-1])))
+        ref_N = tuple(n * refine for n in grids[-1])
+        for h, N in zip(values, grids):
+            if any(r % n for r, n in zip(ref_N, N)):
+                raise ConfigurationError(
+                    f"spacing {h} (N = {N}) does not nest in the reference grid N = {ref_N}")
+        ref = run_guarded(base.replace(N=ref_N))
         for h, N in zip(values, grids):
             res = run_simulation(base.replace(N=N))
             coarse = res.final.grid

@@ -44,8 +44,9 @@ one).  The scratch is allocated at the first explicit step, not in the
 build, and reused by every later step; the FFTs run in place, and the
 pointwise loops take temporaries of one grid slab (SLAB nodes).  The public
 stage functions return a fresh field unless a caller passes ``out``.  The
-``cn`` step allocates as before: its pointwise stages and GMRES return fresh
-arrays.
+``cn`` step takes no workspace scratch: each pointwise stage returns a fresh
+field, and the transport returns GMRES's (or the banded solve's) fresh
+solution.
 """
 
 from __future__ import annotations
@@ -446,8 +447,8 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
     with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
     max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
-    dt xi, blends with a, and its correction is (d2, dt^2 a), d2 the
-    second-derivative multiplier shaped for the field.
+    dt xi, blends with a, and weights its correction [[d_i^2]] Xi by
+    corr = dt^2 a (None for poly1).
     """
     a = ws.a_eff[axis]
     key = (axis, second_order)
@@ -467,9 +468,7 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
 
     pairs = [(c, b, grid_view((-1j * alpha[c, b]) * sin), grid_view((-1j * alpha[b, c]) * sin))
              for c, b in enumerate(perm) if c < b]
-    corr = None
-    if second_order:
-        corr = ws.d2_mult[axis].reshape([1] + shape), (ws.dt ** 2) * a
+    corr = (ws.dt ** 2) * a if second_order else None
     factors = (grid_view(np.cos(theta)), pairs, a if ahat == 1.0 else a / ahat, corr)
     ws.sweeps[key] = (ws.dt, a, factors)
     return factors
@@ -486,7 +485,8 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     with theta and w from `_sweep_factors`.  The bracket is
     exp(-i theta alpha^i), since (alpha^i)^2 = I.  The transforms and the
     shift run in place in ``out``, which must not overlap f; poly2's
-    correction runs in the workspace's scratch field 1.
+    correction is one `derivative_values` into the workspace's scratch
+    field 1.
     """
     ax = 1 + axis
     cos, pairs, weight, corr = _sweep_factors(ws, axis, second_order)
@@ -504,10 +504,8 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
                 v += t
     np.fft.ifft(out, axis=ax, out=out)
     if corr is not None:
-        d2 = np.fft.fft(out, axis=ax, out=ws.scratch(1))
-        d2 *= corr[0]
-        np.fft.ifft(d2, axis=ax, out=d2)
-        d2 *= corr[1]
+        d2 = derivative_values(out, axis, ws.d2_mult[axis], out=ws.scratch(1))
+        d2 *= corr
     for rows, _ in _slabs(ws.grid.shape, 0):
         o, v = out[:, rows], values[:, rows]
         o -= v

@@ -1,4 +1,4 @@
-"""Pauli/Dirac matrix constants, closed-form exponentials, alpha diagonalization.
+"""Pauli/Dirac matrix constants and the closed-form Dirac exponential.
 
 Two spinor sizes are supported.  For S = 4 the Dirac representation is used:
 beta = diag(I2, -I2), alpha^i = offdiag(sigma^i, sigma^i).  For S = 2 (the
@@ -9,34 +9,23 @@ The closed-form exponential exploits (beta*G + alpha.Gvec)^2 = (G^2 + Gvec^2) I:
 
     exp(i [beta G + alpha . Gvec]) = I cos|G| + i (beta G + alpha . Gvec) sin|G|/|G|,
 
-with |G| = sqrt(G^2 + Gvec^2).  cos and sin/x are even, so the formula also
-analytically continues to complex G, Gvec.  When G^2 + Gvec^2 is real it
-becomes cosh and sinh/x where it is negative, which gives the real
-hyperbolic factors of the spin connection (imaginary Gvec).
-
-The alpha diagonalization is kept as a reference for the directional sweep,
-which itself needs none: exp(-i t alpha^i) = cos t - i sin t alpha^i.
+with |G| = sqrt(G^2 + Gvec^2).  Each coefficient is real (the Hermitian
+potential) or purely imaginary (the spin connection), so G^2 + Gvec^2 is
+real, and cos and sin/x become cosh and sinh/x where it is negative.  The
+directional sweep needs only the special case
+exp(-i t alpha^i) = cos t - i sin t alpha^i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-_SQ2 = np.sqrt(2.0)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
-ID4 = np.eye(4, dtype=np.complex128)
 
 _PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
-
-
-def identity(S: int) -> np.ndarray:
-    return ID2 if S == 2 else ID4
 
 
 def beta_matrix(S: int) -> np.ndarray:
@@ -63,9 +52,10 @@ def alpha_matrix(i: int, S: int) -> np.ndarray:
     return m
 
 
-def _real_field(values):
+def _real_field(values, name):
     """(u, imaginary) with values == u, or 1j * u when imaginary, for a real u;
-    None when values is neither real nor purely imaginary."""
+    ValueError naming the term ``name`` when values is neither real nor
+    purely imaginary."""
     v = np.asarray(values)
     if not np.iscomplexobj(v):
         return v.astype(np.float64, copy=False), False
@@ -73,7 +63,7 @@ def _real_field(values):
         return v.real, False
     if not np.any(v.real):
         return v.imag, True
-    return None
+    raise ValueError(f"exp_dirac: {name} must be real or purely imaginary")
 
 
 def _cos_sinc(q):
@@ -112,30 +102,27 @@ def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
     or field arrays (missing entries are treated as zero).  The result is a
     C-contiguous array of shape (S, S) + field_shape.
 
-    When every coefficient is real or purely imaginary, G^2 + Gvec^2 is real
-    and c, s are taken in real arithmetic (cos/sin where it is >= 0,
+    Every coefficient must be real or purely imaginary, so G^2 + Gvec^2 is
+    real and c, s are taken in real arithmetic (cos/sin where it is >= 0,
     cosh/sinh where it is < 0).  This covers the Hermitian potential and the
     spin connection's imaginary argument.  Each (a, b) entry of
     I c + i s (beta G + alpha . Gvec) is then written once: the matrices'
     entries are 0, +/-1 or +/-i, so every real and imaginary part is a signed
-    sum of c and the fields s * u.  Other inputs take the complex formula.
+    sum of c and the fields s * u.  A coefficient that is neither real nor
+    purely imaginary raises ValueError.
     """
     parts = [G] + list(Gvec)
     shape = np.broadcast_shapes(*(np.shape(p) for p in parts))
-    terms = []   # (matrix, field) with exponent i sum matrix * field
+    terms = []   # (matrix, u, imaginary): the field is u, or 1j * u when imaginary
     for i, p in enumerate(parts):
         if not np.any(p):
             continue  # also keeps zero third components away from alpha^3 at S = 2
         mat = beta_matrix(S) if i == 0 else alpha_matrix(i, S)
-        terms.append((mat, p))
-    real = [_real_field(p) for _, p in terms]
-    if any(r is None for r in real):
-        return _exp_dirac_complex(terms, shape, S)
-
-    q = sum(-u * u if imag else u * u for u, imag in real)
+        terms.append((mat,) + _real_field(p, "G" if i == 0 else f"Gvec[{i - 1}]"))
+    q = sum(-u * u if imag else u * u for _, u, imag in terms)
     c, s = _cos_sinc(np.asarray(q, dtype=np.float64))
     # exponent matrix times i, per term: i * mat, or -mat for an imaginary field
-    scaled = [(-mat if imag else 1j * mat, s * u) for (mat, _), (u, imag) in zip(terms, real)]
+    scaled = [(-mat if imag else 1j * mat, s * u) for mat, u, imag in terms]
     out = np.zeros((S, S) + shape, dtype=np.complex128)
     for a in range(S):
         for b in range(S):
@@ -145,100 +132,3 @@ def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
             _fill(entry.real, re)
             _fill(entry.imag, [(m[a, b].imag, t) for m, t in scaled if m[a, b].imag])
     return out
-
-
-def _exp_dirac_complex(terms, shape, S):
-    """exp_dirac's complex formula, for coefficients neither real nor imaginary."""
-    nd = len(shape)
-
-    def lift(mat):
-        return mat.reshape((S, S) + (1,) * nd)
-
-    fields = [np.asarray(p, dtype=np.complex128) for _, p in terms]
-    mag = np.sqrt(sum(p * p for p in fields))
-    small = np.abs(mag) < 1e-150
-    safe = np.where(small, 1.0, mag)
-    c = np.where(small, 1.0, np.cos(safe))
-    s = np.where(small, 1.0, np.sin(safe) / safe)
-    arg = sum(lift(mat) * p for (mat, _), p in zip(terms, fields))
-    out = np.empty((S, S) + shape, dtype=np.complex128)
-    out[...] = lift(identity(S)) * c + 1j * s * arg
-    return out
-
-
-def expm_small(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential for a single S x S matrix (S <= 4).
-
-    Hermitian / anti-Hermitian / normal inputs go through an eigendecomposition;
-    anything else falls back to scaling-and-squaring on the Taylor series.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    n = M.shape[0]
-    nrm = np.linalg.norm(M)
-    if nrm == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    tol = 1e-13 * max(nrm, 1.0) ** 2
-    if np.linalg.norm(M - M.conj().T) <= tol:
-        w, V = np.linalg.eigh(M)
-        return (V * np.exp(w)) @ V.conj().T
-    if np.linalg.norm(M + M.conj().T) <= tol:
-        w, V = np.linalg.eigh(-1j * M)
-        return (V * np.exp(1j * w)) @ V.conj().T
-    if np.linalg.norm(M @ M.conj().T - M.conj().T @ M) <= tol:
-        w, V = np.linalg.eig(M)
-        return (V * np.exp(w)) @ np.linalg.inv(V)
-    # non-normal: scale so the series converges fast, square back
-    s = max(0, int(np.ceil(np.log2(nrm))) + 1)
-    T = M / (2.0 ** s)
-    out = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    for j in range(1, 30):
-        term = term @ T / j
-        out = out + term
-        if np.linalg.norm(term) < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-@dataclass(frozen=True)
-class AlphaDiagonalization:
-    """Unitary Pi and signed diagonal Lam with Pi diag(Lam) Pi^dagger = alpha^i."""
-
-    Pi: np.ndarray
-    Lam: np.ndarray  # 1-D array of +/-1 eigenvalues
-
-
-# Hand-built eigenvector tables (phase convention: first nonzero component
-# real positive), so repeated calls are bit-identical.
-_DIAG_TABLES = {
-    (1, 2): np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQ2,
-    (2, 2): np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / _SQ2,
-    (1, 4): np.array(
-        [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]],
-        dtype=np.complex128,
-    ) / _SQ2,
-    (2, 4): np.array(
-        [[1, 0, 1, 0], [0, 1, 0, 1], [0, -1j, 0, 1j], [1j, 0, -1j, 0]],
-        dtype=np.complex128,
-    ) / _SQ2,
-    (3, 4): np.array(
-        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1]],
-        dtype=np.complex128,
-    ) / _SQ2,
-}
-
-
-def diagonalize_alpha(i: int, S: int = 2) -> AlphaDiagonalization:
-    """Diagonalization alpha^i = Pi Lam Pi^dagger with Lam = diag(1,..,-1,..)."""
-    if S == 2:
-        if i == 3:
-            # sigma^3 is already diagonal
-            return AlphaDiagonalization(ID2.copy(), np.array([1.0, -1.0]))
-        Pi = _DIAG_TABLES[(i, 2)].copy()
-        lam = np.array([1.0, -1.0])
-    else:
-        Pi = _DIAG_TABLES[(i, 4)].copy()
-        lam = np.array([1.0, 1.0, -1.0, -1.0])
-    return AlphaDiagonalization(Pi, lam)

@@ -14,7 +14,7 @@ from curvedirac.geometry import (
 )
 from curvedirac.grid_spectral import make_grid
 from curvedirac.harness import RunConfig, run_simulation
-from curvedirac.spinor_algebra import SIGMA1, SIGMA3, alpha_matrix, beta_matrix, identity
+from curvedirac.spinor_algebra import SIGMA1, SIGMA3, alpha_matrix, beta_matrix
 
 
 EXP1 = MetricModel("static1d", mass=1.0,
@@ -29,7 +29,7 @@ def potential_matrix(sample, S):
     """The dense (S, S, *grid) potential beta G + alpha . Gvec + scalar I of a sample."""
     shape = np.shape(sample.G)
     lift = lambda m: m.reshape((S, S) + (1,) * len(shape))
-    out = lift(beta_matrix(S)) * sample.G + lift(identity(S)) * sample.scalar
+    out = lift(beta_matrix(S)) * sample.G + lift(np.eye(S)) * sample.scalar
     for i, g in enumerate(sample.Gvec):
         if np.ndim(g) or g:  # S = 2 has two alpha matrices: skip a zero third
             out = out + lift(alpha_matrix(i + 1, S)) * np.asarray(g)

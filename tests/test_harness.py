@@ -662,6 +662,26 @@ def test_sweep_rejects_non_finite_or_zero_spacings(values):
         convergence_sweep(parse_config(MINIMAL), "h", values)
 
 
+def test_sweep_rejects_grids_that_do_not_nest_before_any_run(monkeypatch):
+    # h = 0.1 and 0.08 on a = 5 give N = 100 and 125: 100 does not divide the
+    # reference N = 250, which used to fail in restrict_to_coarse after two runs
+    runs = []
+    monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+    with pytest.raises(ConfigurationError, match=r"spacing 0.1 \(N = \(100,\)\) does not nest"):
+        convergence_sweep(parse_config(MINIMAL), "h", [0.1, 0.08])
+    assert runs == []
+
+
+def test_cli_sweep_over_grids_that_do_not_nest_is_an_error(monkeypatch, tmp_path, capsys):
+    runs = []
+    monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+    cfgfile = tmp_path / "flat.cfg"
+    cfgfile.write_text(MINIMAL)
+    assert cli.main(["converge", str(cfgfile), "--sweep", "h", "--values", "0.1,0.08"]) == 1
+    assert "error: spacing 0.1" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_sweep_writes_csv(tmp_path):
     cfg = RunConfig(d=1, a=5.0, N=128, metric=MetricModel("flat", mass=1.0),
                     scheme="cn", dt=1e-3, T=0.02, ic_kind="gaussian_wavepacket", ic_k0=3.0)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -53,6 +54,21 @@ def test_demo_imports_resolve():
                 assert hasattr(module, alias.name), where
                 if module is curvedirac:
                     assert alias.name in curvedirac.__all__, where
+
+
+def test_readme_module_references_resolve():
+    # every `module.name` in the README whose module is a package submodule
+    # names an attribute of that submodule; file names such as `harness.py`
+    # are not references
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text)
+    checked = 0
+    for module, name in refs:
+        if name == "py" or importlib.util.find_spec(f"curvedirac.{module}") is None:
+            continue
+        assert hasattr(importlib.import_module(f"curvedirac.{module}"), name), f"{module}.{name}"
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", SMOKE_DEMOS)

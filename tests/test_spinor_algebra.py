@@ -1,14 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from curvedirac.spinor_algebra import (
-    alpha_matrix,
-    beta_matrix,
-    diagonalize_alpha,
-    exp_dirac,
-    expm_small,
-    identity,
-)
+from conftest import expm_small
+
+from curvedirac.harness import PRESET_NAMES, preset_config
+from curvedirac.pml import PmlConfig
+from curvedirac.propagators import StepWorkspace
+from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
 
 
 def taylor_expm(M, terms=20):
@@ -29,7 +29,7 @@ def test_matrices_hermitian_and_involutive(S):
     mats = [beta_matrix(S)] + [alpha_matrix(i, S) for i in idx]
     for M in mats:
         assert np.allclose(M, M.conj().T)
-        assert np.allclose(M @ M, identity(S))
+        assert np.allclose(M @ M, np.eye(S))
 
 
 def test_anticommutation_s4():
@@ -40,7 +40,7 @@ def test_anticommutation_s4():
         for j in range(1, 4):
             aj = alpha_matrix(j, 4)
             acom = ai @ aj + aj @ ai
-            assert np.allclose(acom, 2.0 * (i == j) * identity(4))
+            assert np.allclose(acom, 2.0 * (i == j) * np.eye(4))
 
 
 def test_alpha3_unavailable_for_two_components():
@@ -53,11 +53,11 @@ def test_alpha3_unavailable_for_two_components():
 
 def test_exp_dirac_zero_argument_is_identity():
     for S in (2, 4):
-        assert np.allclose(exp_dirac(0.0, (0.0, 0.0, 0.0), S), identity(S))
+        assert np.allclose(exp_dirac(0.0, (0.0, 0.0, 0.0), S), np.eye(S))
 
 
 def test_exp_dirac_scalar_pi():
-    assert np.max(np.abs(exp_dirac(np.pi, (0.0, 0.0, 0.0), 2) + identity(2))) < 1e-13
+    assert np.max(np.abs(exp_dirac(np.pi, (0.0, 0.0, 0.0), 2) + np.eye(2))) < 1e-13
 
 
 def test_exp_dirac_matches_expm_on_random_hermitian_draws(rng):
@@ -80,7 +80,7 @@ def test_exp_dirac_matches_expm_on_random_hermitian_draws(rng):
 def test_exp_dirac_unitary_for_real_arguments(rng):
     for _ in range(20):
         E = exp_dirac(rng.standard_normal(), rng.standard_normal(3), 4)
-        assert np.max(np.abs(E.conj().T @ E - identity(4))) < 1e-12
+        assert np.max(np.abs(E.conj().T @ E - np.eye(4))) < 1e-12
 
 
 def test_exp_dirac_vectorized_over_fields(rng):
@@ -97,13 +97,13 @@ def test_exp_dirac_imaginary_argument_gives_hyperbolic_factor():
     # exp(i alpha.(i u)) = exp(-u alpha): the closed form continues analytically
     u = 0.37
     E = exp_dirac(0.0, (1j * u, 0.0, 0.0), 2)
-    ref = np.cosh(u) * identity(2) - np.sinh(u) * alpha_matrix(1, 2)
+    ref = np.cosh(u) * np.eye(2) - np.sinh(u) * alpha_matrix(1, 2)
     assert np.max(np.abs(E - ref)) < 1e-14
 
 
 def test_exp_dirac_tiny_argument_limit():
     E = exp_dirac(1e-200, (0.0, 0.0, 0.0), 2)
-    assert np.allclose(E, identity(2) + 1j * 1e-200 * beta_matrix(2))
+    assert np.allclose(E, np.eye(2) + 1j * 1e-200 * beta_matrix(2))
 
 
 def dirac_argument(G, gv, S):
@@ -156,33 +156,49 @@ def test_exp_dirac_small_argument_limit_in_both_branches(S, unit):
     for k, gk in enumerate(g):
         ref = expm_small(1j * alpha_matrix(1, S) * gk)
         assert np.max(np.abs(E[..., k] - ref)) < 1e-15
-    assert np.array_equal(E[..., 0], identity(S))
+    assert np.array_equal(E[..., 0], np.eye(S))
     for k in (1, 2):   # sin|G| / |G| -> 1: E - I = i alpha g to full relative precision
-        assert np.allclose(E[..., k] - identity(S), 1j * alpha_matrix(1, S) * g[k], rtol=1e-12, atol=0)
+        assert np.allclose(E[..., k] - np.eye(S), 1j * alpha_matrix(1, S) * g[k], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_complex_argument_takes_the_complex_formula(rng, S):
-    # neither real nor imaginary: G^2 + Gvec^2 is complex
-    G = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    gv = components(S, rng.standard_normal(7), 1j * rng.standard_normal(7),
-                    rng.standard_normal(7) - 0.5j)
-    assert_matches_expm_at_every_node(G, gv, S, 1e-12)
+@pytest.mark.parametrize("term", range(3), ids=["G", "Gvec0", "Gvec1"])
+def test_exp_dirac_rejects_a_coefficient_neither_real_nor_imaginary(rng, S, term):
+    # G^2 + Gvec^2 would be complex: no built-in stage passes such a term
+    parts = [rng.standard_normal(7), 1j * rng.standard_normal(7), 0.0]
+    parts[term] = parts[term] + (0.5 + 0.5j)
+    name = "G" if term == 0 else f"Gvec[{term - 1}]"
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be real or purely imaginary"):
+        exp_dirac(parts[0], components(S, *parts[1:], 0.0), S)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("kind", ["real", "imaginary", "complex", "scalar"])
+@pytest.mark.parametrize("kind", ["real", "imaginary", "scalar"])
 def test_exp_dirac_result_is_c_contiguous(rng, S, kind):
     field = rng.standard_normal((4, 6))
     G, gv = {
         "real": (field, (0.0, np.asfortranarray(field), 0.0)),
         "imaginary": (0.0, (1j * field, 1j * field, 0.0)),
-        "complex": ((1 + 1j) * field, (field, 0.0, 0.0)),
         "scalar": (0.3, (0.2, -0.1, 0.0)),
     }[kind]
     E = exp_dirac(G, gv, S)
     assert E.shape == (S, S) + np.shape(G if kind != "imaginary" else field)
     assert E.flags.c_contiguous and E.dtype == np.complex128
+
+
+SHIPPED_BUILDS = [(name, scale, None) for name in PRESET_NAMES for scale in ("ci", "paper")]
+SHIPPED_BUILDS.append(("exp6", "paper", PmlConfig(True, "I", 3.0, 1.2, 0.1)))
+
+
+@pytest.mark.parametrize("name,scale,pml", SHIPPED_BUILDS,
+                         ids=[f"{n}-{s}" + ("-pml" if p else "") for n, s, p in SHIPPED_BUILDS])
+def test_exp_dirac_accepts_every_shipped_build(name, scale, pml):
+    # the half potential and the connection pass only real or imaginary terms
+    cfg = preset_config(name, scale)
+    if pml is not None:
+        cfg = cfg.replace(pml=pml)
+    ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+    assert np.all(np.isfinite(ws.lead)) and np.all(np.isfinite(ws.trail))
 
 
 # ----------------------------------------------------------------- expm_small
@@ -211,42 +227,3 @@ def test_expm_small_non_normal_fallback():
     for _ in range(8):
         ref = ref @ ref
     assert np.linalg.norm(expm_small(M) - ref) < 1e-8 * np.linalg.norm(ref)
-
-
-# ----------------------------------------------------------------- diagonalization
-
-
-@pytest.mark.parametrize("S,axes", [(2, (1, 2)), (4, (1, 2, 3))])
-def test_diagonalize_alpha_reconstructs(S, axes):
-    for i in axes:
-        d = diagonalize_alpha(i, S)
-        assert np.max(np.abs(d.Pi @ d.Pi.conj().T - identity(S))) < 1e-13
-        rebuilt = (d.Pi * d.Lam) @ d.Pi.conj().T
-        assert np.max(np.abs(rebuilt - alpha_matrix(i, S))) < 1e-13
-
-
-def test_diagonalize_alpha_signature():
-    assert list(diagonalize_alpha(1, 2).Lam) == [1.0, -1.0]
-    for i in (1, 2, 3):
-        assert list(diagonalize_alpha(i, 4).Lam) == [1.0, 1.0, -1.0, -1.0]
-
-
-def test_diagonalize_alpha_explicit_sigma_x():
-    d = diagonalize_alpha(1, 2)
-    assert np.allclose(d.Pi, np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
-
-
-def test_diagonalize_alpha_deterministic():
-    a = diagonalize_alpha(2, 4)
-    b = diagonalize_alpha(2, 4)
-    assert a.Pi.tobytes() == b.Pi.tobytes()
-    assert a.Lam.tobytes() == b.Lam.tobytes()
-
-
-def test_diagonalize_phase_convention_first_nonzero_real_positive():
-    for S, axes in ((2, (1, 2)), (4, (1, 2, 3))):
-        for i in axes:
-            Pi = diagonalize_alpha(i, S).Pi
-            for col in Pi.T:
-                lead = col[np.flatnonzero(np.abs(col) > 1e-14)[0]]
-                assert lead.real > 0 and abs(lead.imag) < 1e-14
