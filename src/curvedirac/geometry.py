@@ -23,10 +23,10 @@ static2d    same with two axes, w = e^{2 Psi}
 graphene    rippled sheet h(x) = a0 cos(2 pi k0 x / ell), f = (h')^2 / 2:
             a = 1/(1 - f), M = -a A_x sigma^1 + sigma^3 (m - V), w = 1 - f
 
-The anti-Hermitian connection term -i a(x) c(x) sigma^1 is deliberately NOT
-folded into M (that would break the Hermitian-potential invariant and the
-unitary half steps); the propagators exponentiate it on its own and multiply
-it into the half-step factors on either side of the transport stage.
+The anti-Hermitian connection term -i a(x) c^i(x) alpha^i is kept out of M,
+which stays Hermitian; the propagators exponentiate the two together, one
+pointwise factor exp(-dt/2 (i M + sum_i a c^i alpha^i)) applied on either
+side of the transport stage.
 """
 
 from __future__ import annotations

@@ -82,6 +82,11 @@ class RunConfig:
                 f"scheme.kind must be one of {SCHEMES}, got '{self.scheme}'", "scheme")
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"scheme.dt must be positive and finite, got {self.dt}", "dt")
+        xi_max = max(math.pi * (n // 2) / a for a, n in zip(self.a, self.N))
+        if self.scheme == "poly2" and not self.dt * xi_max < math.sqrt(2):
+            raise ConfigurationError(
+                f"scheme.dt = {self.dt} breaks poly2's stability bound dt * xi_max < sqrt(2) "
+                f"(xi_max = {xi_max:.6g})", "dt")
         if not 0 <= self.T < math.inf:
             raise ConfigurationError(f"scheme.T must be >= 0 and finite, got {self.T}", "T")
         if self.ic_kind not in IC_KINDS:
@@ -91,8 +96,16 @@ class RunConfig:
             raise ConfigurationError("graphene_pair initial data needs metric.S = 2", "ic_kind")
         if self.ic_kind == "custom" and not self.ic_path:
             raise ConfigurationError("ic.kind = custom needs ic.path", "ic_kind")
-        if not self.ic_width > 0:
-            raise ConfigurationError(f"ic.width must be positive, got {self.ic_width}", "ic_width")
+        for key, value in (("ic_width", self.ic_width), ("ic_beta", self.ic_beta)):
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{key.replace('_', '.')} must be positive and finite, got {value}", key)
+        for key in ("ic_k0", "ic_x0"):
+            if not all(map(math.isfinite, getattr(self, key))):
+                raise ConfigurationError(
+                    f"{key.replace('_', '.')} must be finite, got {getattr(self, key)}", key)
+        if self.stride < 0:
+            raise ConfigurationError(f"output.stride must be >= 0, got {self.stride}", "stride")
 
     def grid(self) -> Grid:
         return Grid(self.d, self.a, self.N)

@@ -187,10 +187,3 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
             # the true residual, so the least-squares correction stays honest
             y = np.linalg.lstsq(H[:k_used, :k_used], rhs, rcond=None)[0]
         x = x + (y @ Q[:k_used]).reshape(shape)
-
-        if estimate <= target:
-            # recompute true residual on return path of the outer loop
-            continue
-        if total_iters >= maxit:
-            resid = true_resid(_flat(b) - matvec(_flat(x)))
-            return x.reshape(shape), KrylovReport(total_iters, resid, resid <= tol)

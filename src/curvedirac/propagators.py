@@ -3,15 +3,17 @@ exponential-polynomial transport, shared pointwise stages.
 
 One step advances psi by dt as
 
-    lead (pointwise) -> transport -> trail (pointwise)
+    half (pointwise) -> transport -> half (pointwise)
 
-The pointwise factors are exact exponentials evaluated at every node.  The
-half potential E = exp(-i dt/2 M(x)) is unitary whenever M is Hermitian.  In
-the static metrics, the connection factor C = exp(-dt/2 sum_i a c^i alpha^i)
-carries the anti-Hermitian spin-connection term, split symmetrically about
-the transport so the overall order-2 accuracy is preserved.  The workspace
-folds the two into lead = C E and trail = E C, so a step applies one matrix
-field on each side of the transport; without a connection lead = trail = E.
+The paper splits the Hamiltonian into the transport -i sum_i a^i alpha^i d_i
+and the local part H_loc = M - i sum_i a c^i alpha^i.  The pointwise factor
+is the exact half step of H_loc at every node,
+
+    exp(-i dt/2 H_loc) = exp(-dt/2 (i M + sum_i a c^i alpha^i)),
+
+one closed-form exponential (`spinor_algebra.exp_dirac`): M is Hermitian and
+the spin connection's term anti-Hermitian, so the factor is unitary only
+without a connection.  The symmetric split keeps order 2.
 
 Transport variants:
 
@@ -32,21 +34,22 @@ Transport variants:
 * ``poly2`` the blend with theta = dt xi and w = a, plus the explicit
             dt^2 a [[d_i^2]] correction applied to the shifted field.  Note the
             correction term is explicit, so unlike poly1 this variant is
-            subject to a dt * xi_max < sqrt(2) restriction.
+            subject to a dt * xi_max < sqrt(2) restriction, which
+            `harness.RunConfig` enforces.
 
 PML enters only through the transport stage: velocities are divided by the
 complex stretch fields.
 
-Memory.  An explicit step allocates only the field it returns: lead, the
-sweeps and trail alternate between that array and one scratch field that the
-workspace owns (`StepWorkspace.scratch`; poly2's correction takes a second
-one).  The scratch is allocated at the first explicit step, not in the
-build, and reused by every later step; the FFTs run in place, and the
-pointwise loops take temporaries of one grid slab (SLAB nodes).  The public
-stage functions return a fresh field unless a caller passes ``out``.  The
-``cn`` step takes no workspace scratch: each pointwise stage returns a fresh
-field, and the transport returns GMRES's (or the banded solve's) fresh
-solution.
+Memory.  An explicit step allocates only the field it returns: the two
+pointwise stages and the sweeps alternate between that array and one
+scratch field that the workspace owns (`StepWorkspace.scratch`; poly2's
+correction takes a second one).  The scratch is allocated at the first
+explicit step, not in the build, and reused by every later step; the FFTs
+run in place, and the pointwise loops take temporaries of one grid slab
+(SLAB nodes).  The public stage functions return a fresh field unless a
+caller passes ``out``.  The ``cn`` step takes no workspace scratch: each
+pointwise stage returns a fresh field, and the transport returns GMRES's (or
+the banded solve's) fresh solution.
 """
 
 from __future__ import annotations
@@ -86,18 +89,19 @@ def _slabs(shape, temps):
 
 
 def _spin_matmul(mat, values, out=None):
-    """Apply an (S, S) or (S, S, *grid) matrix field on the spinor axis.
+    """Apply an (S, S) matrix or (S, S, *grid) matrix field on the spinor axis.
 
-    A matrix field is applied entry by entry, out[a] = values[0] mat[a, 0]
+    The matrix is applied entry by entry, out[a] = values[0] mat[a, 0]
     + values[1] mat[a, 1] + ..., one slab of the grid at a time, into
-    ``out`` when given; ``out`` must not overlap ``values``.
+    ``out`` when given; ``out`` must not overlap ``values``.  This runs on
+    the calling thread alone, where a BLAS product would start its own
+    thread pool for the constant alpha matrices.
     """
-    if mat.ndim == 2:
-        return (mat @ values.reshape(len(mat), -1)).reshape(values.shape)
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
     for rows, (term,) in _slabs(values.shape[1:], 1):
-        m, v, o = mat[:, :, rows], values[:, rows], out[:, rows]
+        m = mat if mat.ndim == 2 else mat[:, :, rows]
+        v, o = values[:, rows], out[:, rows]
         for a in range(len(mat)):
             np.multiply(v[0], m[a, 0], out=o[a])
             for k in range(1, len(mat)):
@@ -107,37 +111,33 @@ def _spin_matmul(mat, values, out=None):
 
 
 def _half_potential(sample: MetricSample, tau, S):
-    """E = exp(-i tau M) at every node."""
-    out = exp_dirac(-tau * sample.G, [-tau * np.asarray(g) for g in sample.Gvec], S)
+    """exp(-tau (i M + sum_i a c^i alpha^i)) at every node.  The metrics
+    with a connection (static1d, static2d) have no alpha potential, so each
+    alpha coefficient is real (-tau Gvec) or purely imaginary (i tau a c^i)
+    and one `exp_dirac` call covers both terms."""
+    gvec = [-tau * np.asarray(g) for g in sample.Gvec]
+    for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
+        gvec[i] = gvec[i] + 1j * tau * v * c
+    out = exp_dirac(-tau * sample.G, gvec, S)
     if np.any(sample.scalar):
         out *= np.exp(-1j * tau * sample.scalar)
     return out
 
 
-def _connection_half(sample: MetricSample, tau, S):
-    """C = exp(-tau sum_i a c^i alpha^i) at every node, or None without a
-    connection.  As exp(i alpha . (i u)), u = tau a c, it is a real
-    hyperbolic factor."""
-    if sample.connection is None:
-        return None
-    return exp_dirac(0.0, [1j * tau * v * c for v, c in zip(sample.velocity, sample.connection)], S)
-
-
 class StepWorkspace:
-    """Precomputed per-step data: the two fused pointwise factors, stretched
-    velocities and derivative multipliers, all built from one
-    `geometry.sample_metric` of the model.
+    """Precomputed per-step data: the pointwise factor, stretched velocities
+    and derivative multipliers, all built from one `geometry.sample_metric`
+    of the model.
 
-    ``lead`` is applied before the transport and ``trail`` after it.  Each is
-    the half-potential exponential E = exp(-i dt/2 M), with the connection's
-    half factor C = exp(-dt/2 sum_i a c^i alpha^i) folded in when the metric
-    has one: lead = C E and trail = E C.  Without a connection one array
-    serves as both.  ``a_eff`` holds the per-axis velocities, divided by the
-    layer's stretch when one is enabled; without a layer the axes may share
-    one array.  ``ripple`` is the model's `geometry.ripple_band` when no
-    layer is set, which the cn preconditioner inverts exactly.  Potentials
-    of the built-in models are static, so one workspace serves every step of
-    size dt.
+    ``half`` is the half step exp(-dt/2 (i M + sum_i a c^i alpha^i)) of the
+    local generator, applied on both sides of the transport; the connection
+    term is absent on flat space and graphene, where ``half`` is the bare
+    half potential exp(-i dt/2 M).  ``a_eff`` holds the per-axis
+    velocities, divided by the layer's stretch when one is enabled; without
+    a layer the axes may share one array.  ``ripple`` is the model's
+    `geometry.ripple_band` when no layer is set, which the cn preconditioner
+    inverts exactly.  Potentials of the built-in models are static, so one
+    workspace serves every step of size dt.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -157,26 +157,7 @@ class StepWorkspace:
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
         self.d2_mult = [derivative_multiplier(grid, i, 2) for i in range(grid.d)]
 
-        # the sample is dropped before the products.  Row a of X Y is the
-        # kernel's Y^T applied to row a of X, so trail = E C is formed row by
-        # row, then lead = C E overwrites C one row at a time: the build peaks
-        # at three matrix fields and one (S, *grid) row.  (Overwriting E
-        # column by column instead costs the same, but left the benchmark's
-        # later set-ups 7% slower, through the allocator's state.)
-        tau = 0.5 * self.dt
-        exp_half = _half_potential(sample, tau, self.S)
-        conn_half = _connection_half(sample, tau, self.S)
-        del sample
-        if conn_half is None:
-            self.lead = self.trail = exp_half
-        else:
-            self.trail = np.empty_like(exp_half)
-            row = np.empty(exp_half.shape[1:], dtype=np.complex128)
-            for a in range(self.S):
-                _spin_matmul(conn_half.swapaxes(0, 1), exp_half[a], out=self.trail[a])
-            for a in range(self.S):
-                conn_half[a] = _spin_matmul(exp_half.swapaxes(0, 1), conn_half[a], out=row)
-            self.lead = conn_half
+        self.half = _half_potential(sample, 0.5 * self.dt, self.S)
         self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
         self.last_krylov = None
         self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
@@ -193,14 +174,11 @@ class StepWorkspace:
         return self.fields[k]
 
 
-def half_potential_step(f: SpinorField, ws: StepWorkspace, trailing: bool = False,
-                        out=None) -> SpinorField:
-    """Pointwise product with exp(-i dt/2 M) at every node, the connection's
-    half factor folded in when the metric has one: ws.lead before the
-    transport, ws.trail (``trailing``) after it.  Written into ``out`` when
-    given (it must not overlap f), otherwise into a fresh array."""
-    mat = ws.trail if trailing else ws.lead
-    return SpinorField(_spin_matmul(mat, f.values, out=out), f.grid)
+def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorField:
+    """Pointwise product with ws.half, the half step of the local generator
+    (see `StepWorkspace`), written into ``out`` when given (it must not
+    overlap f), otherwise into a fresh array."""
+    return SpinorField(_spin_matmul(ws.half, f.values, out=out), f.grid)
 
 
 def cn_apply_values(values, ws, sign):
@@ -531,11 +509,11 @@ def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> S
 def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
                 krylov: KrylovOptions | None = None) -> SpinorField:
     """One full Strang step of size ws.dt with the named transport scheme:
-    ws.lead, the transport, ws.trail (see `StepWorkspace`).
+    ws.half, the transport, ws.half again (see `StepWorkspace`).
 
     The explicit schemes allocate only the returned array.  Their stages
     alternate between it and the workspace's scratch field 0, so that the
-    last sweep lands in the scratch and trail writes the result; the
+    last sweep lands in the scratch and the second half writes the result; the
     returned field never shares memory with the workspace.  The Krylov
     report (cn only) lands on ws.last_krylov.
     """
@@ -544,7 +522,7 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     ws.last_krylov = None
     if scheme == "cn":
         f = cn_transport_step(half_potential_step(f, ws), ws, krylov)
-        return half_potential_step(f, ws, trailing=True)
+        return half_potential_step(f, ws)
     step = poly_axis_step if scheme == "poly1" else poly_axis_step2
     result = np.empty(f.values.shape, dtype=np.complex128)
     bufs = (ws.scratch(0), result)
@@ -552,4 +530,4 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     f = half_potential_step(f, ws, out=bufs[d % 2])
     for axis in range(d):
         f = step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
-    return half_potential_step(f, ws, trailing=True, out=result)
+    return half_potential_step(f, ws, out=result)

@@ -157,6 +157,14 @@ BAD_PYTHON_CONFIGS = {
     "static2d_on_1d_grid": ("d", lambda: FLAT.replace(metric=MetricModel("static2d"))),
     "custom_without_path": ("ic_kind", lambda: FLAT.replace(ic_kind="custom")),
     "two_points": ("N", lambda: FLAT.replace(N=2)),
+    "infinite_ic_width": ("ic_width", lambda: FLAT.replace(ic_width=float("inf"))),
+    "negative_ic_beta": ("ic_beta", lambda: FLAT.replace(ic_beta=-1.0)),  # exp(+x^2/2)
+    "zero_ic_beta": ("ic_beta", lambda: FLAT.replace(ic_beta=0.0)),  # a zero field
+    "nan_ic_k0": ("ic_k0", lambda: FLAT.replace(ic_k0=float("nan"))),
+    "infinite_ic_x0": ("ic_x0", lambda: FLAT.replace(ic_x0=float("-inf"))),
+    "negative_stride": ("stride", lambda: FLAT.replace(stride=-3)),  # no snapshot
+    "poly2_past_its_bound": ("dt", lambda: preset_config("exp1", "ci").replace(
+        scheme="poly2", dt=2.0 / (256 * math.pi / 5.0))),  # dt xi_max = 2
 }
 
 
@@ -208,6 +216,10 @@ NON_FINITE = [
     ("exp4", "metric.V", "linear(inf)"),
     ("exp6", "pml.sigma0", "nan"),
     ("exp6", "pml.sigma0", "inf"),
+    ("exp5", "ic.beta", "inf"),
+    ("exp5", "ic.k0", "nan"),
+    ("exp1", "ic.x0", "inf"),
+    ("exp1", "ic.width", "inf"),
 ]
 
 
@@ -368,15 +380,21 @@ def test_nan_in_initial_field_halts_with_diagnostics(tmp_path, scheme):
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_simulation_halts_on_blowup():
-    # explicit dt^2 correction beyond its stability range overflows -> halt
+def test_simulation_halts_on_blowup(monkeypatch):
+    # a field that grows until its norm overflows -> halt.  poly2 beyond its
+    # stability range did this until RunConfig rejected that dt; a step that
+    # scales the field by 1e10 stands in for it (the norm overflows at step 16)
     cfg = RunConfig(d=1, a=5.0, N=256,
                     metric=MetricModel("static1d", mass=0.0, phi=ScalarForm("zero"),
                                        psi=ScalarForm("well", (1.0, 5e-3))),
-                    scheme="poly2", dt=0.05, T=50.0,
+                    scheme="poly2", dt=0.005, T=1.0,
                     ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    with pytest.raises(SimulationError, match="non-finite"):
+    step = harness.strang_step
+    monkeypatch.setattr(harness, "strang_step", lambda f, *a, **k: SpinorField(
+        1e10 * step(f, *a, **k).values, f.grid))
+    with pytest.raises(SimulationError, match="non-finite") as err:
         run_simulation(cfg)
+    assert 0 < err.value.step < cfg.steps()
 
 
 def test_krylov_iterations_recorded_only_for_cn():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import flat_exact_evolution, loglog_slope
+from conftest import expm_small, flat_exact_evolution, loglog_slope
 
 from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, StepFailureError
@@ -25,7 +25,7 @@ from curvedirac.propagators import (
     poly_axis_step2,
     strang_step,
 )
-from curvedirac.spinor_algebra import alpha_matrix, exp_dirac
+from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
 
 FLAT0 = MetricModel("flat", mass=0.0)
 FLAT1 = MetricModel("flat", mass=1.0)
@@ -171,13 +171,12 @@ def inverse_field(mat):
 
 def test_cn_time_reversibility():
     # with frozen potentials, the inverse of the transport is its dt -> -dt
-    # version; the backward step inverts the fused factors in reverse order
+    # version; the backward step applies the inverse pointwise factor
     g = make_grid(1, 5.0, 128)
     fwd = StepWorkspace(EXP1, g, 1e-3)
     bwd = StepWorkspace(EXP1, g, 1e-3)
     bwd.dt = -1e-3
-    bwd.lead = inverse_field(fwd.trail)
-    bwd.trail = inverse_field(fwd.lead)
+    bwd.half = inverse_field(fwd.half)
     f0 = gaussian_field(g)
     f1 = strang_step(f0, "cn", fwd, KrylovOptions(tol=1e-13))
     f2 = strang_step(f1, "cn", bwd, KrylovOptions(tol=1e-13))
@@ -471,16 +470,25 @@ def test_poly_single_step_richardson_order_two(stepper):
 
 
 def test_poly2_explicit_correction_has_cfl_restriction():
-    # dt * xi_max > sqrt(2) amplifies the highest modes; below it stays bounded
+    # dt * xi_max > sqrt(2) amplifies the highest modes, so RunConfig rejects
+    # it; below it stays bounded
     ximax = 256 / 2 * np.pi / 5.0
-    cfg = RunConfig(d=1, a=5.0, N=256, metric=WELL, scheme="poly2", dt=0.02, T=2.0,
-                    ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    assert cfg.dt * ximax > np.sqrt(2)
-    res = run_simulation(cfg)
-    grown = [r.l2 for r in res.diagnostics][-1]
-    assert grown > 1e3 * res.diagnostics[0].l2
-    cfg_ok = cfg.replace(dt=0.01, T=1.0)
+    cfg_ok = RunConfig(d=1, a=5.0, N=256, metric=WELL, scheme="poly2", dt=0.01, T=1.0,
+                       ic_kind="gaussian_wavepacket", ic_k0=3.0)
     assert cfg_ok.dt * ximax < np.sqrt(2)
+    dt = 0.02
+    assert dt * ximax > np.sqrt(2)
+    with pytest.raises(ConfigurationError, match="sqrt") as err:
+        cfg_ok.replace(dt=dt, T=2.0)
+    assert err.value.field == "dt"
+    # the workspace itself still steps at that dt: 100 steps grow the field
+    grid = cfg_ok.grid()
+    ws = StepWorkspace(WELL, grid, dt)
+    f0 = initial_condition(cfg_ok, grid)
+    f = f0
+    for _ in range(100):
+        f = strang_step(f, "poly2", ws)
+    assert vec_norm(f) > 1e3 * vec_norm(f0)
     res = run_simulation(cfg_ok)
     assert res.diagnostics[-1].l2 <= 1.001 * res.diagnostics[0].l2
 
@@ -499,45 +507,84 @@ def test_strang_identity_for_zero_hamiltonian():
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
 
-def unfused_strang_step(f, scheme, ws, model, krylov):
-    """The five-stage step: half potential, connection factor, transport,
-    connection factor, half potential, each factor built on its own."""
-    grid, tau, S = ws.grid, 0.5 * ws.dt, ws.S
+def local_half_oracle(model, grid, dt):
+    """exp(-dt/2 (i M + sum_i a c^i alpha^i)) node by node with `expm_small`."""
+    S = model.spinor_dim
     sample = sample_metric(model, grid)
-    E = exp_dirac(-tau * sample.G, [-tau * np.asarray(g) for g in sample.Gvec], S)
-    E = E * np.exp(-1j * tau * sample.scalar)
-    u = [1j * tau * v * c for v, c in zip(sample.velocity, sample.connection)]
-    C = exp_dirac(0.0, u, S)
-    assert np.max(np.abs(C - np.eye(S).reshape((S, S) + (1,) * grid.d))) > 1e-6
 
-    def apply(mat, field):
-        return SpinorField(np.einsum("ab...,b...->a...", mat, field.values), grid)
+    def field(mat, x):
+        return mat[..., None] * np.ravel(np.broadcast_to(x, grid.shape))
 
-    f = apply(C, apply(E, f))
+    gen = 1j * (field(beta_matrix(S), sample.G) + field(np.eye(S), sample.scalar))
+    for i, g in enumerate(sample.Gvec):
+        if np.any(g):
+            gen = gen + 1j * field(alpha_matrix(i + 1, S), g)
+    for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
+        gen = gen + field(alpha_matrix(i + 1, S), v * c)
+    out = np.stack([expm_small(-0.5 * dt * gen[..., k]) for k in range(gen.shape[-1])], axis=-1)
+    return out.reshape((S, S) + grid.shape)
+
+
+STATIC_MODELS = {
+    "static1d": (MetricModel("static1d", mass=1.0, phi=ScalarForm("gauss", (1.0, 5e-3)),
+                             psi=ScalarForm("gauss", (1.0, 1e-2))), (5.0,), (48,)),
+    "static2d": (MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
+                             psi=ScalarForm("gauss", (1.0, 5e-3))), (5.0, 5.0), (16, 12)),
+}
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("kind", STATIC_MODELS)
+def test_local_factor_matches_the_dense_exponential(kind, S):
+    model, a, N = STATIC_MODELS[kind]
+    model = dataclasses.replace(model, spinor_dim=S)
+    grid = make_grid(len(N), a, N)
+    for dt in (1e-3, 0.3):
+        ws = StepWorkspace(model, grid, dt)
+        assert np.max(np.abs(ws.half - local_half_oracle(model, grid, dt))) < 1e-13
+
+
+def oracle_strang_step(f, scheme, ws, model, krylov):
+    """L T L with the local factor L built node by node by `local_half_oracle`."""
+    L = local_half_oracle(model, ws.grid, ws.dt)
+    # the connection is on: L is not unitary
+    LLh = np.einsum("ab...,cb...->ac...", L, L.conj())
+    assert np.max(np.abs(LLh - np.eye(ws.S).reshape((ws.S, ws.S) + (1,) * ws.grid.d))) > 1e-6
+
+    def apply(field):
+        return SpinorField(np.einsum("ab...,b...->a...", L, field.values), ws.grid)
+
+    f = apply(f)
     if scheme == "cn":
         f = cn_transport_step(f, ws, krylov)
     else:
-        for axis in range(grid.d):
+        for axis in range(ws.grid.d):
             f = (poly_axis_step if scheme == "poly1" else poly_axis_step2)(f, axis, ws)
-    return apply(E, apply(C, f))
+    return apply(f)
 
 
 @pytest.mark.parametrize("name,scheme", [("exp3", "poly1"), ("exp3", "poly2"), ("exp1", "cn")])
 def test_fused_step_matches_the_unfused_stages(name, scheme):
     cfg, ws = preset_workspace(name, "ci")
     f = initial_condition(cfg, ws.grid)
-    ref = unfused_strang_step(f, scheme, ws, cfg.metric, cfg.krylov)
+    ref = oracle_strang_step(f, scheme, ws, cfg.metric, cfg.krylov)
     out = strang_step(f, scheme, ws, cfg.krylov)
     assert np.linalg.norm(out.values - ref.values) <= 1e-13 * np.linalg.norm(ref.values)
 
 
-def test_workspace_build_is_lean(monkeypatch):
-    # exp3 at 256^2: the build peaks at 4.0 matrix fields (S, S, *grid), the
-    # unfused parent at 7.3; no FFT runs while it builds
+def exp3_matrix_field_bytes():
+    """exp3 at 256^2, and the bytes of one of its (S, S, *grid) matrix fields."""
     cfg = preset_config("exp3", "ci").replace(N=(256, 256))
+    S = cfg.metric.spinor_dim
+    return cfg, S * S * int(np.prod(cfg.N)) * np.dtype(np.complex128).itemsize
+
+
+def test_workspace_build_is_lean(monkeypatch):
+    # exp3 at 256^2: the build peaks at 3.0 matrix fields (S, S, *grid); no
+    # FFT runs while it builds
+    cfg, field_bytes = exp3_matrix_field_bytes()
     grid = cfg.grid()
     S = cfg.metric.spinor_dim
-    field_bytes = S * S * int(np.prod(grid.N)) * np.dtype(np.complex128).itemsize
     for name in ("fft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("FFT during the build"))
     tracemalloc.start()
@@ -546,8 +593,22 @@ def test_workspace_build_is_lean(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.lead.shape == (S, S) + grid.shape
+    assert ws.half.shape == (S, S) + grid.shape
     assert peak < 5.5 * field_bytes
+
+
+def test_workspace_keeps_one_matrix_field():
+    # exp3 at 256^2: the built workspace holds 1.13 matrix fields, the one
+    # pointwise factor and the velocity
+    cfg, field_bytes = exp3_matrix_field_bytes()
+    tracemalloc.start()
+    try:
+        ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ws.half.shape[:2] == (2, 2)
+    assert kept <= 1.5 * field_bytes
 
 
 # ------------------------------------------------------------ buffered explicit step
@@ -596,7 +657,7 @@ def test_step_follows_a_replaced_dt_and_velocity(scheme):
     fresh = StepWorkspace(cfg.metric, ws.grid, ws.dt)
     for axis in range(2):
         assert np.array_equal(step(f, axis, ws).values, step(f, axis, fresh).values)
-    # lead and trail are built for one dt: compare the whole step at cfg.dt
+    # the pointwise factor is built for one dt: compare the whole step at cfg.dt
     ws.dt = cfg.dt
     fresh = StepWorkspace(cfg.metric, ws.grid, ws.dt)
     for w in (ws, fresh):
@@ -839,7 +900,7 @@ def test_half_potential_exponential_unitary():
     m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0,
                     ax_pot=ScalarForm("linear", (5.0,)), v_pot=ScalarForm("linear", (5.0,)))
     ws = StepWorkspace(m, g, 1e-2)
-    E = ws.lead   # graphene has no spin connection: the bare half potential
+    E = ws.half   # graphene has no spin connection: the bare half potential
     prod = np.einsum("ab...,cb...->ac...", E, E.conj())
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(prod - eye)) < 1e-12
