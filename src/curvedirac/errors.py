@@ -30,7 +30,7 @@ class BudgetError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """Propagation halted (NaN or solver failure); carries the last good state."""
+    """Propagation halted (NaN, solver failure or norm growth); carries the last good state."""
 
     def __init__(self, message, step=None, diagnostics=None):
         super().__init__(message)

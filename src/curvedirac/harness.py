@@ -7,9 +7,10 @@ dataclasses it holds own every default and every check, so a config built in
 Python is checked the same way as a parsed one.  `run_simulation` advances the
 configured scheme over the horizon, recording per-step norms (the plain l2
 norm and the covariant weighted norm) and optionally writing CSV snapshots.  Every failure inside a
-step (a stalled or non-finite transport solve, a non-finite field norm) ends
-the run as a SimulationError, with the diagnostics file written first when
-the run has an output directory.
+step (a stalled or non-finite transport solve, a non-finite field norm, a
+covariant norm grown past GROWTH_BOUND times its start) ends the run as a
+SimulationError, with the diagnostics file written first when the run has an
+output directory.
 
 Six presets named exp1..exp6 ship with the package as ``presets/<name>.cfg``:
 two 1-D static-metric benchmarks, a 2-D static-metric wavepacket, two
@@ -42,6 +43,10 @@ IC_KINDS = ("gaussian_wavepacket", "graphene_pair", "custom")
 BINARY_SNAPSHOT_THRESHOLD = 256 * 256  # 2-D fields above this go to .dcrv
 _SLAB_NODES = 4096  # nodes a CSV snapshot formats and writes at a time
 _DCRV_MAGIC = b"DCRV"
+# run_simulation halts once l2_gamma exceeds this multiple of its step-0
+# value.  The tests, demos and benchmark workloads keep it within 4e-9 of its
+# start; an unstable run passes the bound long before its norm overflows.
+GROWTH_BOUND = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +473,9 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
     The final step is shortened when T is not a multiple of dt.  Halts with
     SimulationError (carrying the last good step) on a non-finite initial
-    field before step 1, and on NaN or solver failure during a step.
+    field before step 1, on NaN or solver failure during a step, and when
+    l2_gamma exceeds GROWTH_BOUND times its step-0 value.  The diagnostics
+    file, when there is an output directory, is written before it raises.
     """
     grid = cfg.grid()
     model = cfg.metric
@@ -513,10 +520,14 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                 raise StepFailureError("non-finite field norm")
         except (StepFailureError, KrylovError) as exc:
             halt(f"step {n}: {exc}", n - 1, exc)
+        gamma = gamma_norm(psi, weight)
+        if gamma > GROWTH_BOUND * records[0].l2_gamma:
+            halt(f"step {n}: l2_gamma grew to {gamma / records[0].l2_gamma:.3g} times its "
+                 f"step-0 value (bound {GROWTH_BOUND:g})", n - 1)
         t += active.dt
         report = active.last_krylov
         kit, kres = (report.iterations, report.residual) if report is not None else (None, None)
-        records.append(DiagnosticsRecord(n, t, l2, gamma_norm(psi, weight), kit, kres))
+        records.append(DiagnosticsRecord(n, t, l2, gamma, kit, kres))
         if cfg.stride > 0 and (n % cfg.stride == 0 or n == nsteps):
             snap(n, psi)
 
@@ -550,7 +561,8 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
     temporal error floors the table), restricted onto each coarse grid by
     index subsampling.
     sweep = 'dt': fixed grid, reference at min(values)/refine^2.
-    A reference run costing more than `budget` node-steps
+    The reference and every swept configuration are built, and so checked,
+    before any run.  A reference run costing more than `budget` node-steps
     (max(1, steps) * prod(N)) raises BudgetError; None disables the guard.
 
     Returns a list of (value, error) rows, optionally written as CSV
@@ -571,7 +583,6 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
                 f"reference run would cost {cost:.3g} node-steps (> budget {budget:.3g})")
         return run_simulation(rcfg)
 
-    rows = []
     base = cfg.replace(out_dir="", stride=0)
     if sweep == "h":
         grids = []
@@ -586,18 +597,19 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
             if any(r % n for r, n in zip(ref_N, N)):
                 raise ConfigurationError(
                     f"spacing {h} (N = {N}) does not nest in the reference grid N = {ref_N}")
-        ref = run_guarded(base.replace(N=ref_N))
-        for h, N in zip(values, grids):
-            res = run_simulation(base.replace(N=N))
-            coarse = res.final.grid
-            diff = res.final.values - restrict_to_coarse(ref.final, coarse).values
-            rows.append((h, l2_norm(SpinorField(diff, coarse))))
+        ref_cfg = base.replace(N=ref_N)
+        cfgs = [base.replace(N=N) for N in grids]
     else:
-        ref = run_guarded(base.replace(dt=values[-1] / refine ** 2))
-        for dt in values:
-            res = run_simulation(base.replace(dt=dt))
-            diff = res.final.values - ref.final.values
-            rows.append((dt, l2_norm(SpinorField(diff, res.final.grid))))
+        ref_cfg = base.replace(dt=values[-1] / refine ** 2)
+        cfgs = [base.replace(dt=dt) for dt in values]
+
+    ref = run_guarded(ref_cfg)
+    rows = []
+    for value, rcfg in zip(values, cfgs):
+        res = run_simulation(rcfg)
+        coarse = res.final.grid
+        diff = res.final.values - restrict_to_coarse(ref.final, coarse).values
+        rows.append((value, l2_norm(SpinorField(diff, coarse))))
 
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

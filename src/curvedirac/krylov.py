@@ -7,16 +7,9 @@ only on severe cancellation (||w|| < 1e-8 ||w0||); Givens rotations on Python
 complex scalars update the least-squares problem; warm starts supported
 through x0.  The true residual is re-checked before a converged solve returns.
 A non-finite operator output shows as a non-finite norm (of the residual or
-of a new Arnoldi vector) and raises KrylovError.
-
-An optional residual weight makes the exit check measure ||weight r|| /
-||weight b|| instead of ||r|| / ||b||.  A left-scaled system w A x = w b
-passes weight = 1/w, so `tol` then holds for the unscaled residual of A x = b
-(KrylovReport.residual reports the same figure).  The Arnoldi estimate only
-tracks the unweighted residual, and stops at `estimate_tol` (default `tol`):
-when it has met its target but the weighted residual has not, the next
-restart cycle aims lower by their ratio, so the solve goes on to the weighted
-`tol` instead of ending early or spinning.
+of a new Arnoldi vector) and raises KrylovError.  A right-preconditioned
+system A M^-1 y = b is passed as the operator y -> A M^-1 y, whose residual is
+that of A x = b at x = M^-1 y, so `tol` keeps its meaning.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ class KrylovOptions:
 @dataclass
 class KrylovReport:
     iterations: int
-    residual: float          # final relative residual, weighted when a weight is given
+    residual: float          # final relative residual ||b - apply(x)|| / ||b||, recomputed
     converged: bool
 
 
@@ -65,7 +58,7 @@ def _flat(v):
     return np.ascontiguousarray(v).ravel()
 
 
-def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, estimate_tol=None):
+def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     """Solve apply(x) = b to relative residual `tol`.
 
     Parameters
@@ -76,12 +69,6 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
         Right-hand side (any shape, complex).
     x0 : ndarray, optional
         Warm start; defaults to zero.
-    weight : ndarray, optional
-        Broadcasts against b; the exit check and the reported residual then
-        measure ||weight (b - apply(x))|| / ||weight b||.
-    estimate_tol : float, optional
-        First stop of the Arnoldi estimate ||r|| / ||b|| (defaults to tol);
-        a tighter value buys accuracy margin below the exit check.
 
     Returns
     -------
@@ -91,8 +78,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
     b = np.asarray(b, dtype=np.complex128)
     shape = b.shape
     bnorm = float(np.linalg.norm(b))
-    wbnorm = bnorm if weight is None else float(np.linalg.norm(weight * b))
-    if wbnorm == 0.0:
+    if bnorm == 0.0:
         return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True)
 
     x = np.zeros(shape, dtype=np.complex128) if x0 is None else np.array(x0, dtype=np.complex128)
@@ -108,23 +94,14 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
             raise KrylovError("operator produced non-finite values")
         return norm
 
-    def true_resid(r):
-        if weight is not None:
-            r = weight * r.reshape(shape)
-        return float(finite(np.linalg.norm(r))) / wbnorm
-
-    target = tol if estimate_tol is None else estimate_tol   # stop of ||r|| / ||b||
     while True:
         r = _flat(b) - matvec(_flat(x))
-        beta = finite(np.linalg.norm(r))
-        resid = true_resid(r)
+        beta = float(finite(np.linalg.norm(r)))
+        resid = beta / bnorm
         if resid <= tol:
             return x.reshape(shape), KrylovReport(total_iters, resid, True)
         if total_iters >= maxit:
             return x.reshape(shape), KrylovReport(total_iters, resid, False)
-        if beta / bnorm <= target:
-            # the estimate met its target but the weighted residual did not
-            target = tol * (beta / bnorm) / resid
 
         m = min(restart, maxit - total_iters)
         Q = np.empty((m + 1, b.size), dtype=np.complex128)
@@ -174,7 +151,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, weight=None, esti
             g[k] = c * g[k]
 
             estimate = abs(g[k + 1]) / bnorm
-            if wnorm == 0.0 or estimate <= target or total_iters >= maxit:
+            if wnorm == 0.0 or estimate <= tol or total_iters >= maxit:
                 break
             Q[k + 1] = w / wnorm
 

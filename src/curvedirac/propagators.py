@@ -18,13 +18,13 @@ without a connection.  The symmetric split keeps order 2.
 Transport variants:
 
 * ``cn``    semi-implicit Cayley form: solve (I + dt/2 a.alpha.[[grad]]) psi* =
-            (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES.  On 1-D
-            grids the solve may be right-preconditioned by one banded Fourier
-            preconditioner (see `BandPreconditioner`, `cn_transport_step`):
-            a circulant in general, and on rippled graphene whose ripple fits
-            the box the exact inverse of the scaled system, so GMRES stops at
-            its first check and a step costs 2 FFT pairs.  Otherwise one GMRES
-            iteration costs one FFT pair.
+            (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES, one FFT
+            pair per iteration.  On 1-D grids GMRES solves the system right-
+            preconditioned by one banded Fourier preconditioner (see
+            `BandPreconditioner`, `cn_transport_step`): a circulant in
+            general, and on rippled graphene whose ripple fits the box the
+            exact inverse, so GMRES stops at its first check and a step costs
+            2 FFT pairs.
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -66,13 +66,6 @@ from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import alpha_matrix, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
-# Away from a fitted graphene ripple, the circulant preconditioner is used
-# when kappa > PRECONDITION_RATIO * q (see `cayley_preconditioner`).
-PRECONDITION_RATIO = 10.0
-# The preconditioned solve's Arnoldi estimate stops at this fraction of the
-# Krylov tolerance: at the tolerance itself its per-step errors add up
-# coherently over a run (cn's temporal order then drops from 2.00 to 1.76).
-PRECONDITIONED_TOL_SHARE = 0.1
 # Grid nodes per slab of the explicit step's pointwise loops: their
 # temporaries stay small (128 KB each) and in cache.
 SLAB = 1 << 13
@@ -137,7 +130,10 @@ class StepWorkspace:
     a layer the axes may share one array.  ``ripple`` is the model's
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
     inverts exactly.  Potentials of the built-in models are static, so one
-    workspace serves every step of size dt.
+    workspace serves every step of size dt; what the steps build from it
+    (the cn preconditioner, the sweep factors, the scratch fields) is built
+    at its first use and kept (see `cached`), so dt and a_eff are not to be
+    replaced after a step.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -160,18 +156,20 @@ class StepWorkspace:
         self.half = _half_potential(sample, 0.5 * self.dt, self.S)
         self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
         self.last_krylov = None
-        self.cayley = None   # (dt, a_eff[0], preconditioner), built by the first cn solve
-        self.sweeps = {}     # (axis, second_order) -> (dt, a_eff[axis], factors)
-        self.fields = {}     # the explicit step's scratch, see `scratch`
+        self.built = {}
+
+    def cached(self, key, build):
+        """build(), called at the first request for ``key`` and kept for
+        every later one."""
+        if key not in self.built:
+            self.built[key] = build()
+        return self.built[key]
 
     def scratch(self, k):
         """Scratch field k of the explicit step, (S, *grid): 0 carries
-        every other stage's result, 1 poly2's dt^2 correction.  Each is
-        allocated at its first use, not in the build, and reused by every
-        later step."""
-        if k not in self.fields:
-            self.fields[k] = np.empty((self.S,) + self.grid.shape, dtype=np.complex128)
-        return self.fields[k]
+        every other stage's result, 1 poly2's dt^2 correction."""
+        return self.cached(("scratch", k), lambda: np.empty(
+            (self.S,) + self.grid.shape, dtype=np.complex128))
 
 
 def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorField:
@@ -207,7 +205,7 @@ class BandPreconditioner:
     correction for the corners, vectorised over the chains and +-, its
     sweeps run in blocks of about sqrt(n) modes (see `_sweep`).  The
     factors take O(N) storage.  w - w_band stays in the operator as
-    ``shift`` (see `cn_transport_step`).
+    ``shift``, A = a (M + shift) (see `cn_transport_step`).
     """
 
     def __init__(self, w, K, w0, wK, c, mult, alpha):
@@ -328,78 +326,64 @@ def cayley_preconditioner(ws: StepWorkspace) -> BandPreconditioner | None:
 
     With c = dt/2, a = a_eff and w = 1/a: on graphene whose ripple fits the
     box and without a layer (``ws.ripple``, see `geometry.ripple_band`), w
-    is the band itself, so M inverts the scaled system exactly and is always
-    chosen.  Otherwise M is the circulant w_band = m, the midrange of Re w,
-    and the rule compares kappa = |c| xi_max max|a|, which sets the plain
-    iteration count, with q = max|w - m| / m, which sets the preconditioned
-    one, and picks the circulant when kappa > PRECONDITION_RATIO * q.  2-D
-    grids, a zero velocity and a non-finite w fall back to plain GMRES.
-    Built at the first solve from the workspace's current dt and a_eff, and
-    rebuilt when either is replaced.
+    is the band itself, and M = w + c alpha [[d]] is A / a exactly.
+    Otherwise M is the circulant w_band = m, the midrange of Re w, whenever
+    m > 0.  2-D grids, a velocity with a zero and a non-finite w take plain
+    GMRES.  Built at the first solve and kept in the workspace.
     """
     if ws.grid.d != 1:
         return None
-    a = ws.a_eff[0]
-    if ws.cayley is not None and ws.cayley[0] == ws.dt and ws.cayley[1] is a:
-        return ws.cayley[2]
-    pre = None
-    if np.all(a != 0):
-        w = 1.0 / a
-        if np.all(np.isfinite(w)):
-            mult = ws.d1_mult[0]
-            c = 0.5 * ws.dt
-            if ws.ripple is not None:
-                pre = BandPreconditioner(w, *ws.ripple, c, mult, ws.alpha[0])
-            else:
-                m = 0.5 * (np.max(w.real) + np.min(w.real))
-                kappa = abs(c) * np.max(np.abs(mult)) * np.max(np.abs(a))
-                if m > 0 and kappa > PRECONDITION_RATIO * np.max(np.abs(w - m)) / m:
-                    pre = BandPreconditioner(w, 0, m, 0.0, c, mult, ws.alpha[0])
-    ws.cayley = (ws.dt, a, pre)
-    return pre
+    return ws.cached("cayley", lambda: _band_preconditioner(ws))
+
+
+def _band_preconditioner(ws):
+    with np.errstate(all="ignore"):
+        w = 1.0 / ws.a_eff[0]
+    if not np.all(np.isfinite(w)):
+        return None
+    c, mult, alpha = 0.5 * ws.dt, ws.d1_mult[0], ws.alpha[0]
+    if ws.ripple is not None:
+        return BandPreconditioner(w, *ws.ripple, c, mult, alpha)
+    m = 0.5 * (np.max(w.real) + np.min(w.real))
+    return BandPreconditioner(w, 0, m, 0.0, c, mult, alpha) if m > 0 else None
 
 
 def cn_transport_step(f: SpinorField, ws: StepWorkspace,
                       opts: KrylovOptions | None = None) -> SpinorField:
     """Cayley transport: GMRES-solve A psi* = (2I - A) psi, A = I + c a alpha [[d]].
 
-    Plain GMRES starts from psi.  With a `cayley_preconditioner`, the system
-    is scaled on the left by w = 1/a and preconditioned on the right by
-    M = w_band + c alpha [[d]]:
+    Plain GMRES starts from psi.  With a `cayley_preconditioner`
+    M = w_band + c alpha [[d]], w = 1/a, GMRES solves the system
+    preconditioned on the right,
 
-        (I + (w - w_band) M^-1) y = b = w psi - c alpha [[d]] psi,   psi* = M^-1 y,
+        A M^-1 y = a (y + (w - w_band) M^-1 y) = b,   psi* = M^-1 y,
 
-    started from y0 = b.  The residual weight a keeps the exit check on the
-    unscaled residual ||b - A psi*|| / ||b||, and the Arnoldi estimate aims
-    at PRECONDITIONED_TOL_SHARE of the tolerance.  The closing true-residual
-    product has already computed M^-1 y, so psi* costs no further FFT pair:
-    a step costs one FFT pair more than its operator products, as on the
-    plain path.  On the band path w - w_band is at round-off, so the initial
-    residual already meets the tolerance: 0 iterations and 2 FFT pairs a
-    step.
+    started from y0 = w b, so its residual, the exit check and the reported
+    one are those of A psi* = b.  The closing true-residual product has
+    already computed M^-1 y, so psi* costs no further FFT pair: a step costs
+    one FFT pair more than its operator products, as on the plain path.  On
+    the band path w - w_band is at round-off, so the initial residual
+    already meets the tolerance: 0 iterations and 2 FFT pairs a step.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
+    b = cn_apply_values(f.values, ws, -1)
     if pre is None:
-        b = cn_apply_values(f.values, ws, -1)
         x, report = gmres(
             lambda v: cn_apply_values(v, ws, +1),
             b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
         )
     else:
-        psi = f.values
-        b = pre.w * psi - 0.5 * ws.dt * _spin_matmul(
-            pre.alpha, derivative_values(psi, 0, ws.d1_mult[0]))
+        a = ws.a_eff[0]
         last = [None, None]   # the operator's last input and its M^-1 image
 
         def apply(y):
             z = pre.solve(y)
             last[:] = y, z
-            return y + pre.shift * z
+            return a * (y + pre.shift * z)
 
         y, report = gmres(
-            apply, b, x0=b, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
-            weight=ws.a_eff[0], estimate_tol=PRECONDITIONED_TOL_SHARE * opts.tol,
+            apply, b, x0=pre.w * b, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
         )
         x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)
     ws.last_krylov = report
@@ -411,9 +395,8 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
-    """(cos, pairs, weight, corr) of one directional sweep, built from the
-    workspace's current dt and a_eff[axis] and rebuilt when either is
-    replaced; cos and the rot factors are views broadcast to the grid.
+    """(cos, pairs, weight, corr) of one directional sweep; cos and the rot
+    factors are views broadcast to the grid.
 
     alpha^i has one nonzero entry phase_c in each row c, at a column b != c
     with phase_b phase_c = 1, so the shift exp(-i theta alpha^i) maps
@@ -429,10 +412,6 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     corr = dt^2 a (None for poly1).
     """
     a = ws.a_eff[axis]
-    key = (axis, second_order)
-    cached = ws.sweeps.get(key)
-    if cached is not None and cached[0] == ws.dt and cached[1] is a:
-        return cached[2]
     ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
     shape = [1] * ws.grid.d
     shape[axis] = ws.grid.N[axis]
@@ -447,9 +426,7 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     pairs = [(c, b, grid_view((-1j * alpha[c, b]) * sin), grid_view((-1j * alpha[b, c]) * sin))
              for c, b in enumerate(perm) if c < b]
     corr = (ws.dt ** 2) * a if second_order else None
-    factors = (grid_view(np.cos(theta)), pairs, a if ahat == 1.0 else a / ahat, corr)
-    ws.sweeps[key] = (ws.dt, a, factors)
-    return factors
+    return grid_view(np.cos(theta)), pairs, a if ahat == 1.0 else a / ahat, corr
 
 
 def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
@@ -460,14 +437,15 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
         Xi = F^-1[(cos(theta) - i sin(theta) alpha^i) F psi],
         psi' = psi + w (Xi - psi) [+ dt^2 a [[d_i^2]] Xi for poly2],
 
-    with theta and w from `_sweep_factors`.  The bracket is
-    exp(-i theta alpha^i), since (alpha^i)^2 = I.  The transforms and the
-    shift run in place in ``out``, which must not overlap f; poly2's
-    correction is one `derivative_values` into the workspace's scratch
-    field 1.
+    with theta and w from `_sweep_factors`, built at the first sweep of each
+    kind and axis.  The bracket is exp(-i theta alpha^i), since
+    (alpha^i)^2 = I.  The transforms and the shift run in place in ``out``,
+    which must not overlap f; poly2's correction is one `derivative_values`
+    into the workspace's scratch field 1.
     """
     ax = 1 + axis
-    cos, pairs, weight, corr = _sweep_factors(ws, axis, second_order)
+    cos, pairs, weight, corr = ws.cached(
+        ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
     values = f.values
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)

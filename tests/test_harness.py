@@ -381,20 +381,45 @@ def test_nan_in_initial_field_halts_with_diagnostics(tmp_path, scheme):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_simulation_halts_on_blowup(monkeypatch):
-    # a field that grows until its norm overflows -> halt.  poly2 beyond its
-    # stability range did this until RunConfig rejected that dt; a step that
-    # scales the field by 1e10 stands in for it (the norm overflows at step 16)
+    # a field that turns non-finite -> halt.  A field that grows until its
+    # norm overflows now meets the growth bound first, so a step that sets
+    # one value to inf at step 15 stands in for it
     cfg = RunConfig(d=1, a=5.0, N=256,
                     metric=MetricModel("static1d", mass=0.0, phi=ScalarForm("zero"),
                                        psi=ScalarForm("well", (1.0, 5e-3))),
                     scheme="poly2", dt=0.005, T=1.0,
                     ic_kind="gaussian_wavepacket", ic_k0=3.0)
     step = harness.strang_step
-    monkeypatch.setattr(harness, "strang_step", lambda f, *a, **k: SpinorField(
-        1e10 * step(f, *a, **k).values, f.grid))
+    calls = []
+
+    def overflowing_step(f, *a, **k):
+        out = step(f, *a, **k)
+        calls.append(1)
+        if len(calls) == 15:
+            out.values[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(harness, "strang_step", overflowing_step)
     with pytest.raises(SimulationError, match="non-finite") as err:
         run_simulation(cfg)
-    assert 0 < err.value.step < cfg.steps()
+    assert err.value.step == 14
+
+
+def test_simulation_halts_on_growth_before_overflow(tmp_path):
+    # exp6 with a rotated layer (theta = 1.2) grows l2_gamma by 1e24 over
+    # its 400 steps; the run halts at the first step past GROWTH_BOUND
+    cfg = preset_config("exp6", "paper").replace(
+        pml=PmlConfig(True, "I", 3.0, 1.2, 0.1), out_dir=str(tmp_path), stride=0)
+    with pytest.raises(SimulationError, match="l2_gamma grew") as err:
+        run_simulation(cfg)
+    step, ratio = re.match(r"step (\d+): l2_gamma grew to ([\d.]+) times", str(err.value)).groups()
+    assert err.value.step == int(step) - 1 < cfg.steps()
+    assert harness.GROWTH_BOUND < float(ratio) < 2 * harness.GROWTH_BOUND
+    records = err.value.diagnostics
+    assert records[-1].step == err.value.step
+    assert max(r.l2_gamma for r in records) <= harness.GROWTH_BOUND * records[0].l2_gamma
+    written = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert len(written) == 1 + len(records)
 
 
 def test_krylov_iterations_recorded_only_for_cn():
@@ -687,6 +712,17 @@ def test_sweep_rejects_grids_that_do_not_nest_before_any_run(monkeypatch):
     monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
     with pytest.raises(ConfigurationError, match=r"spacing 0.1 \(N = \(100,\)\) does not nest"):
         convergence_sweep(parse_config(MINIMAL), "h", [0.1, 0.08])
+    assert runs == []
+
+
+def test_sweep_rejects_a_time_step_before_any_run(monkeypatch):
+    # poly2 on a 256-point exp1 grid: dt = 0.02 gives dt xi_max = 1.6, past
+    # poly2's bound, which used to surface after the 200-step reference run
+    runs = []
+    monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+    cfg = preset_config("exp1", "ci").replace(N=(256,), scheme="poly2")
+    with pytest.raises(ConfigurationError, match=r"scheme.dt = 0.02 breaks poly2"):
+        convergence_sweep(cfg, "dt", [0.02, 0.01])
     assert runs == []
 
 
