@@ -233,7 +233,8 @@ def ripple_band(model: MetricModel, grid: Grid):
 
     so w couples Fourier mode j only with j +- K.  Returns (K, w0, wK) when
     the box holds a whole number of ripple periods that the grid resolves
-    (0 < K < N/2) and C < 1 (the band is then strictly diagonally dominant),
+    (0 < K < N/2) and 0 < C < 1 (the band is then strictly diagonally
+    dominant; a flat sheet, C = 0, has no band: its w is the constant w0),
     else None; no FFT is taken.
     """
     if model.kind != "graphene":
@@ -242,7 +243,7 @@ def ripple_band(model: MetricModel, grid: Grid):
     K = abs(4.0 * model.k0 * grid.a[0] / model.ell)
     C = 2.0 * np.pi ** 2 * model.a0 ** 2 * model.k0 ** 2 / model.ell ** 2
     Kint = round(K)
-    if abs(K - Kint) > 1e-12 * K or not 0 < Kint < N / 2 or not C < 1.0:
+    if abs(K - Kint) > 1e-12 * K or not 0 < Kint < N / 2 or not 0.0 < C < 1.0:
         return None
     return Kint, 1.0 - 0.5 * C, (-1) ** Kint * 0.25 * C
 

@@ -189,6 +189,30 @@ def cn_apply_values(values, ws, sign):
     return out
 
 
+# Smallest product of Thomas multipliers that a block of the band sweep
+# divides by (see `BandPreconditioner._sweep`): a quotient then exceeds the
+# value it carries by at most 1e100, far from overflow.
+CARRY_FLOOR = 1e-100
+
+
+def _block_length(mu):
+    """The longest block length m, at most n, whose carry products stay in
+    range: every product of m - 1 consecutive multipliers along a chain
+    (position on axis 1 of ``mu``) has |.| >= CARRY_FLOOR.  Since |mu| < 1
+    the products shrink as they lengthen, so m is found by bisection."""
+    logs = np.cumsum(np.log(np.abs(mu)), axis=1)
+    logs = np.concatenate([np.zeros_like(logs[:, :1]), logs], axis=1)
+    floor = math.log(CARRY_FLOOR)
+    lo, hi = 0, mu.shape[1] - 1       # factors per product
+    while lo < hi:
+        q = (lo + hi + 1) // 2
+        if np.min(logs[:, q:] - logs[:, :-q]) >= floor:
+            lo = q
+        else:
+            hi = q - 1
+    return lo + 1
+
+
 class BandPreconditioner:
     """M = w_band + c alpha [[d]] for the 1-D Cayley solve, c = dt/2, where
     w_band = w0 + wK (e^{i K x} + e^{-i K x}) has Fourier modes 0 and +-K
@@ -199,13 +223,20 @@ class BandPreconditioner:
     diagonal w0 +- c mult_j (mult the first-derivative multiplier, Nyquist
     policy kept) and off-diagonal wK.  At K = 0 it is diagonal, and M^-1
     has the closed-form symbol (w0 - c mult alpha) / (w0^2 - c^2 mult^2).
-    At K > 0 the modes fall into g = gcd(N, K) cyclic chains r, r + K,
-    r + 2K, ... of n = N/g modes each; every chain is a cyclic tridiagonal
-    system, factored once by Thomas elimination plus a Sherman-Morrison
-    correction for the corners, vectorised over the chains and +-, its
-    sweeps run in blocks of about sqrt(n) modes (see `_sweep`).  The
-    factors take O(N) storage.  w - w_band stays in the operator as
-    ``shift``, A = a (M + shift) (see `cn_transport_step`).
+
+    At K > 0 the transform is projected onto an orthonormal eigenbasis of
+    alpha (``basis``, eigenvalue +1 first), S rows: T+ acts on the S/2 rows
+    of eigenvalue +1 and T- on the others.  The modes fall into
+    g = gcd(N, K) cyclic chains r, r + K, r + 2K, ... of n = N/g modes
+    each; every chain is a cyclic tridiagonal system, factored once by
+    Thomas elimination plus a Sherman-Morrison correction for the corners,
+    vectorised over the chains and +-.  Its sweeps run as prefix sums over
+    blocks of a chain (see `_sweep`), the longest blocks whose carry
+    products stay above CARRY_FLOOR (`_block_length`): one block per chain
+    on exp5, a few at N = 5120.  The factors are four arrays of 2 N_pad
+    entries, N_pad = g nb m >= N the padded chain length, so storage is
+    linear in N.  w - w_band stays in the operator as ``shift``,
+    A = a (M + shift) (see `cn_transport_step`).
     """
 
     def __init__(self, w, K, w0, wK, c, mult, alpha):
@@ -222,88 +253,97 @@ class BandPreconditioner:
             self.s1 = 0.5 * (inv[0] - inv[1])
             return
         self.shift = w - (w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N))
-        eye = np.eye(len(alpha))
-        self.proj = np.vstack([eye + alpha, eye - alpha]) / 2   # P+ over P-
-        g = math.gcd(N, K)
+        self.basis = np.linalg.eigh(alpha)[1][:, ::-1]
+        self.basis_h = self.basis.conj().T
+        self.g = g = math.gcd(N, K)
         n = N // g
-        m = math.isqrt(n - 1) + 1     # block length of the sweeps, about sqrt(n)
-        nb = -(-n // m)
-
-        def blocked(a):
-            # chain position t = k m + s (block k, offset s) on the last two
-            # axes (t, chain) -> (s, k, chain)
-            return np.ascontiguousarray(a.reshape(a.shape[:-2] + (nb, m, g)).swapaxes(-3, -2))
-
-        # modes in chain order, r + t K (mod N) for chain r, padded to nb m
-        # positions that read mode 0 and carry zero weight
-        chain = (np.arange(g) + K * np.arange(nb * m)[:, None]) % N
-        chain[n:] = 0
-        self.order = blocked(chain)
-        real = blocked(np.broadcast_to(np.arange(nb * m)[:, None] < n, chain.shape)).ravel()
-        self.unorder = np.empty(N, dtype=np.intp)   # mode -> flat blocked position
-        self.unorder[self.order.ravel()[real]] = np.flatnonzero(real)
-        self.tips = (0, 0), ((n - 1) % m, (n - 1) // m)   # (s, k) of t = 0 and t = n - 1
-
-        b = diag[:, None, chain[:n]]                           # (2, 1, n, g)
+        # chain r holds mode r + t K (mod N) = q g + r at position t, with
+        # q = t K / g (mod n): the same order of q for every chain
+        q = K // g * np.arange(n) % n
+        b = diag.reshape(2, n, g)[:, q]                         # (2, n, g)
         # Sherman-Morrison: T = B + u v^T with u = (gamma, 0, ..., 0, wK) and
         # v = (1, 0, ..., 0, wK / gamma), gamma = -b_0; B is tridiagonal
-        gamma = -b[..., 0, :]
-        b[..., 0, :] -= gamma
-        b[..., -1, :] -= wK * wK / gamma
-        inv = np.zeros(b.shape[:2] + chain.shape, dtype=np.complex128)   # 0 on the padding
-        inv[..., 0, :] = 1.0 / b[..., 0, :]   # 1 / pivot, pivot_t = b_t - wK^2 / pivot_{t-1}
+        gamma = -b[:, 0]
+        b[:, 0] -= gamma
+        b[:, -1] -= wK * wK / gamma
+        inv = np.empty_like(b)        # 1 / pivot, pivot_t = b_t - wK^2 / pivot_{t-1}
+        inv[:, 0] = 1.0 / b[:, 0]
         for t in range(1, n):
-            inv[..., t, :] = 1.0 / (b[..., t, :] - wK * wK * inv[..., t - 1, :])
+            inv[:, t] = 1.0 / (b[:, t] - wK * wK * inv[:, t - 1])
+        mu = wK * inv                 # the eliminated off-diagonal, |mu| < 1
+        nb = -(-n // _block_length(mu))
+        m = -(-n // nb)               # nb blocks of m positions, the last padded
+        self.tips = (0, 0), divmod(n - 1, m)   # (k, s) of t = 0 and t = n - 1
+
+        def blocked(a, fill):
+            # chain position t = k m + s on axis 1 -> (block k, offset s);
+            # the padding t >= n holds ``fill``
+            out = np.full(a.shape[:1] + (nb * m,) + a.shape[2:], fill, dtype=a.dtype)
+            out[:, :n] = a
+            return out.reshape(a.shape[:1] + (nb, m) + a.shape[2:])
+
+        self.order = blocked(q[None], 0)[0]    # q at each position, mode q = 0 on the padding
+        self.unorder = np.empty(n, dtype=np.intp)   # q -> padded position
+        self.unorder[q] = np.arange(n)
+        # the carry products: F_t of -mu over (block start, t], G_t over
+        # [t, block end); the padding multiplies by 1
+        neg = -blocked(mu, -1.0)
+        F = neg.copy()
+        F[:, :, 0] = 1.0
+        np.cumprod(F, axis=2, out=F)
+        G = neg.copy()
+        G[:, :, -1] = 1.0
+        np.cumprod(G[:, :, ::-1], axis=2, out=G[:, :, ::-1])
+        self.scale_in = (blocked(inv, 0.0) / F)[:, None]     # zero on the padding
+        self.turn = (F / G)[:, None]
+        self.turn[:, :, -1, n - (nb - 1) * m:] = 0.0     # the padding's y stays out of the back sweep
+        self.carry_back = G[:, None]
+        # what a block's end hands on to the next block, in either sweep
+        self.link_in = (neg[:, 1:, 0] * F[:, :-1, -1])[:, None]
+        self.link_back = (neg[:, :-1, -1] * G[:, 1:, 0])[:, None]
+        self.corner = wK / gamma[:, None]
         u = np.zeros_like(inv)
-        u[..., 0, :] = gamma
-        u[..., n - 1, :] = wK
-        self.inv = blocked(inv)
-        # the eliminated super-diagonal, and the products of -mu that carry
-        # a value into each position from its block's left and right ends
-        mu = wK * self.inv
-        self.mu = list(np.moveaxis(mu, -3, 0))
-        self.carry_in = np.cumprod(-mu, axis=-3)
-        self.carry_back = np.cumprod(-mu[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
-        self.ends_in = list(np.moveaxis(self.carry_in[..., -1, :, :], -2, 0))
-        self.ends_back = list(np.moveaxis(self.carry_back[..., 0, :, :], -2, 0))
-        self.corner = wK / gamma
-        z = blocked(u) * self.inv
+        u[:, 0] = gamma
+        u[:, -1] = wK
+        z = blocked(u, 0.0)[:, None]
         self._sweep(z)
         self.z = z / (1.0 + self._corners(z))[..., None, None, :]
 
     def _corners(self, y):
         """v^T y of the Sherman-Morrison correction: y_0 + (wK / gamma) y_{n-1}."""
-        (s0, k0), (s1, k1) = self.tips
-        return y[..., s0, k0, :] + self.corner * y[..., s1, k1, :]
+        (k0, s0), (k1, s1) = self.tips
+        return y[..., k0, s0, :] + self.corner * y[..., k1, s1, :]
 
     def _sweep(self, y):
-        """B^-1 r in place on the blocked chain axes (s, k) of y, given
-        y = r / pivot.
+        """B^-1 y in place on the blocked chain axes (k, s) of y.
 
-        Thomas elimination y_t -= mu_t y_{t-1}, then back substitution
-        y_t -= mu_t y_{t+1}.  Each linear recurrence runs inside every
-        block at once from a zero start, then along the block ends in turn,
-        and each other position adds its neighbouring block's end times
-        the products of -mu: about 2 sqrt(n) small updates instead of 2 n,
-        and since |mu| < 1 the products stay bounded.
+        Thomas elimination y_t = r_t / pivot_t - mu_t y_{t-1} and back
+        substitution x_t = y_t - mu_t x_{t+1} are linear recurrences.
+        Inside a block each is a prefix sum: y = F cumsum(r / (pivot F)),
+        with F the carry products of -mu from the block's start, and
+        x = G revcumsum(y / G) likewise from its end, so y / G = (F / G)
+        cumsum(...) and y itself is never formed.  Only the block ends
+        then pass their sums along, nb - 1 small updates a direction, and
+        add them to the next block: on one block per chain there is
+        nothing to pass.  The padding enters the back sweep as zero.
         """
-        mu, ends_in, ends_back = self.mu, self.ends_in, self.ends_back
-        rows = list(np.moveaxis(y, -3, 0))
-        m, nb = len(rows), len(ends_in)
-        for s in range(1, m):
-            rows[s] -= mu[s] * rows[s - 1]
-        end = list(np.moveaxis(rows[-1], -2, 0))
-        for k in range(1, nb):
-            end[k] += ends_in[k] * end[k - 1]
-        inner = y[..., :-1, 1:, :]
-        inner += self.carry_in[..., :-1, 1:, :] * rows[-1][..., None, :-1, :]
-        for s in range(m - 2, -1, -1):
-            rows[s] -= mu[s] * rows[s + 1]
-        start = list(np.moveaxis(rows[0], -2, 0))
-        for k in range(nb - 2, -1, -1):
-            start[k] += ends_back[k] * start[k + 1]
-        inner = y[..., 1:, :-1, :]
-        inner += self.carry_back[..., 1:, :-1, :] * rows[0][..., None, 1:, :]
+        y *= self.scale_in
+        np.cumsum(y, axis=-2, out=y)
+        nb = y.shape[-3]
+        if nb > 1:
+            ends = y[..., -1, :]
+            for k in range(1, nb):
+                ends[..., k, :] += self.link_in[..., k - 1, :] * ends[..., k - 1, :]
+            y[..., 1:, :-1, :] += self.link_in[..., None, :] * ends[..., :-1, None, :]
+        y *= self.turn
+        back = y[..., ::-1, :]
+        np.cumsum(back, axis=-2, out=back)
+        if nb > 1:
+            starts = y[..., 0, :]
+            for k in range(nb - 2, -1, -1):
+                starts[..., k, :] += self.link_back[..., k, :] * starts[..., k + 1, :]
+            y[..., :-1, 1:, :] += self.link_back[..., None, :] * starts[..., 1:, None, :]
+        y *= self.carry_back
 
     def solve(self, values):
         """M^-1 values, one FFT pair."""
@@ -311,14 +351,13 @@ class BandPreconditioner:
         if self.K == 0:
             out = self.s0 * vhat + self.s1 * _spin_matmul(self.alpha, vhat)
             return np.fft.ifft(out, axis=1)
-        S = len(vhat)
-        y = np.take(self.proj @ vhat, self.order, axis=1)      # (2S, m, nb, g)
-        y = y.reshape((2, S) + y.shape[1:])
-        y *= self.inv
+        S, N = vhat.shape
+        u = (self.basis_h @ vhat).reshape(S, -1, self.g)
+        y = np.take(u, self.order, axis=1).reshape((2, S // 2) + self.z.shape[2:])
         self._sweep(y)
         y -= self._corners(y)[..., None, None, :] * self.z
-        out = (y[0] + y[1]).reshape(S, -1)
-        return np.fft.ifft(np.take(out, self.unorder, axis=1), axis=1)
+        x = np.take(y.reshape(S, -1, self.g), self.unorder, axis=1).reshape(S, N)
+        return np.fft.ifft(self.basis @ x, axis=1)
 
 
 def cayley_preconditioner(ws: StepWorkspace) -> BandPreconditioner | None:

@@ -318,6 +318,75 @@ def test_band_step_matches_dense_oracle(name, changes):
     assert unscaled_residual(f, out, ws) <= cfg.krylov.tol
 
 
+# (name, scale, changes, blocks per chain) with each chain's product of
+# |mu|: exp5 1e-69 (one block), exp4 ci 1e-103, exp4 paper 1e-116 (its last
+# block padded), exp4 odd K 1e-178, C08 at N = 2560 1e-120 and at N = 5120
+# 1e-242 (padded), and N = 10240 1e-485, which would overflow as one block
+BLOCK_CASES = [
+    ("exp5", "ci", {}, 1),
+    ("exp4", "ci", {}, 2),
+    ("exp4", "paper", {}, 2),
+    ("exp4", "ci", {"metric": {"k0": 1.875}}, 2),
+    ("exp4", "paper", {"dt": 1e-5, "N": (2560,)}, 2),
+    ("exp4", "paper", {"dt": 1e-5, "N": (5120,)}, 3),
+    ("exp4", "paper", {"dt": 1e-5, "N": (10240,)}, 5),
+]
+
+
+def chain_positions(pre, ws):
+    """The blocks per chain, and a mask of the real (unpadded) chain
+    positions in the factors' blocked layout (2, 1, nb, m, g)."""
+    nb, m = pre.order.shape
+    real = np.zeros((2, 1, nb * m, pre.g), dtype=bool)
+    real[:, :, :ws.grid.N[0] // pre.g] = True
+    return nb, real.reshape(pre.z.shape)
+
+
+@pytest.mark.parametrize("name,scale,changes,blocks", BLOCK_CASES,
+                         ids=["exp5", "exp4-ci", "exp4-paper", "exp4-odd-K",
+                              "C08-2560", "C08-5120", "N10240"])
+def test_band_blocks_keep_their_carry_products_in_range(name, scale, changes, blocks):
+    _, ws = preset_workspace(name, scale, **changes)
+    pre = cayley_preconditioner(ws)
+    nb, real = chain_positions(pre, ws)
+    assert nb == blocks
+    for factor in (pre.scale_in, pre.turn, pre.carry_back, pre.z,
+                   pre.link_in, pre.link_back, pre.corner):
+        assert np.all(np.isfinite(factor))
+    for factor in (pre.scale_in, pre.turn, pre.z):
+        assert np.all(factor[real] != 0) and not np.any(factor[~real])
+    assert np.all(pre.link_in != 0) and np.all(pre.link_back != 0)
+    # the carry products F (from each block's start, here F / G times G, so
+    # 1 at the start up to round-off) and G (to its end), |mu| < 1
+    G = np.abs(pre.carry_back)
+    F = np.abs(pre.turn * pre.carry_back)[real]
+    for carry in (F, G):
+        assert np.all(carry >= propagators.CARRY_FLOOR) and np.all(carry <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("changes,padded", [
+    ({"dt": 1e-5, "N": (10240,)}, False),
+    ({"N": (10240,)}, True),
+    ({}, True),
+], ids=["N10240", "N10240-padded", "exp4-paper-padded"])
+def test_band_inverse_on_long_multi_block_and_padded_chains(changes, padded):
+    # exp4 paper: 16 chains of 640 modes at N = 10240, in 5 blocks at
+    # dt = 1e-5 and in 12 (the last padded) at the preset's dt; as shipped,
+    # 16 chains of 125 modes in 2 blocks, the last padded
+    _, ws = preset_workspace("exp4", "paper", **changes)
+    pre = cayley_preconditioner(ws)
+    nb, real = chain_positions(pre, ws)
+    assert nb > 1 and real.all() != padded
+    N = ws.grid.N[0]
+    K, w0, wK = ws.ripple
+    w_band = w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N)
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+    x = pre.solve(v)
+    Mx = w_band * x + 0.5 * ws.dt * _spin_matmul(ws.alpha[0], derivative_values(x, 0, ws.d1_mult[0]))
+    assert np.linalg.norm(Mx - v) <= 1e-12 * np.linalg.norm(v)
+
+
 def test_ripple_band_matches_the_sampled_weight():
     # the closed form is the weight's Fourier band: fft(w) / N has modes 0
     # and +-K only, with the signs of (-1)^K
@@ -337,8 +406,9 @@ def test_ripple_band_matches_the_sampled_weight():
     # C = 1.0001 >= 1, although max f on the grid is 0.99994
     ("exp4", {"metric": {"a0": 2.5 * np.sqrt(1.0001 / (2 * np.pi ** 2))}}),
     ("exp6", {"a": (5.0,)}),                    # K = 8, but a layer is set
+    ("exp4", {"metric": {"a0": 0.0}}),          # C = 0: flat, w is the constant w0
     ("exp1", {}),
-], ids=["K-fraction", "K-nyquist", "C-one", "layer", "static"])
+], ids=["K-fraction", "K-nyquist", "C-one", "layer", "flat", "static"])
 def test_no_band_without_a_fitted_ripple(name, changes):
     _, ws = preset_workspace(name, "ci", **changes)
     assert ws.ripple is None
@@ -367,10 +437,12 @@ def test_band_is_built_lazily_from_the_closed_form(monkeypatch):
 
 
 def test_first_band_solve_keeps_linear_storage():
-    # exp4 paper: 16 chains of 125 modes.  The factors hold five arrays of
-    # about 2N entries, and the first solve peaks at 17 spinor fields, build
-    # included.  A dense inverse per chain would hold 2 * 16 * 125^2 entries,
-    # 125 spinor fields; plain GMRES's Krylov basis alone holds restart + 1 = 31
+    # exp4 paper: 16 chains of 125 modes, in 2 blocks of 63.  The factors
+    # hold four arrays of about 2N entries (scale_in, turn, carry_back and
+    # the Sherman-Morrison z; one spinor field each), and the first solve
+    # peaks at 14 spinor fields, build included.  A dense inverse per chain
+    # would hold 2 * 16 * 125^2 entries, 125 spinor fields; plain GMRES's
+    # Krylov basis alone holds restart + 1 = 31
     cfg, ws = preset_workspace("exp4", "paper")
     f = half_potential_step(initial_condition(cfg, ws.grid), ws)
     tracemalloc.start()
