@@ -6,11 +6,12 @@ line-based ``section.key = value`` text format (see `parse_config` /
 dataclasses it holds own every default and every check, so a config built in
 Python is checked the same way as a parsed one.  `run_simulation` advances the
 configured scheme over the horizon, recording per-step norms (the plain l2
-norm and the covariant weighted norm) and optionally writing CSV snapshots.  Every failure inside a
-step (a stalled or non-finite transport solve, a non-finite field norm, a
-covariant norm grown past GROWTH_BOUND times its start) ends the run as a
-SimulationError, with the diagnostics file written first when the run has an
-output directory.
+norm and the covariant weighted norm) and optionally writing spinor
+snapshots, which hold the carrier density exactly: ``density(read_snapshot(
+path, grid, S))``.  Every failure inside a step (a stalled or non-finite
+transport solve, a non-finite field norm, a covariant norm grown past
+GROWTH_BOUND times its start) ends the run as a SimulationError, with the
+diagnostics file written first when the run has an output directory.
 
 Six presets named exp1..exp6 ship with the package as ``presets/<name>.cfg``:
 two 1-D static-metric benchmarks, a 2-D static-metric wavepacket, two
@@ -384,14 +385,14 @@ def _write_snapshot_binary(cols, path, grid: Grid) -> str:
     """Length-prefixed binary: magic 'DCRV', u32 ndim, u32 dims, u32 ncols, f64 payload."""
     if not path.endswith(".dcrv"):
         path = os.path.splitext(path)[0] + ".dcrv"
-    payload = np.stack([c for _, c in cols], axis=-1).astype("<f8")
+    payload = np.stack([c for _, c in cols], axis=-1, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_DCRV_MAGIC)
         fh.write(struct.pack("<I", grid.d))
         for n in grid.shape:
             fh.write(struct.pack("<I", n))
         fh.write(struct.pack("<I", len(cols)))
-        fh.write(payload.tobytes())
+        fh.write(payload)
     return path
 
 
@@ -471,11 +472,14 @@ def write_diagnostics(records, path) -> str:
 def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Advance ceil(T/dt) Strang steps, recording diagnostics each step.
 
-    The final step is shortened when T is not a multiple of dt.  Halts with
-    SimulationError (carrying the last good step) on a non-finite initial
-    field before step 1, on NaN or solver failure during a step, and when
-    l2_gamma exceeds GROWTH_BOUND times its step-0 value.  The diagnostics
-    file, when there is an output directory, is written before it raises.
+    The final step is shortened when T is not a multiple of dt.  With an
+    output directory and stride > 0 it writes the spinor field alone,
+    ``snapshot_<n>.csv`` (or ``.dcrv``, see `write_snapshot`), at step 0,
+    every stride steps and the last step.  Halts with SimulationError
+    (carrying the last good step) on a non-finite initial field before step
+    1, on NaN or solver failure during a step, and when l2_gamma exceeds
+    GROWTH_BOUND times its step-0 value.  The diagnostics file, when there
+    is an output directory, is written before it raises.
     """
     grid = cfg.grid()
     model = cfg.metric
@@ -489,10 +493,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
     def snap(n, f):
         if out_dir and cfg.stride > 0:
-            p = write_snapshot(f, os.path.join(out_dir, f"snapshot_{n:06d}.csv"))
-            snapshots.append(p)
-            p = write_snapshot(density(f), os.path.join(out_dir, f"density_{n:06d}.csv"), grid)
-            snapshots.append(p)
+            snapshots.append(write_snapshot(f, os.path.join(out_dir, f"snapshot_{n:06d}.csv")))
 
     def halt(message, step, cause=None):
         if out_dir:

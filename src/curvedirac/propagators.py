@@ -28,8 +28,10 @@ Transport variants:
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
-            axis.  With ahat = max(1, max|a|) the shift is theta = dt ahat xi
-            and the weight w = a / ahat, so w stays in [0, 1] where a > 1
+            axis.  The transform carries the increment (the shift less the
+            identity), so the blend is psi + w * increment.  With
+            ahat = max(1, max|a|) the shift is theta = dt ahat xi and the
+            weight w = a / ahat, so w stays in [0, 1] where a > 1
             (0 <= a <= 1: ahat = 1, theta = dt xi, w = a).
 * ``poly2`` the blend with theta = dt xi and w = a, plus the explicit
             dt^2 a [[d_i^2]] correction applied to the shifted field.  Note the
@@ -434,16 +436,18 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
-    """(cos, pairs, weight, corr) of one directional sweep; cos and the rot
-    factors are views broadcast to the grid.
+    """(cosm1, pairs, weight, corr) of one directional sweep; cosm1 and the
+    rot factors are views broadcast to the grid.
 
     alpha^i has one nonzero entry phase_c in each row c, at a column b != c
-    with phase_b phase_c = 1, so the shift exp(-i theta alpha^i) maps
-    components c and b of the transform to
+    with phase_b phase_c = 1, so the shift less the identity,
+    exp(-i theta alpha^i) - I, maps components c and b of the transform to
 
-        cos(theta) v_c + rot_c v_b  and  cos(theta) v_b + rot_b v_c,
+        cosm1 v_c + rot_c v_b  and  cosm1 v_b + rot_b v_c,
 
-    rot_c = -i sin(theta) phase_c; ``pairs`` holds (c, b, rot_c, rot_b).
+    cosm1 = cos(theta) - 1, computed as -2 sin^2(theta/2) to keep its
+    digits where theta is small, and rot_c = -i sin(theta) phase_c;
+    ``pairs`` holds (c, b, rot_c, rot_b).
     poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
     with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
     max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
@@ -456,6 +460,7 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     shape[axis] = ws.grid.N[axis]
     theta = ((ws.dt * ahat) * ws.grid.freqs[axis]).reshape(shape)
     sin = np.sin(theta)
+    cosm1 = -2.0 * np.sin(0.5 * theta) ** 2
     alpha = ws.alpha[axis]
     perm = np.argmax(np.abs(alpha), axis=1)
 
@@ -465,7 +470,7 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     pairs = [(c, b, grid_view((-1j * alpha[c, b]) * sin), grid_view((-1j * alpha[b, c]) * sin))
              for c, b in enumerate(perm) if c < b]
     corr = (ws.dt ** 2) * a if second_order else None
-    return grid_view(np.cos(theta)), pairs, a if ahat == 1.0 else a / ahat, corr
+    return grid_view(cosm1), pairs, a if ahat == 1.0 else a / ahat, corr
 
 
 def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
@@ -473,17 +478,19 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     """The directional sweep shared by poly1 and poly2, written into ``out``
     when given, otherwise into a fresh array:
 
-        Xi = F^-1[(cos(theta) - i sin(theta) alpha^i) F psi],
-        psi' = psi + w (Xi - psi) [+ dt^2 a [[d_i^2]] Xi for poly2],
+        D = F^-1[(cos(theta) - 1 - i sin(theta) alpha^i) F psi] = Xi - psi,
+        psi' = psi + w D [+ dt^2 a [[d_i^2]] Xi for poly2],
 
     with theta and w from `_sweep_factors`, built at the first sweep of each
-    kind and axis.  The bracket is exp(-i theta alpha^i), since
-    (alpha^i)^2 = I.  The transforms and the shift run in place in ``out``,
-    which must not overlap f; poly2's correction is one `derivative_values`
-    into the workspace's scratch field 1.
+    kind and axis.  The bracket is exp(-i theta alpha^i) - I, since
+    (alpha^i)^2 = I, so the transform yields the increment D and the blend
+    is two passes.  The transforms and the shift run in place in ``out``,
+    which must not overlap f; poly2 forms Xi = D + psi in the workspace's
+    scratch field 1 and takes its correction there with one
+    `derivative_values`.
     """
     ax = 1 + axis
-    cos, pairs, weight, corr = ws.cached(
+    cosm1, pairs, weight, corr = ws.cached(
         ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
     values = f.values
     if out is None:
@@ -495,15 +502,15 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
             np.multiply(v_b, rot_c[rows], out=t_c)
             np.multiply(v_c, rot_b[rows], out=t_b)
             for v, t in ((v_c, t_c), (v_b, t_b)):
-                v *= cos[rows]
+                v *= cosm1[rows]
                 v += t
     np.fft.ifft(out, axis=ax, out=out)
     if corr is not None:
-        d2 = derivative_values(out, axis, ws.d2_mult[axis], out=ws.scratch(1))
+        xi = np.add(out, values, out=ws.scratch(1))
+        d2 = derivative_values(xi, axis, ws.d2_mult[axis], out=xi)
         d2 *= corr
     for rows, _ in _slabs(ws.grid.shape, 0):
         o, v = out[:, rows], values[:, rows]
-        o -= v
         o *= weight[rows]
         o += v
         if corr is not None:

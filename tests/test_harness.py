@@ -603,12 +603,18 @@ def test_large_2d_snapshot_goes_binary(tmp_path):
     v = np.zeros((2, 260, 260), dtype=complex)
     v[0] = np.exp(1j * np.add.outer(g.axes[0], g.axes[1]))
     f = SpinorField(v, g)
-    p = write_snapshot(f, str(tmp_path / "big.csv"))
+    tracemalloc.start()
+    try:
+        p = write_snapshot(f, str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert p.endswith(".dcrv")
     with open(p, "rb") as fh:
         assert fh.read(4) == b"DCRV"
+    assert peak <= 1.5 * v.nbytes  # the f64 payload is as large as the complex field
     back = read_snapshot(p, g, 2)
-    assert np.max(np.abs(back.values - f.values)) < 1e-15
+    assert np.array_equal(back.values, f.values)
 
 
 def _broken_snapshot(tmp_path, case):
@@ -677,7 +683,30 @@ def test_run_writes_outputs(tmp_path):
     res = run_simulation(cfg)
     assert os.path.exists(tmp_path / "out" / "diagnostics.csv")
     assert any(p.endswith("snapshot_000000.csv") for p in res.snapshots)
-    assert any(p.endswith("density_000010.csv") for p in res.snapshots)
+    assert any(p.endswith("snapshot_000010.csv") for p in res.snapshots)
+    assert not any(name.startswith("density_") for name in os.listdir(tmp_path / "out"))
+
+
+def test_stride_run_writes_one_spinor_file_per_snapshot_step(tmp_path):
+    # 10 steps at stride 4: step 0, every 4th step and the last step
+    out = tmp_path / "out"
+    res = run_simulation(parse_config(MINIMAL).replace(out_dir=str(out), stride=4))
+    files = [f"snapshot_{n:06d}.csv" for n in (0, 4, 8, 10)]
+    assert sorted(os.listdir(out)) == ["diagnostics.csv"] + files
+    assert res.snapshots == [str(out / name) for name in files]
+
+
+@pytest.mark.parametrize("ext", ["csv", "dcrv"])
+def test_density_reads_back_bit_for_bit_from_the_last_snapshot(tmp_path, ext):
+    if ext == "csv":
+        cfg = parse_config(MINIMAL).replace(stride=5)
+    else:  # 2-D above 256^2 goes to the binary container
+        cfg = preset_config("exp3", "ci")
+        cfg = cfg.replace(N=(260, 260), T=3 * cfg.dt, stride=2)
+    res = run_simulation(cfg.replace(out_dir=str(tmp_path)))
+    assert res.snapshots[-1].endswith("." + ext)
+    back = read_snapshot(res.snapshots[-1], res.final.grid, cfg.metric.spinor_dim)
+    assert np.array_equal(density(back), density(res.final))
 
 
 # ----------------------------------------------------------------- convergence
