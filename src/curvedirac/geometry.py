@@ -12,6 +12,11 @@ A model turns a chosen background into what the rest of the package consumes:
 
 Profiles and potentials are closed forms with analytic gradients; no finite
 differencing is used anywhere, so sampled fields inherit spectral accuracy.
+A form takes broadcastable coordinates: full meshes, or the open coordinates
+``np.ix_(*grid.axes)`` on which both samplers evaluate it.  On those a 2-D
+field is sampled per axis: ``gauss`` and ``well`` take their radial
+exponential as the product of the per-axis exp(-r x_i^2), and only the
+products (and the exponentials of non-separable sums) span the full grid.
 
 Model kinds
 -----------
@@ -31,6 +36,7 @@ side of the transport stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,11 +71,16 @@ class ScalarForm:
         object.__setattr__(self, "params", params)
 
     def value(self, *coords):
-        return _FORMS[self.name][1](self.params, coords)
+        return _FORMS[self.name][1](self.params, self._checked(coords))
 
     def grad(self, *coords):
         """Analytic gradient, one array per coordinate."""
-        return _FORMS[self.name][2](self.params, coords)
+        return _FORMS[self.name][2](self.params, self._checked(coords))
+
+    def _checked(self, coords):
+        if len(coords) != 1 and self.name in _ONE_D:
+            raise ConfigurationError(f"form '{self.name}' is one-dimensional")
+        return coords
 
     def __str__(self):
         if not self.params:
@@ -77,43 +88,55 @@ class ScalarForm:
         return f"{self.name}({','.join(repr(p) for p in self.params)})"
 
 
-def _rho2(coords):
-    return sum(c * c for c in coords)
+def _shape(coords):
+    return np.broadcast_shapes(*(np.shape(x) for x in coords))
 
 
-def _only_1d(coords, name):
-    if len(coords) != 1:
-        raise ConfigurationError(f"form '{name}' is one-dimensional")
-    return coords[0]
+def _radial(lead, r, coords):
+    """lead exp(-r rho^2), as the product of lead exp(-r x_0^2) and the
+    other axes' exp(-r x_i^2)."""
+    e = [np.exp(-r * (x * x)) for x in coords]
+    return functools.reduce(np.multiply, e[1:], lead * e[0])
 
+
+def _radial_grad(scale, lead, r, coords):
+    """scale x_i lead exp(-r rho^2) per coordinate, each the product of its
+    own axis factor and the other axes' exp(-r x_j^2)."""
+    e = [np.exp(-r * (x * x)) for x in coords]
+    return tuple(functools.reduce(np.multiply, e[:i] + e[i + 1:], scale * x * lead * e[i])
+                 for i, x in enumerate(coords))
+
+
+# Forms of one coordinate; the others take any number of broadcastable ones.
+_ONE_D = ("cosgauss", "linear", "quadratic", "inv_abs_one")
 
 _FORMS = {
     "zero": (
         0,
-        lambda p, c: np.zeros(np.broadcast_shapes(*(np.shape(x) for x in c))),
-        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
+        lambda p, c: np.zeros(_shape(c)),
+        lambda p, c: tuple(np.zeros(_shape(c)) for _ in c),
     ),
     "const": (
         1,
-        lambda p, c: np.full(np.broadcast_shapes(*(np.shape(x) for x in c)), p[0]),
-        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
+        lambda p, c: np.full(_shape(c), p[0]),
+        lambda p, c: tuple(np.zeros(_shape(c)) for _ in c),
     ),
     # A exp(-r rho^2)
     "gauss": (
         2,
-        lambda p, c: p[0] * np.exp(-p[1] * _rho2(c)),
-        lambda p, c: tuple(-2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
+        lambda p, c: _radial(p[0], p[1], c),
+        lambda p, c: _radial_grad(-2.0 * p[1], p[0], p[1], c),
     ),
     # A (1 - exp(-r rho^2)): a centered dip, used to build sub-unit velocity fields
     "well": (
         2,
-        lambda p, c: p[0] * (1.0 - np.exp(-p[1] * _rho2(c))),
-        lambda p, c: tuple(2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
+        lambda p, c: p[0] * (1.0 - _radial(1.0, p[1], c)),
+        lambda p, c: _radial_grad(2.0 * p[1], p[0], p[1], c),
     ),
     # A cos(w x) exp(-r x^2), 1-D
     "cosgauss": (
         3,
-        lambda p, c: p[0] * np.cos(p[1] * _only_1d(c, "cosgauss")) * np.exp(-p[2] * c[0] ** 2),
+        lambda p, c: p[0] * np.cos(p[1] * c[0]) * np.exp(-p[2] * c[0] ** 2),
         lambda p, c: (
             p[0]
             * np.exp(-p[2] * c[0] ** 2)
@@ -123,19 +146,19 @@ _FORMS = {
     # c x, 1-D
     "linear": (
         1,
-        lambda p, c: p[0] * _only_1d(c, "linear"),
+        lambda p, c: p[0] * c[0],
         lambda p, c: (np.full(np.shape(c[0]), p[0]),),
     ),
     # c x^2, 1-D
     "quadratic": (
         1,
-        lambda p, c: p[0] * _only_1d(c, "quadratic") ** 2,
+        lambda p, c: p[0] * c[0] ** 2,
         lambda p, c: (2.0 * p[0] * c[0],),
     ),
     # c / (|x| + 1), 1-D
     "inv_abs_one": (
         1,
-        lambda p, c: p[0] / (np.abs(_only_1d(c, "inv_abs_one")) + 1.0),
+        lambda p, c: p[0] / (np.abs(c[0]) + 1.0),
         lambda p, c: (-p[0] * np.sign(c[0]) / (np.abs(c[0]) + 1.0) ** 2,),
     ),
 }
@@ -214,7 +237,7 @@ def graphene_f(x, a0, k0, ell):
 def _graphene_strain(model: MetricModel, grid: Grid) -> np.ndarray:
     """f(x) at the grid nodes; GeometryError where the metric degenerates
     (f >= 1, or a NaN strain)."""
-    f = graphene_f(grid.meshes()[0], model.a0, model.k0, model.ell)
+    f = graphene_f(grid.axes[0], model.a0, model.k0, model.ell)
     fmax = float(np.max(f))
     if not fmax < 1.0:
         raise GeometryError(
@@ -265,9 +288,11 @@ class MetricSample:
 
 def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
     """Velocities, connection shifts and potential at the grid nodes, each
-    closed form (and the graphene strain) evaluated once."""
+    closed form (and the graphene strain) evaluated once, on the grid's open
+    coordinates ``np.ix_(*grid.axes)``: a 2-D form is sampled per axis and
+    no full-grid mesh is built."""
     model.check_grid(grid)
-    coords = grid.meshes()
+    coords = np.ix_(*grid.axes)
     zero = np.zeros(grid.shape)
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
@@ -283,19 +308,26 @@ def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
         return MetricSample([a], None, model.mass - v, (-a * axp, 0.0, 0.0), zero)
     # static diagonal metrics: a = e^{Phi - Psi}, c = grad(Phi)/2, M = e^{Phi} sigma^3 m
     phi = model.phi.value(*coords)
-    a = np.exp(phi - model.psi.value(*coords))
-    conn = [0.5 * g for g in model.phi.grad(*coords)]
+    a = phi - model.psi.value(*coords)
+    np.exp(a, out=a)
+    conn = list(model.phi.grad(*coords))
+    for g in conn:
+        g *= 0.5
     if not any(np.any(c) for c in conn):
         conn = None
-    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (0.0, 0.0, 0.0), zero)
+    G = np.exp(phi)
+    G *= model.mass
+    return MetricSample([a] * grid.d, conn, G, (0.0, 0.0, 0.0), zero)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:
-    """Weight of the covariant norm: (h^d sum w |psi|^2)^(1/2) is the conserved one."""
+    """Weight of the covariant norm: (h^d sum w |psi|^2)^(1/2) is the conserved
+    one.  Psi is evaluated on the open coordinates, as in `sample_metric`."""
     model.check_grid(grid)
-    coords = grid.meshes()
     if model.kind == "flat":
         return np.ones(grid.shape)
     if model.kind == "graphene":
         return 1.0 - _graphene_strain(model, grid)
-    return np.exp(grid.d * model.psi.value(*coords))
+    w = model.psi.value(*np.ix_(*grid.axes))
+    w *= grid.d
+    return np.exp(w, out=w)

@@ -267,21 +267,27 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def initial_condition(cfg: RunConfig, grid: Grid) -> SpinorField:
-    """Sample the named initial-data family at the grid nodes."""
+    """Sample the named initial-data family at the grid nodes.  Both built-in
+    families are products of per-axis factors, so a 2-D field is sampled per
+    axis and written as one outer product, with no full-grid mesh."""
     S = cfg.metric.spinor_dim
-    coords = grid.meshes()
     if cfg.ic_kind == "custom":
         return read_snapshot(cfg.ic_path, grid, S)
     values = np.zeros((S,) + grid.shape, dtype=np.complex128)
-    centered2 = sum((c - x0) ** 2 for c, x0 in zip(coords, cfg.ic_x0))
+    centered2 = [(x - x0) ** 2 for x, x0 in zip(grid.axes, cfg.ic_x0)]
     if cfg.ic_kind == "gaussian_wavepacket":
-        phase = sum(k * c for k, c in zip(cfg.ic_k0, coords))
-        values[0] = np.exp(-centered2 / (2.0 * cfg.ic_width ** 2) + 1j * phase)
-        return SpinorField(values, grid)
-    # graphene_pair: (1, i) beta exp(-beta x^2 / 2) / sqrt(4 pi)
-    envelope = cfg.ic_beta * np.exp(-cfg.ic_beta * centered2 / 2.0) / np.sqrt(4.0 * np.pi)
-    values[0] = envelope
-    values[1] = 1j * envelope
+        factors = [np.exp(-c2 / (2.0 * cfg.ic_width ** 2) + 1j * (k * x))
+                   for c2, k, x in zip(centered2, cfg.ic_k0, grid.axes)]
+    else:
+        # graphene_pair: (1, i) beta exp(-beta x^2 / 2) / sqrt(4 pi)
+        factors = [np.exp(-cfg.ic_beta * c2 / 2.0) for c2 in centered2]
+        factors[0] = cfg.ic_beta * factors[0] / np.sqrt(4.0 * np.pi)
+    if grid.d == 1:
+        values[0] = factors[0]
+    else:
+        np.multiply.outer(*factors, out=values[0])
+    if cfg.ic_kind == "graphene_pair":
+        np.multiply(values[0], 1j, out=values[1])
     return SpinorField(values, grid)
 
 

@@ -2,12 +2,16 @@
 
 These helpers are deliberately independent of the solver code paths they
 check: brute-force mode sums, dense linear algebra, analytic dispersion, and
-a general matrix exponential for the closed-form `exp_dirac`.
+a general matrix exponential for the closed-form `exp_dirac`, and the
+full-mesh formulas of the set-up build (initial data, metric sample, covariant
+weight), evaluated on `Grid.meshes()` copies as the package once did.
 """
 
 import numpy as np
 import pytest
 
+from curvedirac.errors import GeometryError
+from curvedirac.geometry import MetricSample, graphene_f
 from curvedirac.grid_spectral import SpinorField
 from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
 
@@ -70,6 +74,105 @@ def expm_small(M: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def _rho2(coords):
+    return sum(c * c for c in coords)
+
+
+def _mesh_shape(coords):
+    return np.broadcast_shapes(*(np.shape(x) for x in coords))
+
+
+# value and gradient of the forms that take more than one coordinate, each
+# written on full meshes with one radial exponential
+_MESH_FORMS = {
+    "zero": (
+        lambda p, c: np.zeros(_mesh_shape(c)),
+        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
+    ),
+    "const": (
+        lambda p, c: np.full(_mesh_shape(c), p[0]),
+        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
+    ),
+    "gauss": (
+        lambda p, c: p[0] * np.exp(-p[1] * _rho2(c)),
+        lambda p, c: tuple(-2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
+    ),
+    "well": (
+        lambda p, c: p[0] * (1.0 - np.exp(-p[1] * _rho2(c))),
+        lambda p, c: tuple(2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
+    ),
+}
+
+
+def mesh_value(form, *meshes):
+    """form's value on full meshes; the one-coordinate forms are their own."""
+    if form.name not in _MESH_FORMS:
+        return form.value(*meshes)
+    return _MESH_FORMS[form.name][0](form.params, meshes)
+
+
+def mesh_grad(form, *meshes):
+    if form.name not in _MESH_FORMS:
+        return form.grad(*meshes)
+    return _MESH_FORMS[form.name][1](form.params, meshes)
+
+
+def _mesh_strain(model, grid):
+    f = graphene_f(grid.meshes()[0], model.a0, model.k0, model.ell)
+    if not float(np.max(f)) < 1.0:
+        raise GeometryError("degenerate graphene metric")
+    return f
+
+
+def mesh_sample_metric(model, grid) -> MetricSample:
+    """`geometry.sample_metric` with every form evaluated on full meshes."""
+    coords = grid.meshes()
+    zero = np.zeros(grid.shape)
+    if model.kind == "flat":
+        G = np.full(grid.shape, float(model.mass))
+        scal = mesh_value(model.v_pot, *coords) if model.v_pot.name != "zero" else zero
+        ax = mesh_value(model.ax_pot, *coords) if model.ax_pot.name != "zero" else 0.0
+        gvec = (-np.asarray(ax) if np.ndim(ax) else 0.0, 0.0, 0.0)
+        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
+    if model.kind == "graphene":
+        x = coords[0]
+        a = 1.0 / (1.0 - _mesh_strain(model, grid))
+        v = mesh_value(model.v_pot, x) if model.v_pot.name != "zero" else zero
+        axp = mesh_value(model.ax_pot, x) if model.ax_pot.name != "zero" else zero
+        return MetricSample([a], None, model.mass - v, (-a * axp, 0.0, 0.0), zero)
+    phi = mesh_value(model.phi, *coords)
+    a = np.exp(phi - mesh_value(model.psi, *coords))
+    conn = [0.5 * g for g in mesh_grad(model.phi, *coords)]
+    if not any(np.any(c) for c in conn):
+        conn = None
+    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (0.0, 0.0, 0.0), zero)
+
+
+def mesh_gamma_weight(model, grid) -> np.ndarray:
+    """`geometry.gamma_weight` with Psi evaluated on full meshes."""
+    if model.kind == "flat":
+        return np.ones(grid.shape)
+    if model.kind == "graphene":
+        return 1.0 - _mesh_strain(model, grid)
+    return np.exp(grid.d * mesh_value(model.psi, *grid.meshes()))
+
+
+def mesh_initial_condition(cfg, grid) -> SpinorField:
+    """`harness.initial_condition` of the two closed-form families, with one
+    exponential over full meshes."""
+    coords = grid.meshes()
+    values = np.zeros((cfg.metric.spinor_dim,) + grid.shape, dtype=np.complex128)
+    centered2 = sum((c - x0) ** 2 for c, x0 in zip(coords, cfg.ic_x0))
+    if cfg.ic_kind == "gaussian_wavepacket":
+        phase = sum(k * c for k, c in zip(cfg.ic_k0, coords))
+        values[0] = np.exp(-centered2 / (2.0 * cfg.ic_width ** 2) + 1j * phase)
+        return SpinorField(values, grid)
+    envelope = cfg.ic_beta * np.exp(-cfg.ic_beta * centered2 / 2.0) / np.sqrt(4.0 * np.pi)
+    values[0] = envelope
+    values[1] = 1j * envelope
+    return SpinorField(values, grid)
 
 
 def loglog_slope(params, errors) -> float:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import mesh_grad, mesh_value
 from curvedirac.errors import ConfigurationError, GeometryError
 from curvedirac.geometry import (
     MetricModel,
@@ -53,6 +54,33 @@ def test_form_gradients_match_finite_differences(rng):
         g = f.grad(x)[0]
         fd = (f.value(x + eps) - f.value(x - eps)) / (2 * eps)
         assert np.max(np.abs(g - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("text", ["zero", "const(0.7)", "gauss(1.3,0.2)", "well(0.8,0.1)"])
+def test_forms_take_open_coordinates(text):
+    form = parse_form(text)
+    g = make_grid(2, (3.0, 2.0), (24, 18))
+    meshes = g.meshes()
+    open_coords = np.ix_(*g.axes)
+    for got, mesh, oracle in zip(
+            (form.value(*open_coords),) + form.grad(*open_coords),
+            (form.value(*meshes),) + form.grad(*meshes),
+            (mesh_value(form, *meshes),) + mesh_grad(form, *meshes)):
+        assert got.shape == g.shape
+        assert got.flags.writeable and got.flags.c_contiguous
+        for want in (mesh, oracle):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("text", ["cosgauss(1.0,0.7,0.05)", "linear(5.0)", "quadratic(2.0)",
+                                  "inv_abs_one(1.0)"])
+def test_one_dimensional_forms_reject_two_coordinates(text):
+    form = parse_form(text)
+    x, y = np.ix_(np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 4))
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        form.value(x, y)
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        form.grad(x, y)
 
 
 def test_unknown_form_rejected():

@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import mesh_gamma_weight, mesh_initial_condition, mesh_sample_metric
 from curvedirac.errors import ConfigurationError, GeometryError, SimulationError
-from curvedirac.geometry import MetricModel, ScalarForm
+from curvedirac import propagators
+from curvedirac.geometry import MetricModel, ScalarForm, gamma_weight, sample_metric
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.krylov import KrylovOptions
 from curvedirac.pml import PmlConfig
+from curvedirac.propagators import StepWorkspace, _half_potential
 from curvedirac import harness
 from curvedirac.harness import (
     PRESET_NAMES,
@@ -321,6 +324,78 @@ def test_norms_match_the_weighted_sums(rng, S, shape):
     rho = np.sum(np.abs(f.values) ** 2, axis=0)
     assert l2_norm(f) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(rho)), rel=1e-14)
     assert gamma_norm(f, weight) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(weight * rho)), rel=1e-14)
+
+
+def _setup_fields(cfg, mesh):
+    """The set-up build's fields by name: initial data, covariant weight,
+    every field of the metric sample and the pointwise half step, from the
+    package or (mesh) from the full-mesh formulas."""
+    grid = cfg.grid()
+    if mesh:
+        psi, sample = mesh_initial_condition(cfg, grid), mesh_sample_metric(cfg.metric, grid)
+        weight = mesh_gamma_weight(cfg.metric, grid)
+        half = _half_potential(sample, 0.5 * cfg.dt, cfg.metric.spinor_dim)
+    else:
+        psi, sample = initial_condition(cfg, grid), sample_metric(cfg.metric, grid)
+        weight = gamma_weight(cfg.metric, grid)
+        half = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml).half
+    fields = {"ic": psi.values, "weight": weight, "half": half, "G": sample.G,
+              "scalar": sample.scalar}
+    fields.update((f"velocity{i}", v) for i, v in enumerate(sample.velocity))
+    fields.update((f"connection{i}", c) for i, c in enumerate(sample.connection or ()))
+    fields.update((f"Gvec{i}", np.asarray(g)) for i, g in enumerate(sample.Gvec))
+    return fields
+
+
+@pytest.mark.parametrize("scale", ["ci", "paper"])
+@pytest.mark.parametrize("name", ["exp1", "exp4", "exp5", "exp6"])
+def test_1d_setup_is_byte_equal_to_the_full_mesh_formulas(name, scale):
+    cfg = preset_config(name, scale)
+    got, want = _setup_fields(cfg, False), _setup_fields(cfg, True)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("scale", ["ci", "paper"])
+def test_2d_setup_sampled_per_axis_matches_the_full_mesh_formulas(scale):
+    cfg = preset_config("exp3", scale)
+    got, want = _setup_fields(cfg, False), _setup_fields(cfg, True)
+    assert got.keys() == want.keys()
+    for key in want:
+        g, w = got[key], want[key]
+        assert g.shape == w.shape, key
+        if g.ndim:  # Gvec holds scalar zeros
+            assert g.shape[-2:] == cfg.grid().shape, key
+            assert g.flags.c_contiguous and g.flags.writeable, key
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w)), key
+
+
+def test_2d_run_from_the_per_axis_setup_matches_the_full_mesh_run(monkeypatch):
+    cfg = preset_config("exp3", "ci")
+    cfg = cfg.replace(T=10 * cfg.dt)
+    assert cfg.steps() == 10
+    got = run_simulation(cfg).final.values
+    monkeypatch.setattr(harness, "initial_condition", mesh_initial_condition)
+    monkeypatch.setattr(harness, "gamma_weight", mesh_gamma_weight)
+    monkeypatch.setattr(propagators, "sample_metric", mesh_sample_metric)
+    want = run_simulation(cfg).final.values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_2d_initial_condition_allocates_only_its_field():
+    cfg = preset_config("exp3", "paper")
+    grid = cfg.grid()
+    field_bytes = cfg.metric.spinor_dim * math.prod(grid.shape) * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        f = initial_condition(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == (cfg.metric.spinor_dim,) + grid.shape
+    assert peak <= 1.25 * field_bytes
 
 
 # ----------------------------------------------------------------- simulation
