@@ -122,6 +122,73 @@ class SpinorField:
         return bool(np.all(np.isfinite(self.values)))
 
 
+# Grid nodes per slab of a pass over a field: its temporaries stay small
+# (128 KB each) and in cache.
+SLAB = 1 << 13
+
+
+def slabs(shape, temps):
+    """(rows, scratch) over slabs of about SLAB nodes of a grid ``shape``:
+    ``rows`` slices its first axis, ``scratch`` holds ``temps`` complex
+    arrays shaped like the slab."""
+    step = max(1, SLAB // math.prod(shape[1:]))
+    buf = np.empty((temps, min(step, shape[0])) + tuple(shape[1:]), dtype=np.complex128)
+    for lo in range(0, shape[0], step):
+        yield slice(lo, lo + step), buf[:, :min(step, shape[0] - lo)]
+
+
+def column_blocks(shape, planes):
+    """Scratch of `spectral_apply` along axis 0 of a 2-D grid ``shape``:
+    ``planes`` arrays of one block of B columns, each held transposed as
+    (B, N1) with B N1 about SLAB nodes; None on a 1-D grid, whose one axis
+    is contiguous."""
+    if len(shape) < 2:
+        return None
+    width = max(1, min(shape[1], SLAB // shape[0]))
+    return np.empty((planes, width, shape[0]), dtype=np.complex128)
+
+
+def spectral_apply(values: np.ndarray, axis: int, act, out=None, temps=0,
+                   blocks=None) -> np.ndarray:
+    """F^-1 act F along grid axis ``axis`` of a raw (S, N1[, N2]) array,
+    into ``out`` when given (it may be ``values``), otherwise into a fresh
+    array, which is returned.
+
+    ``act(spec, tmp)`` changes ``spec`` in place: (S, L, N), the transforms
+    of L grid lines on its last axis, so a 1-D symbol over the axis's N
+    wavenumbers broadcasts; ``tmp`` holds ``temps`` arrays shaped like
+    spec[0].
+
+    Along the last grid axis the transforms run in place in ``out`` and
+    ``act`` sees slabs of its rows.  Along the strided axis 0 of a 2-D grid
+    the forward transform of a block of columns writes it transposed into
+    ``blocks`` (a `column_blocks` of at least S + temps planes, allocated
+    when None), ``act`` runs there, and the inverse writes it back into
+    ``out``: no full-field copy, and every line sees the same transforms
+    and products on either path.
+    """
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    S, shape = values.shape[0], values.shape[1:]
+    if axis == len(shape) - 1:
+        np.fft.fft(values, axis=-1, out=out)
+        lines = out if len(shape) == 2 else out[:, None]
+        for rows, tmp in slabs(lines.shape[1:], temps):
+            act(lines[:, rows], tmp)
+        return np.fft.ifft(out, axis=-1, out=out)
+    if blocks is None:
+        blocks = column_blocks(shape, S + temps)
+    width = blocks.shape[1]
+    for lo in range(0, shape[1], width):
+        cols = slice(lo, lo + width)
+        blk = blocks[:, :min(width, shape[1] - lo)]
+        spec = blk[:S]
+        np.fft.fft(values[:, :, cols], axis=1, out=spec.transpose(0, 2, 1))
+        act(spec, blk[S:S + temps])
+        np.fft.ifft(spec, axis=2, out=out[:, :, cols].transpose(0, 2, 1))
+    return out
+
+
 def forward_dft_axis(f: SpinorField, axis: int) -> SpinorField:
     """Partial discrete Fourier transform along one spatial axis (unnormalized)."""
     _check_axis(f.grid, axis)
@@ -150,17 +217,16 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return -(xi * xi).astype(np.complex128)
 
 
-def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None) -> np.ndarray:
+def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None,
+                      blocks=None) -> np.ndarray:
     """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array.
 
-    With ``out`` the transform, the product and the inverse all run in that
-    array, which is returned; otherwise the result is a fresh array.
+    The product runs through `spectral_apply`, into ``out`` when given (it
+    may be ``values``), otherwise into a fresh array, which is returned;
+    ``blocks`` is its scratch for axis 0 of a 2-D grid.
     """
-    shape = [1] * values.ndim
-    shape[1 + axis] = mult.size
-    vhat = np.fft.fft(values, axis=1 + axis, out=out)
-    vhat *= mult.reshape(shape)
-    return np.fft.ifft(vhat, axis=1 + axis, out=out)
+    return spectral_apply(values, axis, lambda spec, _: np.multiply(spec, mult, out=spec),
+                          out, blocks=blocks)
 
 
 def spectral_derivative(f: SpinorField, axis: int, order: int = 1) -> SpinorField:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, KrylovError, SimulationError, StepFailureError
 from .geometry import MetricModel, gamma_weight, parse_form
-from .grid_spectral import Grid, SpinorField, grid_axes, per_axis
+from .grid_spectral import Grid, SpinorField, grid_axes, per_axis, slabs
 from .krylov import KrylovOptions
 from .pml import PmlConfig
 from .propagators import SCHEMES, StepWorkspace, strang_step
@@ -302,11 +302,16 @@ def l2_norm(f: SpinorField) -> float:
 
 
 def gamma_norm(f: SpinorField, weight: np.ndarray) -> float:
-    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm: re^2 + im^2
-    summed over the spin axis, then one dot product with the weight."""
-    re, im = f.values.real, f.values.imag
-    dens = np.einsum("k...,k...->...", re, re)
-    dens += np.einsum("k...,k...->...", im, im)
+    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm: the density
+    re^2 + im^2, summed over the spin axis a slab at a time from one
+    reading of the field's float64 view, then one dot product with the
+    weight."""
+    values = np.ascontiguousarray(f.values)
+    parts = values.view(np.float64).reshape(values.shape + (2,))
+    dens = np.empty(f.grid.shape)
+    for rows, _ in slabs(f.grid.shape, 0):
+        sq = np.einsum("k...,k...->...", parts[:, rows], parts[:, rows])
+        np.add(sq[..., 0], sq[..., 1], out=dens[rows])
     return float(np.sqrt(f.grid.cell_volume() * np.dot(weight.ravel(), dens.ravel())))
 
 

@@ -46,8 +46,12 @@ Memory.  An explicit step allocates only the field it returns: the two
 pointwise stages and the sweeps alternate between that array and one
 scratch field that the workspace owns (`StepWorkspace.scratch`; poly2's
 correction takes a second one).  The scratch is allocated at the first
-explicit step, not in the build, and reused by every later step; the FFTs
-run in place, and the pointwise loops take temporaries of one grid slab
+explicit step, not in the build, and reused by every later step.  The
+FFTs run in place along the contiguous last axis.  Along axis 0 of a 2-D
+grid they go a block of columns at a time (`grid_spectral.spectral_apply`)
+through the workspace's `StepWorkspace.blocks`, S + 2 planes of about
+`grid_spectral.SLAB` nodes, also built at the first sweep: no full-field
+copy is made.  The pointwise loops take temporaries of one grid slab
 (SLAB nodes).  The public stage functions return a fresh field unless a
 caller passes ``out``.  The ``cn`` step takes no workspace scratch: each
 pointwise stage returns a fresh field, and the transport returns GMRES's (or
@@ -62,25 +66,15 @@ import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
 from .geometry import MetricModel, MetricSample, ripple_band, sample_metric
-from .grid_spectral import Grid, SpinorField, derivative_multiplier, derivative_values
+from .grid_spectral import (
+    Grid, SpinorField, column_blocks, derivative_multiplier, derivative_values, slabs,
+    spectral_apply,
+)
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
-from .spinor_algebra import alpha_matrix, exp_dirac
+from .spinor_algebra import Imaginary, alpha_matrix, exp_dirac
 
 SCHEMES = ("cn", "poly1", "poly2")
-# Grid nodes per slab of the explicit step's pointwise loops: their
-# temporaries stay small (128 KB each) and in cache.
-SLAB = 1 << 13
-
-
-def _slabs(shape, temps):
-    """(rows, scratch) over slabs of about SLAB nodes of a grid ``shape``:
-    ``rows`` slices its first axis, ``scratch`` holds ``temps`` complex
-    arrays shaped like the slab."""
-    step = max(1, SLAB // math.prod(shape[1:]))
-    buf = np.empty((temps, min(step, shape[0])) + tuple(shape[1:]), dtype=np.complex128)
-    for lo in range(0, shape[0], step):
-        yield slice(lo, lo + step), buf[:, :min(step, shape[0] - lo)]
 
 
 def _spin_matmul(mat, values, out=None):
@@ -94,7 +88,7 @@ def _spin_matmul(mat, values, out=None):
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
-    for rows, (term,) in _slabs(values.shape[1:], 1):
+    for rows, (term,) in slabs(values.shape[1:], 1):
         m = mat if mat.ndim == 2 else mat[:, :, rows]
         v, o = values[:, rows], out[:, rows]
         for a in range(len(mat)):
@@ -108,11 +102,13 @@ def _spin_matmul(mat, values, out=None):
 def _half_potential(sample: MetricSample, tau, S):
     """exp(-tau (i M + sum_i a c^i alpha^i)) at every node.  The metrics
     with a connection (static1d, static2d) have no alpha potential, so each
-    alpha coefficient is real (-tau Gvec) or purely imaginary (i tau a c^i)
-    and one `exp_dirac` call covers both terms."""
+    alpha coefficient is real (-tau Gvec) or purely imaginary (i tau a c^i,
+    passed as its real part marked `Imaginary`) and one `exp_dirac` call
+    covers both terms."""
     gvec = [-tau * np.asarray(g) for g in sample.Gvec]
     for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
-        gvec[i] = gvec[i] + 1j * tau * v * c
+        # beside an alpha potential the coefficient is mixed, which exp_dirac rejects
+        gvec[i] = gvec[i] + 1j * tau * v * c if np.any(gvec[i]) else Imaginary(tau * v * c)
     out = exp_dirac(-tau * sample.G, gvec, S)
     if np.any(sample.scalar):
         out *= np.exp(-1j * tau * sample.scalar)
@@ -133,9 +129,9 @@ class StepWorkspace:
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
     inverts exactly.  Potentials of the built-in models are static, so one
     workspace serves every step of size dt; what the steps build from it
-    (the cn preconditioner, the sweep factors, the scratch fields) is built
-    at its first use and kept (see `cached`), so dt and a_eff are not to be
-    replaced after a step.
+    (the cn preconditioner, the sweep factors, the column blocks, the
+    scratch fields) is built at its first use and kept (see `cached`), so
+    dt and a_eff are not to be replaced after a step.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -166,6 +162,12 @@ class StepWorkspace:
         if key not in self.built:
             self.built[key] = build()
         return self.built[key]
+
+    def blocks(self):
+        """The column blocks of the sweeps along axis 0 of a 2-D grid (see
+        `grid_spectral.column_blocks`): S planes of spectrum and the
+        shift's two temporaries; None on a 1-D grid."""
+        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2))
 
     def scratch(self, k):
         """Scratch field k of the explicit step, (S, *grid): 0 carries
@@ -436,18 +438,18 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
-    """(cosm1, pairs, weight, corr) of one directional sweep; cosm1 and the
-    rot factors are views broadcast to the grid.
+    """(shift, weight, corr) of one directional sweep: ``shift`` is the
+    `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I.
 
     alpha^i has one nonzero entry phase_c in each row c, at a column b != c
-    with phase_b phase_c = 1, so the shift less the identity,
-    exp(-i theta alpha^i) - I, maps components c and b of the transform to
+    with phase_b phase_c = 1, so the shift less the identity maps
+    components c and b of the transform to
 
         cosm1 v_c + rot_c v_b  and  cosm1 v_b + rot_b v_c,
 
     cosm1 = cos(theta) - 1, computed as -2 sin^2(theta/2) to keep its
-    digits where theta is small, and rot_c = -i sin(theta) phase_c;
-    ``pairs`` holds (c, b, rot_c, rot_b).
+    digits where theta is small, and rot_c = -i sin(theta) phase_c, each a
+    1-D array over the axis's wavenumbers.
     poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
     with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
     max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
@@ -456,21 +458,26 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     """
     a = ws.a_eff[axis]
     ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
-    shape = [1] * ws.grid.d
-    shape[axis] = ws.grid.N[axis]
-    theta = ((ws.dt * ahat) * ws.grid.freqs[axis]).reshape(shape)
+    theta = (ws.dt * ahat) * ws.grid.freqs[axis]
     sin = np.sin(theta)
     cosm1 = -2.0 * np.sin(0.5 * theta) ** 2
     alpha = ws.alpha[axis]
     perm = np.argmax(np.abs(alpha), axis=1)
-
-    def grid_view(x):
-        return np.broadcast_to(x, ws.grid.shape)
-
-    pairs = [(c, b, grid_view((-1j * alpha[c, b]) * sin), grid_view((-1j * alpha[b, c]) * sin))
+    pairs = [(c, b, (-1j * alpha[c, b]) * sin, (-1j * alpha[b, c]) * sin)
              for c, b in enumerate(perm) if c < b]
+
+    def shift(spec, tmp):
+        t_c, t_b = tmp
+        for c, b, rot_c, rot_b in pairs:
+            v_c, v_b = spec[c], spec[b]
+            np.multiply(v_b, rot_c, out=t_c)
+            np.multiply(v_c, rot_b, out=t_b)
+            for v, t in ((v_c, t_c), (v_b, t_b)):
+                v *= cosm1
+                v += t
+
     corr = (ws.dt ** 2) * a if second_order else None
-    return grid_view(cosm1), pairs, a if ahat == 1.0 else a / ahat, corr
+    return shift, a if ahat == 1.0 else a / ahat, corr
 
 
 def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
@@ -484,32 +491,23 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     with theta and w from `_sweep_factors`, built at the first sweep of each
     kind and axis.  The bracket is exp(-i theta alpha^i) - I, since
     (alpha^i)^2 = I, so the transform yields the increment D and the blend
-    is two passes.  The transforms and the shift run in place in ``out``,
-    which must not overlap f; poly2 forms Xi = D + psi in the workspace's
-    scratch field 1 and takes its correction there with one
+    is two passes.  The transform pair and the shift run in ``out`` through
+    `grid_spectral.spectral_apply`, which must not overlap f; along axis 0
+    of a 2-D grid they go a block of columns at a time through the
+    workspace's `StepWorkspace.blocks`.  poly2 forms Xi = D + psi in the
+    workspace's scratch field 1 and takes its correction there with one
     `derivative_values`.
     """
-    ax = 1 + axis
-    cosm1, pairs, weight, corr = ws.cached(
+    shift, weight, corr = ws.cached(
         ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
     values = f.values
-    if out is None:
-        out = np.empty(values.shape, dtype=np.complex128)
-    np.fft.fft(values, axis=ax, out=out)
-    for rows, (t_c, t_b) in _slabs(ws.grid.shape, 2):
-        for c, b, rot_c, rot_b in pairs:
-            v_c, v_b = out[c, rows], out[b, rows]
-            np.multiply(v_b, rot_c[rows], out=t_c)
-            np.multiply(v_c, rot_b[rows], out=t_b)
-            for v, t in ((v_c, t_c), (v_b, t_b)):
-                v *= cosm1[rows]
-                v += t
-    np.fft.ifft(out, axis=ax, out=out)
+    blocks = ws.blocks()
+    out = spectral_apply(values, axis, shift, out, temps=2, blocks=blocks)
     if corr is not None:
         xi = np.add(out, values, out=ws.scratch(1))
-        d2 = derivative_values(xi, axis, ws.d2_mult[axis], out=xi)
+        d2 = derivative_values(xi, axis, ws.d2_mult[axis], out=xi, blocks=blocks)
         d2 *= corr
-    for rows, _ in _slabs(ws.grid.shape, 0):
+    for rows, _ in slabs(ws.grid.shape, 0):
         o, v = out[:, rows], values[:, rows]
         o *= weight[rows]
         o += v

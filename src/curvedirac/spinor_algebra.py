@@ -18,6 +18,8 @@ exp(-i t alpha^i) = cos t - i sin t alpha^i.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -52,10 +54,19 @@ def alpha_matrix(i: int, S: int) -> np.ndarray:
     return m
 
 
+class Imaginary(NamedTuple):
+    """The coefficient 1j * u of a real field u, passed to `exp_dirac`
+    without forming the complex array."""
+
+    u: np.ndarray
+
+
 def _real_field(values, name):
     """(u, imaginary) with values == u, or 1j * u when imaginary, for a real u;
     ValueError naming the term ``name`` when values is neither real nor
     purely imaginary."""
+    if isinstance(values, Imaginary):
+        return np.asarray(values.u, dtype=np.float64), True
     v = np.asarray(values)
     if not np.iscomplexobj(v):
         return v.astype(np.float64, copy=False), False
@@ -86,8 +97,10 @@ def _cos_sinc(q):
 
 
 def _fill(dst, terms):
-    """dst = sum(sign * x for sign, x in terms), signs +/-1; dst is left as is
-    when terms is empty."""
+    """dst = sum(sign * x for sign, x in terms), signs +/-1; 0 when terms
+    is empty."""
+    if not terms:
+        dst.fill(0.0)
     for k, (sign, x) in enumerate(terms):
         if k == 0:
             np.copyto(dst, x) if sign > 0 else np.negative(x, out=dst)
@@ -99,8 +112,9 @@ def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
     """exp(i [beta G + alpha . Gvec]) via the closed form; |G| -> 0 is handled.
 
     G may be a scalar or a field array; Gvec a sequence of up to three scalars
-    or field arrays (missing entries are treated as zero).  The result is a
-    C-contiguous array of shape (S, S) + field_shape.
+    or field arrays (missing entries are treated as zero).  An entry may
+    also be an `Imaginary`, the coefficient 1j * u of a real u.  The result
+    is a C-contiguous array of shape (S, S) + field_shape.
 
     Every coefficient must be real or purely imaginary, so G^2 + Gvec^2 is
     real and c, s are taken in real arithmetic (cos/sin where it is >= 0,
@@ -108,22 +122,22 @@ def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
     spin connection's imaginary argument.  Each (a, b) entry of
     I c + i s (beta G + alpha . Gvec) is then written once: the matrices'
     entries are 0, +/-1 or +/-i, so every real and imaginary part is a signed
-    sum of c and the fields s * u.  A coefficient that is neither real nor
-    purely imaginary raises ValueError.
+    sum of c and the fields s * u, or 0.  A coefficient that is neither real
+    nor purely imaginary raises ValueError.
     """
-    parts = [G] + list(Gvec)
-    shape = np.broadcast_shapes(*(np.shape(p) for p in parts))
-    terms = []   # (matrix, u, imaginary): the field is u, or 1j * u when imaginary
-    for i, p in enumerate(parts):
-        if not np.any(p):
-            continue  # also keeps zero third components away from alpha^3 at S = 2
-        mat = beta_matrix(S) if i == 0 else alpha_matrix(i, S)
-        terms.append((mat,) + _real_field(p, "G" if i == 0 else f"Gvec[{i - 1}]"))
+    fields = [_real_field(p, "G" if i == 0 else f"Gvec[{i - 1}]")
+              for i, p in enumerate([G] + list(Gvec))]
+    shape = np.broadcast_shapes(*(np.shape(u) for u, _ in fields))
+    # (matrix, u, imaginary): the field is u, or 1j * u when imaginary; a zero
+    # term is dropped, which also keeps zero third components away from
+    # alpha^3 at S = 2
+    terms = [(beta_matrix(S) if i == 0 else alpha_matrix(i, S), u, imag)
+             for i, (u, imag) in enumerate(fields) if np.any(u)]
     q = sum(-u * u if imag else u * u for _, u, imag in terms)
     c, s = _cos_sinc(np.asarray(q, dtype=np.float64))
     # exponent matrix times i, per term: i * mat, or -mat for an imaginary field
     scaled = [(-mat if imag else 1j * mat, s * u) for mat, u, imag in terms]
-    out = np.zeros((S, S) + shape, dtype=np.complex128)
+    out = np.empty((S, S) + shape, dtype=np.complex128)
     for a in range(S):
         for b in range(S):
             entry = out[a, b, ...]

@@ -6,11 +6,15 @@ import pytest
 from curvedirac.errors import ConfigurationError
 from curvedirac.grid_spectral import (
     SpinorField,
+    column_blocks,
     dense_diff_matrix,
+    derivative_multiplier,
+    derivative_values,
     forward_dft_axis,
     grid_axes,
     inverse_dft_axis,
     make_grid,
+    spectral_apply,
     spectral_derivative,
 )
 
@@ -192,6 +196,61 @@ def test_derivative_2d_axes(rng):
     dy = spectral_derivative(f, 1, 1)
     assert np.max(np.abs(dx.values[0] - 2j * v[0])) < 1e-12
     assert np.max(np.abs(dy.values[0] + 3j * v[0])) < 1e-12
+
+
+# ----------------------------------------------------------------- column blocks
+
+# 96 rows: blocks of SLAB // 96 = 85 columns, so 200 columns end in a ragged block of 30
+RAGGED = (96, 200)
+
+
+def complex_field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_column_blocks_leave_a_ragged_last_block():
+    blocks = column_blocks(RAGGED, 4)
+    width = blocks.shape[1]
+    assert blocks.shape == (4, width, RAGGED[0]) and RAGGED[1] % width != 0
+    assert column_blocks((64,), 4) is None
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_spectral_apply_equals_a_whole_array_transform(rng, S, axis):
+    # an action with a symbol along the transform axis and a temporary; the
+    # blocked axis-0 path gives the whole-array transform's bits
+    g = make_grid(2, (3.0, 5.0), RAGGED)
+    values = complex_field(rng, (S,) + g.shape)
+    sym = complex_field(rng, g.N[axis])
+
+    def act(spec, tmp):
+        assert spec.shape[-1] == g.N[axis] and tmp.shape == (1,) + spec.shape[1:]
+        np.multiply(spec[0], sym, out=tmp[0])
+        spec[1] += tmp[0]
+        spec *= sym
+
+    ax = 1 + axis
+    spec = np.moveaxis(np.fft.fft(values, axis=ax), ax, -1)
+    act(spec, np.empty((1,) + spec.shape[1:], dtype=np.complex128))
+    ref = np.fft.ifft(np.moveaxis(spec, -1, ax), axis=ax)
+    kept = values.copy()
+    assert np.array_equal(spectral_apply(values, axis, act, temps=1), ref)
+    assert np.array_equal(values, kept)
+    # in place, through caller-owned blocks
+    out = spectral_apply(values, axis, act, out=values, temps=1, blocks=column_blocks(g.shape, S + 1))
+    assert out is values and np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_values_along_axis_0_equals_a_whole_array_transform(rng, S, order):
+    g = make_grid(2, (3.0, 5.0), RAGGED)
+    values = complex_field(rng, (S,) + g.shape)
+    mult = derivative_multiplier(g, 0, order)
+    ref = np.fft.ifft(np.fft.fft(values, axis=1) * mult[:, None], axis=1)
+    assert np.array_equal(derivative_values(values, 0, mult), ref)
+    assert np.array_equal(derivative_values(values, 0, mult, out=values), ref)
 
 
 # ----------------------------------------------------------------- dense matrix

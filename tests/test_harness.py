@@ -324,6 +324,14 @@ def test_norms_match_the_weighted_sums(rng, S, shape):
     rho = np.sum(np.abs(f.values) ** 2, axis=0)
     assert l2_norm(f) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(rho)), rel=1e-14)
     assert gamma_norm(f, weight) == pytest.approx(np.sqrt(g.cell_volume() * np.sum(weight * rho)), rel=1e-14)
+    # the density from two einsums over the strided real and imaginary parts
+    re, im = f.values.real, f.values.imag
+    dens = np.einsum("k...,k...->...", re, re) + np.einsum("k...,k...->...", im, im)
+    parts = np.sqrt(g.cell_volume() * np.dot(weight.ravel(), dens.ravel()))
+    assert gamma_norm(f, weight) == pytest.approx(parts, rel=1e-15)
+    spin_last = SpinorField(np.moveaxis(np.moveaxis(f.values, 0, -1).copy(), -1, 0), g)
+    assert not spin_last.values.flags.c_contiguous
+    assert gamma_norm(spin_last, weight) == gamma_norm(f, weight)
 
 
 def _setup_fields(cfg, mesh):

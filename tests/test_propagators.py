@@ -526,6 +526,39 @@ def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def whole_array_sweep(f, axis, ws, second_order):
+    """`_poly_sweep` with whole-array transforms along axis 1 + axis: the
+    shift acts on the transform with that axis moved last."""
+    shift, weight, corr = propagators._sweep_factors(ws, axis, second_order)
+    ax = 1 + axis
+    spec = np.moveaxis(np.fft.fft(f.values, axis=ax), ax, -1)
+    shift(spec, np.empty((2,) + spec.shape[1:], dtype=np.complex128))
+    inc = np.fft.ifft(np.moveaxis(spec, -1, ax), axis=ax)
+    out = inc * weight + f.values
+    if corr is not None:
+        mult = ws.d2_mult[axis].reshape([-1 if i == ax else 1 for i in range(f.values.ndim)])
+        out += np.fft.ifft(np.fft.fft(inc + f.values, axis=ax) * mult, axis=ax) * corr
+    return out
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("second_order", [False, True], ids=["poly1", "poly2"])
+def test_poly_sweep_equals_the_whole_array_transform(rng, S, second_order):
+    # 96 x 200 nodes: the axis-0 sweep runs in blocks of 85 columns, the last
+    # one ragged; max a = 1.5 puts poly1 on its ahat scaling
+    m = MetricModel("static2d", spinor_dim=S, mass=1.0, phi=ScalarForm("gauss", (0.2, 0.5)),
+                    psi=ScalarForm("gauss", (-0.2, 0.3)))
+    g = make_grid(2, (3.0, 5.0), (96, 200))
+    ws = StepWorkspace(m, g, 0.01)
+    assert 1.2 < np.max(ws.a_eff[0]) < 2.0
+    shape = (S,) + g.shape
+    f = SpinorField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), g)
+    step = poly_axis_step2 if second_order else poly_axis_step
+    for axis in range(2):
+        assert np.array_equal(step(f, axis, ws).values, whole_array_sweep(f, axis, ws, second_order))
+    assert ws.built["blocks"].shape[1] == 85
+
+
 def test_poly_axis_norm_nonexpansive_for_unit_bounded_velocity():
     g = make_grid(1, 5.0, 256)
     ws = StepWorkspace(WELL, g, 5e-4)
@@ -758,7 +791,7 @@ def test_sweep_factors_are_built_once_at_first_use(scheme):
     assert not ws.built
     f = strang_step(initial_condition(cfg, ws.grid), scheme, ws)
     second_order = scheme == "poly2"
-    keys = [("sweep", axis, second_order) for axis in range(2)]
+    keys = [("sweep", axis, second_order) for axis in range(2)] + ["blocks"]
     factors = [ws.built[k] for k in keys]
     strang_step(f, scheme, ws)
     assert all(ws.built[k] is v for k, v in zip(keys, factors))
@@ -776,17 +809,26 @@ def test_reused_explicit_workspace_matches_a_fresh_one(scheme):
 
 @pytest.mark.parametrize("scheme,pairs", [("poly1", 2), ("poly2", 4)])
 def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
-    # one pair per axis, and poly2's dt^2 correction one more
+    # one pair per axis, and poly2's dt^2 correction one more, counted in
+    # whole fields: along axis 0 each call transforms one block of columns
     cfg, ws = preset_workspace("exp3", "ci")
     f = initial_condition(cfg, ws.grid)
     strang_step(f, scheme, ws)
-    calls = collections.Counter()
+    calls, fields = collections.Counter(), collections.Counter()
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls[name] += 1
+            fields[name] += a.size / f.values.size
+            return fn(a, *args, **kwargs)
+        return call
+
     for name in ("fft", "ifft"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *a, _n=name, _fn=fn, **k: calls.update([_n]) or _fn(*a, **k))
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     strang_step(f, scheme, ws)
-    assert calls == {"fft": pairs, "ifft": pairs}
+    assert fields == {"fft": pairs, "ifft": pairs}
+    # exp3 ci is 128 x 128: the axis-0 pairs go in two blocks of 64 columns
+    assert calls == {"fft": 3 * pairs // 2, "ifft": 3 * pairs // 2}
 
 
 @pytest.mark.parametrize("name", ["exp3", "exp5"])

@@ -8,7 +8,7 @@ from conftest import expm_small
 from curvedirac.harness import PRESET_NAMES, preset_config
 from curvedirac.pml import PmlConfig
 from curvedirac.propagators import StepWorkspace
-from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
+from curvedirac.spinor_algebra import Imaginary, alpha_matrix, beta_matrix, exp_dirac
 
 
 def taylor_expm(M, terms=20):
@@ -184,6 +184,30 @@ def test_exp_dirac_result_is_c_contiguous(rng, S, kind):
     E = exp_dirac(G, gv, S)
     assert E.shape == (S, S) + np.shape(G if kind != "imaginary" else field)
     assert E.flags.c_contiguous and E.dtype == np.complex128
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_exp_dirac_entries_no_term_writes_are_zero(rng, S):
+    # beta G alone: every off-diagonal entry and the imaginary parts of the
+    # diagonal are written by no term; the result's memory is first filled
+    # with junk and handed back
+    G = rng.uniform(0.5, 2.0, (30, 30))
+    shape = (S, S) + G.shape
+    for _ in range(3):
+        junk = np.full(shape, 7.0 + 7.0j)
+        del junk
+        E = exp_dirac(G, (0.0, 0.0, 0.0), S)
+        off = ~np.eye(S, dtype=bool)
+        assert np.array_equal(E[off], np.zeros((S * S - S,) + G.shape))
+        assert np.array_equal(E[~off].real, np.broadcast_to(np.cos(G), (S,) + G.shape))
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_exp_dirac_takes_an_imaginary_coefficient_as_its_real_part(rng, S):
+    u = rng.uniform(-2.0, 2.0, (5, 3))
+    G = rng.standard_normal((5, 3))
+    marked = exp_dirac(G, components(S, Imaginary(u), 0.0, 0.0), S)
+    assert np.array_equal(marked, exp_dirac(G, components(S, 1j * u, 0.0, 0.0), S))
 
 
 SHIPPED_BUILDS = [(name, scale, None) for name in PRESET_NAMES for scale in ("ci", "paper")]
