@@ -5,6 +5,9 @@ Subcommands:
     preset <exp1..exp6> [--scale ci|paper] [--out DIR]
     converge <config> --sweep h|dt --values v1,v2,... [--out FILE]
     norms <config>                           diagnostics only, no snapshots
+
+run and preset print a summary: steps, the first and last norms, and on a
+cn run the largest GMRES iteration count and Krylov residual of any step.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ def _print_summary(res):
     print(f"steps: {last.step}   t: {last.t:g}")
     print(f"l2:       {first.l2:.9e} -> {last.l2:.9e}")
     print(f"l2_gamma: {first.l2_gamma:.9e} -> {last.l2_gamma:.9e}")
+    solves = [r for r in res.diagnostics if r.krylov_iters is not None]
+    if solves:
+        print(f"krylov:   max {max(r.krylov_iters for r in solves)} iterations, "
+              f"max residual {max(r.krylov_residual for r in solves):.3e}")
     if res.snapshots:
         print(f"snapshots: {len(res.snapshots)} files")
 

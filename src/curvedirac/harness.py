@@ -489,8 +489,10 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     every stride steps and the last step.  Halts with SimulationError
     (carrying the last good step) on a non-finite initial field before step
     1, on NaN or solver failure during a step, and when l2_gamma exceeds
-    GROWTH_BOUND times its step-0 value.  The diagnostics file, when there
-    is an output directory, is written before it raises.
+    GROWTH_BOUND times its step-0 value; the message of a failed step names
+    the step, its time t and the last good step's t, l2 and l2_gamma.  The
+    diagnostics file, when there is an output directory, is written before
+    it raises.
     """
     grid = cfg.grid()
     model = cfg.metric
@@ -506,14 +508,19 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         if out_dir and cfg.stride > 0:
             snapshots.append(write_snapshot(f, os.path.join(out_dir, f"snapshot_{n:06d}.csv")))
 
-    def halt(message, step, cause=None):
+    def halt(message, dt=None, cause=None):
+        # a failed step of size dt also names its time and the last good norms
+        last = records[-1]
+        if dt is not None:
+            message += (f" at t = {last.t + dt:.9g}; last good: step {last.step}, "
+                        f"t = {last.t:.9g}, l2 = {last.l2:.9e}, l2_gamma = {last.l2_gamma:.9e}")
         if out_dir:
             write_diagnostics(records, os.path.join(out_dir, "diagnostics.csv"))
-        raise SimulationError(message, step=step, diagnostics=records) from cause
+        raise SimulationError(message, step=last.step, diagnostics=records) from cause
 
     records = [DiagnosticsRecord(0, 0.0, l2_norm(psi), gamma_norm(psi, weight))]
     if not np.isfinite(records[0].l2):
-        halt("step 0: initial field is not finite", 0)
+        halt("step 0: initial field is not finite")
     snap(0, psi)
 
     nsteps = cfg.steps()
@@ -531,11 +538,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
             if not np.isfinite(l2):
                 raise StepFailureError("non-finite field norm")
         except (StepFailureError, KrylovError) as exc:
-            halt(f"step {n}: {exc}", n - 1, exc)
+            halt(f"step {n}: {exc}", active.dt, exc)
         gamma = gamma_norm(psi, weight)
         if gamma > GROWTH_BOUND * records[0].l2_gamma:
             halt(f"step {n}: l2_gamma grew to {gamma / records[0].l2_gamma:.3g} times its "
-                 f"step-0 value (bound {GROWTH_BOUND:g})", n - 1)
+                 f"step-0 value (bound {GROWTH_BOUND:g})", active.dt)
         t += active.dt
         report = active.last_krylov
         kit, kres = (report.iterations, report.residual) if report is not None else (None, None)

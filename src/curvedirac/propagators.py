@@ -23,8 +23,9 @@ Transport variants:
             preconditioned by one banded Fourier preconditioner (see
             `BandPreconditioner`, `cn_transport_step`): a circulant in
             general, and on rippled graphene whose ripple fits the box the
-            exact inverse, so GMRES stops at its first check and a step costs
-            2 FFT pairs.
+            exact inverse.  There the step makes GMRES's first check itself
+            and returns the preconditioned start without calling GMRES:
+            0 iterations and 2 FFT pairs a step.
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -55,7 +56,9 @@ copy is made.  The pointwise loops take temporaries of one grid slab
 (SLAB nodes).  The public stage functions return a fresh field unless a
 caller passes ``out``.  The ``cn`` step takes no workspace scratch: each
 pointwise stage returns a fresh field, and the transport returns GMRES's (or
-the banded solve's) fresh solution.
+the banded solve's) fresh solution.  The constant alpha^i never goes through
+the general spin kernel: each is a signed permutation (one nonzero entry a
+row, `StepWorkspace.alpha_perm`), applied as one product a component.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .grid_spectral import (
     Grid, SpinorField, column_blocks, derivative_multiplier, derivative_values, slabs,
     spectral_apply,
 )
-from .krylov import KrylovOptions, gmres
+from .krylov import KrylovOptions, KrylovReport, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import Imaginary, alpha_matrix, exp_dirac
 
@@ -84,7 +87,8 @@ def _spin_matmul(mat, values, out=None):
     + values[1] mat[a, 1] + ..., one slab of the grid at a time, into
     ``out`` when given; ``out`` must not overlap ``values``.  This runs on
     the calling thread alone, where a BLAS product would start its own
-    thread pool for the constant alpha matrices.
+    thread pool for a constant matrix.  The steps pass it only ws.half: the
+    constant alpha^i go as signed permutations (`_alpha_apply`).
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
@@ -96,6 +100,23 @@ def _spin_matmul(mat, values, out=None):
             for k in range(1, len(mat)):
                 np.multiply(v[k], m[a, k], out=term)
                 o[a] += term
+    return out
+
+
+def _signed_permutation(mat):
+    """(perm, phase) of a matrix with one nonzero entry in each row, as
+    every alpha^i has: row c holds phase[c] at column perm[c], so
+    (mat v)[c] = phase[c] v[perm[c]]."""
+    perm = np.argmax(np.abs(mat), axis=1)
+    return perm, mat[np.arange(len(mat)), perm]
+
+
+def _alpha_apply(sp, values):
+    """alpha^i values on the spinor axis, for the `_signed_permutation` sp of
+    alpha^i: one product a component, into a fresh array."""
+    out = np.empty(values.shape, dtype=np.complex128)
+    for c, (b, phase) in enumerate(zip(*sp)):
+        np.multiply(values[b], phase, out=out[c])
     return out
 
 
@@ -129,9 +150,10 @@ class StepWorkspace:
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
     inverts exactly.  Potentials of the built-in models are static, so one
     workspace serves every step of size dt; what the steps build from it
-    (the cn preconditioner, the sweep factors, the column blocks, the
-    scratch fields) is built at its first use and kept (see `cached`), so
-    dt and a_eff are not to be replaced after a step.
+    (alpha's signed permutations, the cn preconditioner and coefficients,
+    the sweep factors, the column blocks, the scratch fields) is built at
+    its first use and kept (see `cached`), so dt and a_eff are not to be
+    replaced after a step.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -163,6 +185,10 @@ class StepWorkspace:
             self.built[key] = build()
         return self.built[key]
 
+    def alpha_perm(self, i):
+        """alpha^i of axis i as its `_signed_permutation`."""
+        return self.cached(("alpha", i), lambda: _signed_permutation(self.alpha[i]))
+
     def blocks(self):
         """The column blocks of the sweeps along axis 0 of a 2-D grid (see
         `grid_spectral.column_blocks`): S planes of spectrum and the
@@ -184,12 +210,16 @@ def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorFi
 
 
 def cn_apply_values(values, ws, sign):
-    """Apply I + sign (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] to field values, matrix-free."""
+    """Apply I + sign (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] to field values,
+    matrix-free: alpha^i as its signed permutation
+    (`StepWorkspace.alpha_perm`), and each axis's coefficient
+    sign (dt/2) a^i/S^i built at its first product and kept."""
     out = values.copy()
-    coef = sign * 0.5 * ws.dt
     for i in range(ws.grid.d):
-        dv = derivative_values(values, i, ws.d1_mult[i])
-        out += coef * ws.a_eff[i] * _spin_matmul(ws.alpha[i], dv)
+        coef, sp = ws.cached(("cn", i, sign),
+                             lambda: (sign * 0.5 * ws.dt * ws.a_eff[i], ws.alpha_perm(i)))
+        term = _alpha_apply(sp, derivative_values(values, i, ws.d1_mult[i]))
+        out += np.multiply(coef, term, out=term)
     return out
 
 
@@ -246,10 +276,10 @@ class BandPreconditioner:
     def __init__(self, w, K, w0, wK, c, mult, alpha):
         N = mult.size
         self.w = w                  # 1 / a_eff
-        self.alpha = alpha
         self.K = K
         diag = w0 + np.multiply.outer([c, -c], mult)           # (2, N): T+ and T-
         if K == 0:
+            self.alpha_perm = _signed_permutation(alpha)
             self.shift = w - w0
             inv = 1.0 / diag
             # M^-1 = inv+ P+ + inv- P- = s0 + s1 alpha
@@ -353,7 +383,7 @@ class BandPreconditioner:
         """M^-1 values, one FFT pair."""
         vhat = np.fft.fft(values, axis=1)
         if self.K == 0:
-            out = self.s0 * vhat + self.s1 * _spin_matmul(self.alpha, vhat)
+            out = self.s0 * vhat + self.s1 * _alpha_apply(self.alpha_perm, vhat)
             return np.fft.ifft(out, axis=1)
         S, N = vhat.shape
         u = (self.basis_h @ vhat).reshape(S, -1, self.g)
@@ -404,9 +434,16 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     started from y0 = w b, so its residual, the exit check and the reported
     one are those of A psi* = b.  The closing true-residual product has
     already computed M^-1 y, so psi* costs no further FFT pair: a step costs
-    one FFT pair more than its operator products, as on the plain path.  On
-    the band path w - w_band is at round-off, so the initial residual
-    already meets the tolerance: 0 iterations and 2 FFT pairs a step.
+    one FFT pair more than its operator products, as on the plain path.
+
+    On the band path (``ws.ripple``) M is A / a exactly, and w - w_band is
+    at round-off.  The step then makes GMRES's first check itself:
+    z0 = M^-1 y0 and the relative residual ||b - a (y0 + (w - w_band) z0)||
+    / ||b||, the same numbers in the same order.  When that meets the
+    tolerance, psi* = z0 with 0 iterations, 2 FFT pairs a step and no
+    `gmres` call; b = 0 gives psi* = 0 at residual 0, as `gmres` does.
+    Otherwise, a non-finite residual included, GMRES runs from y0 as on the
+    circulant.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
@@ -425,10 +462,20 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
             last[:] = y, z
             return a * (y + pre.shift * z)
 
-        y, report = gmres(
-            apply, b, x0=pre.w * b, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
-        )
-        x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)
+        y0, report = pre.w * b, None
+        if ws.ripple is not None:
+            bnorm = float(np.linalg.norm(b))
+            if bnorm == 0.0:
+                x, report = np.zeros_like(b), KrylovReport(0, 0.0, True)
+            else:
+                residual = float(np.linalg.norm(b - apply(y0))) / bnorm
+                if residual <= opts.tol:
+                    x, report = last[1], KrylovReport(0, residual, True)
+        if report is None:
+            y, report = gmres(
+                apply, b, x0=y0, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
+            )
+            x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)
     ws.last_krylov = report
     if not report.converged:
         raise StepFailureError(
@@ -442,8 +489,8 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I.
 
     alpha^i has one nonzero entry phase_c in each row c, at a column b != c
-    with phase_b phase_c = 1, so the shift less the identity maps
-    components c and b of the transform to
+    with phase_b phase_c = 1 (`StepWorkspace.alpha_perm`), so the shift
+    less the identity maps components c and b of the transform to
 
         cosm1 v_c + rot_c v_b  and  cosm1 v_b + rot_b v_c,
 
@@ -461,9 +508,8 @@ def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     theta = (ws.dt * ahat) * ws.grid.freqs[axis]
     sin = np.sin(theta)
     cosm1 = -2.0 * np.sin(0.5 * theta) ** 2
-    alpha = ws.alpha[axis]
-    perm = np.argmax(np.abs(alpha), axis=1)
-    pairs = [(c, b, (-1j * alpha[c, b]) * sin, (-1j * alpha[b, c]) * sin)
+    perm, phase = ws.alpha_perm(axis)
+    pairs = [(c, b, (-1j * phase[c]) * sin, (-1j * phase[b]) * sin)
              for c, b in enumerate(perm) if c < b]
 
     def shift(spec, tmp):

@@ -486,6 +486,17 @@ def test_simulation_halts_on_blowup(monkeypatch):
     with pytest.raises(SimulationError, match="non-finite") as err:
         run_simulation(cfg)
     assert err.value.step == 14
+    assert_names_time_and_last_good_norms(err.value, cfg.dt)
+
+
+def assert_names_time_and_last_good_norms(error, dt):
+    # the failed step's time, then the last good step's time and norms
+    last = error.diagnostics[-1]
+    assert last.step == error.step
+    assert str(error).startswith(f"step {error.step + 1}: ")
+    assert str(error).endswith(
+        f" at t = {last.t + dt:.9g}; last good: step {last.step}, t = {last.t:.9g}, "
+        f"l2 = {last.l2:.9e}, l2_gamma = {last.l2_gamma:.9e}")
 
 
 def test_simulation_halts_on_growth_before_overflow(tmp_path):
@@ -503,6 +514,7 @@ def test_simulation_halts_on_growth_before_overflow(tmp_path):
     assert max(r.l2_gamma for r in records) <= harness.GROWTH_BOUND * records[0].l2_gamma
     written = (tmp_path / "diagnostics.csv").read_text().splitlines()
     assert len(written) == 1 + len(records)
+    assert_names_time_and_last_good_norms(err.value, cfg.dt)
 
 
 def test_krylov_iterations_recorded_only_for_cn():
@@ -906,6 +918,21 @@ def test_cli_preset_and_norms(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "l2_gamma" in out
     assert os.path.exists(tmp_path / "o" / "diagnostics.csv")
+
+
+def test_cli_summary_names_the_largest_krylov_iterations_and_residual(tmp_path, capsys):
+    assert cli.main(["preset", "exp5", "--scale", "ci", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[2:]   # header, step 0
+    iters = max(int(r.split(",")[4]) for r in rows)
+    residual = max(float(r.split(",")[5]) for r in rows)
+    assert f"krylov:   max {iters} iterations, max residual {residual:.3e}" in lines
+    assert len(rows) == 80 and iters == 0 and 0 < residual <= 1e-10
+    # an explicit scheme makes no Krylov solve and prints no such line
+    cfgfile = tmp_path / "poly.cfg"
+    cfgfile.write_text(MINIMAL.replace("scheme.kind = cn", "scheme.kind = poly1"))
+    assert cli.main(["run", str(cfgfile)]) == 0
+    assert "krylov" not in capsys.readouterr().out
 
 
 def test_cli_run_and_converge(tmp_path, capsys):

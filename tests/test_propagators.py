@@ -12,10 +12,12 @@ from curvedirac.errors import ConfigurationError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
 from curvedirac.grid_spectral import SpinorField, derivative_values, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
-from curvedirac.krylov import KrylovOptions
+from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 from curvedirac.oracle import dense_cn_step
 from curvedirac.propagators import (
     StepWorkspace,
+    _alpha_apply,
+    _signed_permutation,
     _spin_matmul,
     cayley_preconditioner,
     cn_apply_values,
@@ -71,6 +73,21 @@ def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
     out = _spin_matmul(mat, values)
     assert out.shape == values.shape
     assert np.allclose(out, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+def test_signed_permutation_applies_alpha(rng, S):
+    # every axis of the spinor size: alpha^1, alpha^2 (and alpha^3 at S = 4),
+    # directly and as a 2-D workspace caches them
+    ws = StepWorkspace(MetricModel("flat", mass=1.0, spinor_dim=S), make_grid(2, 5.0, 8), 0.1)
+    cases = [(mat, ws.alpha_perm(i)) for i, mat in enumerate(ws.alpha)]
+    if S == 4:
+        cases.append((alpha_matrix(3, S), _signed_permutation(alpha_matrix(3, S))))
+    assert len(cases) == (3 if S == 4 else 2)
+    values = rng.standard_normal((S, 6, 5)) + 1j * rng.standard_normal((S, 6, 5))
+    for mat, sp in cases:
+        assert np.array_equal(_alpha_apply(sp, values),
+                              (mat @ values.reshape(S, -1)).reshape(values.shape))
 
 
 # ------------------------------------------------------------ half potential
@@ -414,17 +431,102 @@ def test_no_band_without_a_fitted_ripple(name, changes):
     assert ws.ripple is None
 
 
+def fail_gmres(monkeypatch):
+    monkeypatch.setattr(propagators, "gmres",
+                        lambda *a, **k: pytest.fail("gmres called on the exact band path"))
+
+
 def test_band_solve_costs_two_fft_pairs_and_no_iteration(monkeypatch):
-    cfg, ws = preset_workspace("exp5", "ci")
-    f = initial_condition(cfg, ws.grid)
-    fft = np.fft.fft
-    calls = []
-    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
+    # exp5 and exp4: the step makes GMRES's first check itself and never
+    # calls gmres
+    fail_gmres(monkeypatch)
+    calls = collections.Counter()
+    for kind in ("fft", "ifft"):
+        transform = getattr(np.fft, kind)
+        monkeypatch.setattr(np.fft, kind, lambda *a, _t=transform, _k=kind, **kw:
+                            calls.update([_k]) or _t(*a, **kw))
+    for name in ("exp5", "exp4"):
+        cfg, ws = preset_workspace(name, "ci")
+        f = initial_condition(cfg, ws.grid)
+        calls.clear()
+        for _ in range(3):
+            f = cn_transport_step(f, ws, cfg.krylov)
+            assert ws.last_krylov.iterations == 0 and ws.last_krylov.converged
+        # per solve: the right-hand side's derivative and the one M^-1 product
+        assert calls == {"fft": 3 * 2, "ifft": 3 * 2}
+
+
+@pytest.mark.parametrize("name", ["exp5", "exp4"])
+def test_band_step_equals_gmres_from_the_preconditioned_start(name):
+    # what GMRES's first check returns, bit for bit: the field M^-1 y0 and
+    # the report of 0 iterations with the same residual
+    cfg, ws = preset_workspace(name, "ci")
+    pre, a = cayley_preconditioner(ws), ws.a_eff[0]
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
     for _ in range(3):
-        f = cn_transport_step(f, ws, cfg.krylov)
-        assert ws.last_krylov.iterations == 0 and ws.last_krylov.converged
-    # per solve: the right-hand side's derivative and the one M^-1 product
-    assert len(calls) == 3 * 2
+        out = cn_transport_step(f, ws, cfg.krylov)
+        b = cn_apply_values(f.values, ws, -1)
+        y, report = gmres(lambda v: a * (v + pre.shift * pre.solve(v)), b, x0=pre.w * b,
+                          tol=cfg.krylov.tol, restart=cfg.krylov.restart, maxit=cfg.krylov.maxit)
+        assert report == ws.last_krylov and report.iterations == 0
+        assert out.values.tobytes() == pre.solve(y).tobytes()
+        f = out
+
+
+def test_band_step_on_a_zero_field_returns_zero(monkeypatch):
+    # no division by ||b|| = 0 (a RuntimeWarning fails the suite) and no gmres
+    cfg, ws = preset_workspace("exp5", "ci")
+    fail_gmres(monkeypatch)
+    zero = SpinorField(np.zeros((2,) + ws.grid.shape, dtype=np.complex128), ws.grid)
+    out = cn_transport_step(zero, ws, cfg.krylov)
+    assert not np.any(out.values) and out.values.shape == zero.values.shape
+    assert ws.last_krylov == KrylovReport(0, 0.0, True)
+
+
+def counting_gmres(monkeypatch):
+    """Wrap propagators.gmres; return the list of (x0, report) of its calls."""
+    calls = []
+
+    def wrapped(apply, b, x0=None, **kw):
+        x, report = gmres(apply, b, x0=x0, **kw)
+        calls.append((x0, report))
+        return x, report
+
+    monkeypatch.setattr(propagators, "gmres", wrapped)
+    return calls
+
+
+def test_inexact_band_falls_back_to_gmres_from_the_preconditioned_start(monkeypatch):
+    # the band comes from the unperturbed ripple while a_eff carries a 2%
+    # wobble, so M is no longer A / a: GMRES iterates and converges
+    cfg, ws = preset_workspace("exp5", "ci")
+    x = ws.grid.axes[0]
+    ws.a_eff = [ws.a_eff[0] * (1.0 + 0.02 * np.cos(0.7 * x))]
+    pre = cayley_preconditioner(ws)
+    assert pre.K == ws.ripple[0] == 10
+    calls = counting_gmres(monkeypatch)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    out = cn_transport_step(f, ws, cfg.krylov)
+    assert len(calls) == 1
+    x0, report = calls[0]
+    b = cn_apply_values(f.values, ws, -1)
+    assert np.array_equal(x0, pre.w * b)
+    assert ws.last_krylov is report and report.converged and report.iterations > 0
+    dense = dense_cn_step(f, ws)
+    assert np.linalg.norm(out.values - dense.values) <= 1e-9 * np.linalg.norm(dense.values)
+
+
+def test_band_step_below_round_off_runs_gmres_and_fails(monkeypatch):
+    # the exact band's residual (about 1e-15) misses a tolerance of 1e-18,
+    # so GMRES runs from y0, and its iterations are the ones reported
+    cfg, ws = preset_workspace("exp5", "ci")
+    calls = counting_gmres(monkeypatch)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    with pytest.raises(StepFailureError, match="after 4 iterations"):
+        cn_transport_step(f, ws, KrylovOptions(tol=1e-18, restart=2, maxit=4))
+    assert len(calls) == 1 and ws.last_krylov is calls[0][1]
+    assert ws.last_krylov.iterations == 4 and not ws.last_krylov.converged
+    assert np.array_equal(calls[0][0], cayley_preconditioner(ws).w * cn_apply_values(f.values, ws, -1))
 
 
 def test_band_is_built_lazily_from_the_closed_form(monkeypatch):
