@@ -26,7 +26,7 @@ class StepFailureError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """An oracle or reference computation exceeded its configured size budget."""
+    """The dense oracle would exceed its size budget (`oracle.MAX_DENSE_UNKNOWNS`)."""
 
 
 class SimulationError(RuntimeError):

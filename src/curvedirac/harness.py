@@ -33,7 +33,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, KrylovError, SimulationError, StepFailureError
+from .errors import ConfigurationError, KrylovError, SimulationError, StepFailureError
 from .geometry import MetricModel, gamma_weight, parse_form
 from .grid_spectral import Grid, SpinorField, grid_axes, per_axis, slabs
 from .krylov import KrylovOptions
@@ -336,25 +336,16 @@ class SimulationResult:
 # snapshot / diagnostics files
 
 
-def write_snapshot(obj, path, grid: Grid | None = None) -> str:
-    """Write a field or density to CSV (or DCRV binary above 256^2 in 2-D).
+def write_snapshot(f: SpinorField, path) -> str:
+    """Write a spinor field to CSV (or DCRV binary above 256^2 in 2-D).
 
-    CSV header: ``x[,y],re0,im0,re1,im1[,re2,im2,re3,im3]`` for spinor fields,
-    ``x[,y],density`` for real densities; one row per node in row-major order,
-    streamed in slabs of about 4096 nodes.
+    CSV header: ``x[,y],re0,im0,re1,im1[,re2,im2,re3,im3]``; one row per node
+    in row-major order, streamed in slabs of about 4096 nodes.
     """
-    if isinstance(obj, SpinorField):
-        grid, cols = obj.grid, []
-        for s in range(obj.spinor_dim):
-            cols.append((f"re{s}", np.real(obj.values[s])))
-            cols.append((f"im{s}", np.imag(obj.values[s])))
-    else:
-        if grid is None:
-            raise TypeError("writing a density needs the grid")
-        arr = np.asarray(obj)
-        if arr.shape != grid.shape:
-            raise ConfigurationError("density shape does not match grid")
-        cols = [("density", np.real(arr).astype(np.float64, copy=False))]
+    grid, cols = f.grid, []
+    for s in range(f.spinor_dim):
+        cols.append((f"re{s}", np.real(f.values[s])))
+        cols.append((f"im{s}", np.imag(f.values[s])))
 
     nodes = int(np.prod(grid.shape))
     if grid.d == 2 and nodes > BINARY_SNAPSHOT_THRESHOLD:
@@ -570,7 +561,7 @@ def restrict_to_coarse(fine: SpinorField, coarse_grid: Grid) -> SpinorField:
 
 
 def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
-                      out_path: str = "", budget: int | None = None):
+                      out_path: str = ""):
     """Error table against a refined self-reference run.
 
     sweep = 'h': each value is a target spacing (2a/h must be an integer,
@@ -581,8 +572,7 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
     index subsampling.
     sweep = 'dt': fixed grid, reference at min(values)/refine^2.
     The reference and every swept configuration are built, and so checked,
-    before any run.  A reference run costing more than `budget` node-steps
-    (max(1, steps) * prod(N)) raises BudgetError; None disables the guard.
+    before any run.
 
     Returns a list of (value, error) rows, optionally written as CSV
     'param,error'.
@@ -594,13 +584,6 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
         raise ConfigurationError(f"sweep values must be positive and finite, got {values}")
     if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
         raise ConfigurationError("sweep values must be strictly decreasing")
-
-    def run_guarded(rcfg):
-        cost = max(1, rcfg.steps()) * int(np.prod(rcfg.N))
-        if budget is not None and cost > budget:
-            raise BudgetError(
-                f"reference run would cost {cost:.3g} node-steps (> budget {budget:.3g})")
-        return run_simulation(rcfg)
 
     base = cfg.replace(out_dir="", stride=0)
     if sweep == "h":
@@ -622,7 +605,7 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
         ref_cfg = base.replace(dt=values[-1] / refine ** 2)
         cfgs = [base.replace(dt=dt) for dt in values]
 
-    ref = run_guarded(ref_cfg)
+    ref = run_simulation(ref_cfg)
     rows = []
     for value, rcfg in zip(values, cfgs):
         res = run_simulation(rcfg)

@@ -10,6 +10,13 @@ A non-finite operator output shows as a non-finite norm (of the residual or
 of a new Arnoldi vector) and raises KrylovError.  A right-preconditioned
 system A M^-1 y = b is passed as the operator y -> A M^-1 y, whose residual is
 that of A x = b at x = M^-1 y, so `tol` keeps its meaning.
+
+Contract: every residual, the reported one included, is b - apply(x) on the
+very b-shaped array x that is returned, so on every exit but b = 0 (where
+apply is never called) the operator's last argument *is* the returned x, and a
+caller may reuse what the operator computed from it.  That product is not
+copied (the subtraction makes a fresh array); the Arnoldi products are, since
+the new vector is changed in place, and so is x0.
 """
 
 from __future__ import annotations
@@ -54,10 +61,6 @@ class KrylovReport:
     converged: bool
 
 
-def _flat(v):
-    return np.ascontiguousarray(v).ravel()
-
-
 def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     """Solve apply(x) = b to relative residual `tol`.
 
@@ -81,11 +84,13 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     if bnorm == 0.0:
         return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True)
 
-    x = np.zeros(shape, dtype=np.complex128) if x0 is None else np.array(x0, dtype=np.complex128)
+    x = (np.zeros(shape, dtype=np.complex128) if x0 is None
+         else np.array(x0, dtype=np.complex128).reshape(shape))
     total_iters = 0
 
     def matvec(v):
-        # copy: apply() may hand back a view of its input (e.g. the identity)
+        # copy: w is changed in place, and apply() may hand back a view of
+        # its input (e.g. the identity)
         return np.array(apply(v.reshape(shape)), dtype=np.complex128, copy=True).ravel()
 
     def finite(norm):
@@ -95,13 +100,13 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
         return norm
 
     while True:
-        r = _flat(b) - matvec(_flat(x))
+        r = (b - apply(x)).ravel()     # on x itself: see the module docstring
         beta = float(finite(np.linalg.norm(r)))
         resid = beta / bnorm
         if resid <= tol:
-            return x.reshape(shape), KrylovReport(total_iters, resid, True)
+            return x, KrylovReport(total_iters, resid, True)
         if total_iters >= maxit:
-            return x.reshape(shape), KrylovReport(total_iters, resid, False)
+            return x, KrylovReport(total_iters, resid, False)
 
         m = min(restart, maxit - total_iters)
         Q = np.empty((m + 1, b.size), dtype=np.complex128)

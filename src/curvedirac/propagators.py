@@ -23,9 +23,9 @@ Transport variants:
             preconditioned by one banded Fourier preconditioner (see
             `BandPreconditioner`, `cn_transport_step`): a circulant in
             general, and on rippled graphene whose ripple fits the box the
-            exact inverse.  There the step makes GMRES's first check itself
-            and returns the preconditioned start without calling GMRES:
-            0 iterations and 2 FFT pairs a step.
+            exact inverse, where GMRES's first check already meets the
+            tolerance: 0 iterations and 2 FFT pairs a step.  Every step
+            is one `gmres` call.
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -56,7 +56,7 @@ copy is made.  The pointwise loops take temporaries of one grid slab
 (SLAB nodes).  The public stage functions return a fresh field unless a
 caller passes ``out``.  The ``cn`` step takes no workspace scratch: each
 pointwise stage returns a fresh field, and the transport returns GMRES's (or
-the banded solve's) fresh solution.  The constant alpha^i never goes through
+the preconditioner's) fresh solution.  The constant alpha^i never goes through
 the general spin kernel: each is a signed permutation (one nonzero entry a
 row, `StepWorkspace.alpha_perm`), applied as one product a component.
 """
@@ -73,7 +73,7 @@ from .grid_spectral import (
     Grid, SpinorField, column_blocks, derivative_multiplier, derivative_values, slabs,
     spectral_apply,
 )
-from .krylov import KrylovOptions, KrylovReport, gmres
+from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import Imaginary, alpha_matrix, exp_dirac
 
@@ -432,27 +432,25 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
         A M^-1 y = a (y + (w - w_band) M^-1 y) = b,   psi* = M^-1 y,
 
     started from y0 = w b, so its residual, the exit check and the reported
-    one are those of A psi* = b.  The closing true-residual product has
-    already computed M^-1 y, so psi* costs no further FFT pair: a step costs
-    one FFT pair more than its operator products, as on the plain path.
+    one are those of A psi* = b.  Either way the step is one `gmres` call.
+    GMRES's residual product runs on the very array it returns (see
+    `krylov`), and that product has already computed M^-1 y, so psi* costs
+    no further FFT pair: a step costs one FFT pair more than its operator
+    products, as on the plain path.  Only b = 0, where GMRES calls no
+    operator, takes one M^-1 product of the zero field.
 
     On the band path (``ws.ripple``) M is A / a exactly, and w - w_band is
-    at round-off.  The step then makes GMRES's first check itself:
-    z0 = M^-1 y0 and the relative residual ||b - a (y0 + (w - w_band) z0)||
-    / ||b||, the same numbers in the same order.  When that meets the
-    tolerance, psi* = z0 with 0 iterations, 2 FFT pairs a step and no
-    `gmres` call; b = 0 gives psi* = 0 at residual 0, as `gmres` does.
-    Otherwise, a non-finite residual included, GMRES runs from y0 as on the
-    circulant.
+    at round-off, so GMRES's first check meets the tolerance: 0 iterations
+    and 2 FFT pairs a step.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
     b = cn_apply_values(f.values, ws, -1)
     if pre is None:
-        x, report = gmres(
-            lambda v: cn_apply_values(v, ws, +1),
-            b, x0=f.values, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
-        )
+        def apply(v):
+            return cn_apply_values(v, ws, +1)
+
+        x0 = f.values
     else:
         a = ws.a_eff[0]
         last = [None, None]   # the operator's last input and its M^-1 image
@@ -462,20 +460,10 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
             last[:] = y, z
             return a * (y + pre.shift * z)
 
-        y0, report = pre.w * b, None
-        if ws.ripple is not None:
-            bnorm = float(np.linalg.norm(b))
-            if bnorm == 0.0:
-                x, report = np.zeros_like(b), KrylovReport(0, 0.0, True)
-            else:
-                residual = float(np.linalg.norm(b - apply(y0))) / bnorm
-                if residual <= opts.tol:
-                    x, report = last[1], KrylovReport(0, residual, True)
-        if report is None:
-            y, report = gmres(
-                apply, b, x0=y0, tol=opts.tol, restart=opts.restart, maxit=opts.maxit,
-            )
-            x = last[1] if last[0] is not None and np.array_equal(last[0], y) else pre.solve(y)
+        x0 = pre.w * b
+    x, report = gmres(apply, b, x0=x0, tol=opts.tol, restart=opts.restart, maxit=opts.maxit)
+    if pre is not None:
+        x = last[1] if last[0] is x else pre.solve(x)
     ws.last_krylov = report
     if not report.converged:
         raise StepFailureError(

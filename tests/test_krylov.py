@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvedirac.errors import ConfigurationError, KrylovError
-from curvedirac.krylov import KrylovOptions, gmres
+from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -18,6 +18,45 @@ def test_zero_rhs_returns_zero_without_iterating():
     x, rep = gmres(lambda v: 2 * v, np.zeros((2, 8), dtype=complex))
     assert rep.converged and rep.iterations == 0
     assert not np.any(x)
+
+
+def _contract_cases(rng):
+    n = 24
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 12 * np.eye(n)
+    b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).reshape(2, 12)
+    rot = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return {
+        "converged": (A, b, {}),
+        "restarted": (A, b, {"restart": 4, "tol": 1e-12}),
+        "stalled": (rot, b, {"restart": 4, "maxit": 12, "tol": 1e-14}),
+        "warm": (A, b, {"x0": np.linalg.solve(A, b.ravel()).reshape(b.shape)}),
+    }
+
+
+@pytest.mark.parametrize("case", ["converged", "restarted", "stalled", "warm"])
+def test_last_operator_argument_is_the_returned_solution(rng, case):
+    # the residual on every exit is b - apply(x) on the returned x itself,
+    # so a caller may reuse what the operator computed from it
+    A, b, kw = _contract_cases(rng)[case]
+    seen = []
+
+    def apply(v):
+        seen.append(v)
+        return (A @ v.ravel()).reshape(v.shape)
+
+    x, rep = gmres(apply, b, **kw)
+    assert seen[-1] is x and x.shape == b.shape
+    assert rep.converged == (case != "stalled")
+    assert (rep.iterations == 0) == (case == "warm")
+    if case == "restarted":
+        assert rep.iterations > 4
+    assert rep.residual == np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
+
+
+def test_zero_rhs_never_calls_the_operator():
+    x, rep = gmres(lambda v: pytest.fail("operator called on b = 0"),
+                   np.zeros((2, 8), dtype=complex), x0=np.ones((2, 8)))
+    assert rep == KrylovReport(0, 0.0, True) and not np.any(x)
 
 
 def test_matches_dense_solve(rng):

@@ -4,7 +4,7 @@ import pytest
 from curvedirac.errors import ConfigurationError
 from curvedirac.geometry import MetricModel
 from curvedirac.grid_spectral import make_grid
-from curvedirac.harness import RunConfig, initial_condition, run_simulation
+from curvedirac.harness import RunConfig, initial_condition, preset_config, run_simulation
 from curvedirac.pml import PROFILES, PmlConfig, apply_pml, sigma_profile, stretch_factor
 from curvedirac.propagators import StepWorkspace, strang_step
 
@@ -129,3 +129,16 @@ def test_rightward_packet_loses_norm_monotonically_inside_layer():
     window = l2[150:240]
     assert np.all(np.diff(window) < 0.0)
     assert window[-1] < 0.985 * window[0]
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2])
+def test_poly1_stays_bounded_under_a_rotated_layer(theta):
+    # cn halts on the theta = 1.2 layer (see the harness's growth-bound
+    # test); the explicit poly1 sweep completes all 400 steps of exp6 paper
+    # with l2 within 5% of its start (about 1.01 and 1.02 at its peak)
+    cfg = preset_config("exp6", "paper").replace(
+        scheme="poly1", pml=PmlConfig(True, "I", 3.0, theta, 0.1))
+    res = run_simulation(cfg)
+    assert cfg.steps() == 400 and res.diagnostics[-1].step == 400
+    l2 = [r.l2 for r in res.diagnostics]
+    assert max(l2) <= 1.05 * l2[0]
