@@ -39,7 +39,9 @@ def _print_summary(res):
     print(f"l2_gamma: {first.l2_gamma:.9e} -> {last.l2_gamma:.9e}")
     solves = [r for r in res.diagnostics if r.krylov_iters is not None]
     if solves:
-        print(f"krylov:   max {max(r.krylov_iters for r in solves)} iterations, "
+        iters = [r.krylov_iters for r in solves]
+        print(f"krylov:   mean {sum(iters) / len(iters):.2f} iterations a step")
+        print(f"krylov:   max {max(iters)} iterations, "
               f"max residual {max(r.krylov_residual for r in solves):.3e}")
     if res.snapshots:
         print(f"snapshots: {len(res.snapshots)} files")

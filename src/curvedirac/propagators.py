@@ -25,7 +25,8 @@ Transport variants:
             general, and on rippled graphene whose ripple fits the box the
             exact inverse, where GMRES's first check already meets the
             tolerance: 0 iterations and 2 FFT pairs a step.  Every step
-            is one `gmres` call.
+            is one `gmres` call, started from the first-order Cayley map
+            (I - dt a.alpha.[[grad]]) psi (see `cn_transport_step`).
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -209,18 +210,28 @@ def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorFi
     return SpinorField(_spin_matmul(ws.half, f.values, out=out), f.grid)
 
 
-def cn_apply_values(values, ws, sign):
-    """Apply I + sign (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] to field values,
-    matrix-free: alpha^i as its signed permutation
-    (`StepWorkspace.alpha_perm`), and each axis's coefficient
-    sign (dt/2) a^i/S^i built at its first product and kept."""
-    out = values.copy()
+def _cn_term(values, ws):
+    """E values, E = (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] the transport
+    term of the Cayley step, into a fresh array: alpha^i as its signed
+    permutation (`StepWorkspace.alpha_perm`), and each axis's coefficient
+    (dt/2) a^i/S^i built at its first product and kept."""
+    out = None
     for i in range(ws.grid.d):
-        coef, sp = ws.cached(("cn", i, sign),
-                             lambda: (sign * 0.5 * ws.dt * ws.a_eff[i], ws.alpha_perm(i)))
+        coef, sp = ws.cached(("cn", i), lambda: (0.5 * ws.dt * ws.a_eff[i], ws.alpha_perm(i)))
         term = _alpha_apply(sp, derivative_values(values, i, ws.d1_mult[i]))
-        out += np.multiply(coef, term, out=term)
+        term *= coef
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
+
+
+def cn_apply_values(values, ws, sign):
+    """Apply I + sign E to field values, matrix-free, with E the transport
+    term (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] (see `_cn_term`)."""
+    term = _cn_term(values, ws)
+    return np.add(values, term, out=term) if sign > 0 else np.subtract(values, term, out=term)
 
 
 # Smallest product of Thomas multipliers that a block of the band sweep
@@ -269,24 +280,26 @@ class BandPreconditioner:
     products stay above CARRY_FLOOR (`_block_length`): one block per chain
     on exp5, a few at N = 5120.  The factors are four arrays of 2 N_pad
     entries, N_pad = g nb m >= N the padded chain length, so storage is
-    linear in N.  w - w_band stays in the operator as ``shift``,
-    A = a (M + shift) (see `cn_transport_step`).
+    linear in N.  ``w_band`` is kept (a scalar at K = 0), and w - w_band
+    stays in the operator as ``shift``, A = a (M + shift) (see
+    `cn_transport_step`).
     """
 
     def __init__(self, w, K, w0, wK, c, mult, alpha):
         N = mult.size
-        self.w = w                  # 1 / a_eff
         self.K = K
         diag = w0 + np.multiply.outer([c, -c], mult)           # (2, N): T+ and T-
         if K == 0:
             self.alpha_perm = _signed_permutation(alpha)
+            self.w_band = w0
             self.shift = w - w0
             inv = 1.0 / diag
             # M^-1 = inv+ P+ + inv- P- = s0 + s1 alpha
             self.s0 = 0.5 * (inv[0] + inv[1])
             self.s1 = 0.5 * (inv[0] - inv[1])
             return
-        self.shift = w - (w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N))
+        self.w_band = w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N)
+        self.shift = w - self.w_band
         self.basis = np.linalg.eigh(alpha)[1][:, ::-1]
         self.basis_h = self.basis.conj().T
         self.g = g = math.gcd(N, K)
@@ -423,34 +436,45 @@ def _band_preconditioner(ws):
 
 def cn_transport_step(f: SpinorField, ws: StepWorkspace,
                       opts: KrylovOptions | None = None) -> SpinorField:
-    """Cayley transport: GMRES-solve A psi* = (2I - A) psi, A = I + c a alpha [[d]].
+    """Cayley transport: GMRES-solve (I + E) psi* = (I - E) psi = b, with
+    E = c sum_i a^i alpha^i [[d_i]] the transport term (`_cn_term`) and
+    c = dt/2.
 
-    Plain GMRES starts from psi.  With a `cayley_preconditioner`
-    M = w_band + c alpha [[d]], w = 1/a, GMRES solves the system
+    The exact step psi* = (I + E)^-1 (I - E) psi = (I - 2E + 2E^2 - ...) psi,
+    so with T = E psi, which b already costs, psi_g = b - T = (I - 2E) psi is
+    a first-order start at no further FFT pair: its error is 2 E^2 psi, and
+    a mode of theta = c a xi is off by 2 theta^2 / sqrt(1 + theta^2) of
+    itself.  Plain GMRES starts from psi_g.  With a `cayley_preconditioner`
+    (1-D, A = I + E = I + c a alpha [[d]]) M = w_band + c alpha [[d]],
+    w = 1/a, GMRES solves the system
     preconditioned on the right,
 
-        A M^-1 y = a (y + (w - w_band) M^-1 y) = b,   psi* = M^-1 y,
+        A M^-1 y = a (y + shift M^-1 y) = b,   psi* = M^-1 y,
+        shift = w - w_band,
 
-    started from y0 = w b, so its residual, the exit check and the reported
-    one are those of A psi* = b.  Either way the step is one `gmres` call.
-    GMRES's residual product runs on the very array it returns (see
-    `krylov`), and that product has already computed M^-1 y, so psi* costs
-    no further FFT pair: a step costs one FFT pair more than its operator
-    products, as on the plain path.  Only b = 0, where GMRES calls no
-    operator, takes one M^-1 product of the zero field.
+    whose solution is y* = w b - shift psi*, so it starts from
+    y0 = w b - shift psi_g = w_band b + shift T, pointwise.  Its residual,
+    the exit check and the reported one are those of A psi* = b.  Either way
+    the step is one `gmres` call.  GMRES's residual product runs on the very
+    array it returns (see `krylov`), and that product has already computed
+    M^-1 y, so psi* costs no further FFT pair: a step costs one FFT pair
+    more than its operator products, as on the plain path.  Only b = 0,
+    where GMRES calls no operator, takes one M^-1 product of the zero field.
 
-    On the band path (``ws.ripple``) M is A / a exactly, and w - w_band is
-    at round-off, so GMRES's first check meets the tolerance: 0 iterations
+    On the band path (``ws.ripple``) M is A / a exactly, and shift is at
+    round-off, so GMRES's first check meets the tolerance: 0 iterations
     and 2 FFT pairs a step.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
-    b = cn_apply_values(f.values, ws, -1)
+    t = _cn_term(f.values, ws)
+    b = f.values - t
+    # the start is written into t, which nothing reads after it
     if pre is None:
         def apply(v):
             return cn_apply_values(v, ws, +1)
 
-        x0 = f.values
+        x0 = np.subtract(b, t, out=t)
     else:
         a = ws.a_eff[0]
         last = [None, None]   # the operator's last input and its M^-1 image
@@ -460,7 +484,8 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
             last[:] = y, z
             return a * (y + pre.shift * z)
 
-        x0 = pre.w * b
+        x0 = np.multiply(pre.shift, t, out=t)
+        x0 += pre.w_band * b
     x, report = gmres(apply, b, x0=x0, tol=opts.tol, restart=opts.restart, maxit=opts.maxit)
     if pre is not None:
         x = last[1] if last[0] is x else pre.solve(x)

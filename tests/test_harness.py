@@ -906,6 +906,17 @@ def test_cli_summary_names_the_largest_krylov_iterations_and_residual(tmp_path, 
     assert "krylov" not in capsys.readouterr().out
 
 
+def test_cli_summary_names_the_mean_krylov_iterations(tmp_path, capsys):
+    # exp6 is the preset whose GMRES still iterates (its layer keeps it off
+    # the band): the mean sits below the maximum
+    assert cli.main(["preset", "exp6", "--scale", "ci", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[2:]
+    iters = [int(r.split(",")[4]) for r in rows]
+    assert f"krylov:   mean {np.mean(iters):.2f} iterations a step" in lines
+    assert len(iters) == 400 and np.mean(iters) < max(iters)
+
+
 def test_cli_run_and_converge(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(MINIMAL)

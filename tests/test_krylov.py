@@ -53,6 +53,21 @@ def test_last_operator_argument_is_the_returned_solution(rng, case):
     assert rep.residual == np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("case", ["converged", "restarted", "stalled", "warm"])
+def test_caller_x0_is_never_written(rng, case):
+    # x0 is not copied, so it is read-only here: a write into it raises
+    A, b, kw = _contract_cases(rng)[case]
+    x0 = kw.pop("x0", None)
+    if x0 is None:
+        x0 = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    keep = x0.copy()
+    x0.flags.writeable = False
+    x, rep = gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, x0=x0, **kw)
+    assert np.array_equal(x0, keep)
+    assert rep.converged == (case != "stalled")
+    assert (rep.iterations == 0) == (case == "warm")
+
+
 def test_zero_rhs_never_calls_the_operator():
     x, rep = gmres(lambda v: pytest.fail("operator called on b = 0"),
                    np.zeros((2, 8), dtype=complex), x0=np.ones((2, 8)))
