@@ -17,16 +17,18 @@ without a connection.  The symmetric split keeps order 2.
 
 Transport variants:
 
-* ``cn``    semi-implicit Cayley form: solve (I + dt/2 a.alpha.[[grad]]) psi* =
-            (I - dt/2 a.alpha.[[grad]]) psi matrix-free with GMRES, one FFT
-            pair per iteration.  On 1-D grids GMRES solves the system right-
+* ``cn``    semi-implicit Cayley form psi* = (I + E)^-1 (I - E) psi,
+            E = dt/2 a.alpha.[[grad]], taken as psi* = 2u - psi with
+            (I + E) u = psi solved matrix-free by GMRES, one FFT pair per
+            iteration.  On 1-D grids GMRES solves the system right-
             preconditioned by one banded Fourier preconditioner (see
             `BandPreconditioner`, `cn_transport_step`): a circulant in
             general, and on rippled graphene whose ripple fits the box the
             exact inverse, where GMRES's first check already meets the
-            tolerance: 0 iterations and 2 FFT pairs a step.  Every step
-            is one `gmres` call, started from the first-order Cayley map
-            (I - dt a.alpha.[[grad]]) psi (see `cn_transport_step`).
+            tolerance: 0 iterations and 1 FFT pair a step.  Every step is
+            one `gmres` call, started from the first-order Cayley map
+            (I - dt a.alpha.[[grad]]) psi written for u, u0 = psi - E psi
+            (see `cn_transport_step`).
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -436,45 +438,51 @@ def _band_preconditioner(ws):
 
 def cn_transport_step(f: SpinorField, ws: StepWorkspace,
                       opts: KrylovOptions | None = None) -> SpinorField:
-    """Cayley transport: GMRES-solve (I + E) psi* = (I - E) psi = b, with
+    """Cayley transport psi* = (I + E)^-1 (I - E) psi, with
     E = c sum_i a^i alpha^i [[d_i]] the transport term (`_cn_term`) and
     c = dt/2.
 
-    The exact step psi* = (I + E)^-1 (I - E) psi = (I - 2E + 2E^2 - ...) psi,
-    so with T = E psi, which b already costs, psi_g = b - T = (I - 2E) psi is
-    a first-order start at no further FFT pair: its error is 2 E^2 psi, and
-    a mode of theta = c a xi is off by 2 theta^2 / sqrt(1 + theta^2) of
-    itself.  Plain GMRES starts from psi_g.  With a `cayley_preconditioner`
-    (1-D, A = I + E = I + c a alpha [[d]]) M = w_band + c alpha [[d]],
-    w = 1/a, GMRES solves the system
+    Since (I + E)^-1 (I - E) = 2 (I + E)^-1 - I, GMRES solves A u = psi,
+    A = I + E, and the step returns psi* = 2u - psi: the right-hand side is
+    psi itself, and no (I - E) psi is formed.  The exact
+    u = (I - E + E^2 - ...) psi, so with T = E psi the start u0 = psi - T is
+    first order: it is the first-order Cayley map (I - 2E) psi written for
+    u, with error E^2 psi (a mode of theta = c a xi is off by
+    theta^2 / sqrt(1 + theta^2) of itself).  Plain GMRES starts from u0.
+    With a `cayley_preconditioner` (1-D, A = I + c a alpha [[d]])
+    M = w_band + c alpha [[d]], w = 1/a, GMRES solves the system
     preconditioned on the right,
 
-        A M^-1 y = a (y + shift M^-1 y) = b,   psi* = M^-1 y,
+        A M^-1 y = a (y + shift M^-1 y) = psi,   u = M^-1 y,
         shift = w - w_band,
 
-    whose solution is y* = w b - shift psi*, so it starts from
-    y0 = w b - shift psi_g = w_band b + shift T, pointwise.  Its residual,
-    the exit check and the reported one are those of A psi* = b.  Either way
-    the step is one `gmres` call.  GMRES's residual product runs on the very
+    whose solution is y* = w psi - shift u, so it starts from
+    y0 = w psi - shift u0 = w_band psi + shift T, pointwise.  Either way the
+    step is one `gmres` call.  GMRES's residual product runs on the very
     array it returns (see `krylov`), and that product has already computed
-    M^-1 y, so psi* costs no further FFT pair: a step costs one FFT pair
-    more than its operator products, as on the plain path.  Only b = 0,
-    where GMRES calls no operator, takes one M^-1 product of the zero field.
+    M^-1 y, so u costs no further FFT pair: a step costs one FFT pair for T
+    and one for each operator product.  Only psi = 0, where GMRES calls no
+    operator, takes one M^-1 product of the zero field.
 
-    On the band path (``ws.ripple``) M is A / a exactly, and shift is at
-    round-off, so GMRES's first check meets the tolerance: 0 iterations
-    and 2 FFT pairs a step.
+    The Cayley residual is (I - E) psi - A psi* = 2 (psi - A u), so GMRES
+    runs to tol / 2 on ||psi - A u|| / ||psi||, and the report carries
+    twice its residual: ||(I - E) psi - (I + E) psi*|| / ||psi||, the
+    tolerance's meaning on every path.
+
+    On the band path (``ws.ripple``, ``pre.K > 0``) M is A / a exactly,
+    and shift is at round-off, so the start w_band psi already solves the
+    system: T is never formed, GMRES's first check meets the tolerance,
+    and the step costs 0 iterations and one FFT pair.
     """
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
-    t = _cn_term(f.values, ws)
-    b = f.values - t
-    # the start is written into t, which nothing reads after it
+    psi = f.values
     if pre is None:
         def apply(v):
             return cn_apply_values(v, ws, +1)
 
-        x0 = np.subtract(b, t, out=t)
+        t = _cn_term(psi, ws)
+        x0 = np.subtract(psi, t, out=t)
     else:
         a = ws.a_eff[0]
         last = [None, None]   # the operator's last input and its M^-1 image
@@ -484,17 +492,25 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
             last[:] = y, z
             return a * (y + pre.shift * z)
 
-        x0 = np.multiply(pre.shift, t, out=t)
-        x0 += pre.w_band * b
-    x, report = gmres(apply, b, x0=x0, tol=opts.tol, restart=opts.restart, maxit=opts.maxit)
+        x0 = pre.w_band * psi
+        if not pre.K:
+            t = _cn_term(psi, ws)
+            x0 += np.multiply(pre.shift, t, out=t)
+    u, report = gmres(apply, psi, x0=x0, tol=0.5 * opts.tol, restart=opts.restart,
+                      maxit=opts.maxit)
     if pre is not None:
-        x = last[1] if last[0] is x else pre.solve(x)
+        u = last[1] if last[0] is u else pre.solve(u)
+    report.residual *= 2.0
     ws.last_krylov = report
     if not report.converged:
         raise StepFailureError(
             f"transport solve stalled: residual {report.residual:.3e} "
             f"after {report.iterations} iterations")
-    return SpinorField(x, f.grid)
+    # u is this step's own array: a fresh M^-1 image, or gmres's solution
+    # from the fresh x0
+    u *= 2.0
+    u -= psi
+    return SpinorField(u, f.grid)
 
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
