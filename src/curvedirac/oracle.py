@@ -34,7 +34,7 @@ def _dense_axis_operator(ws: StepWorkspace, axis: int) -> np.ndarray:
 def build_dense_G(ws: StepWorkspace) -> np.ndarray:
     """Dense matrix of I + (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]].
 
-    Equals `propagators.cn_apply_values(.., +1)` on flattened fields; intended
+    Equals `propagators.cn_apply_values` on flattened fields; intended
     for cross-checks at small N only.
     """
     grid = ws.grid

@@ -54,14 +54,16 @@ explicit step, not in the build, and reused by every later step.  The
 FFTs run in place along the contiguous last axis.  Along axis 0 of a 2-D
 grid they go a block of columns at a time (`grid_spectral.spectral_apply`)
 through the workspace's `StepWorkspace.blocks`, S + 2 planes of about
-`grid_spectral.SLAB` nodes, also built at the first sweep: no full-field
+`grid_spectral.SLAB` nodes, also built at their first use: no full-field
 copy is made.  The pointwise loops take temporaries of one grid slab
 (SLAB nodes).  The public stage functions return a fresh field unless a
-caller passes ``out``.  The ``cn`` step takes no workspace scratch: each
-pointwise stage returns a fresh field, and the transport returns GMRES's (or
-the preconditioner's) fresh solution.  The constant alpha^i never goes through
-the general spin kernel: each is a signed permutation (one nonzero entry a
-row, `StepWorkspace.alpha_perm`), applied as one product a component.
+caller passes ``out``.  The ``cn`` step takes no scratch field, only the
+blocks: each pointwise stage returns a fresh field, and the transport
+returns GMRES's (or the preconditioner's) fresh solution.
+
+Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
+is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
+applies alpha^i as its one nonzero entry a row.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _spin_matmul(mat, values, out=None):
     ``out`` when given; ``out`` must not overlap ``values``.  This runs on
     the calling thread alone, where a BLAS product would start its own
     thread pool for a constant matrix.  The steps pass it only ws.half: the
-    constant alpha^i go as signed permutations (`_alpha_apply`).
+    constant alpha^i go through `_alpha_symbol`.
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
@@ -106,33 +108,40 @@ def _spin_matmul(mat, values, out=None):
     return out
 
 
-def _signed_permutation(mat):
-    """(perm, phase) of a matrix with one nonzero entry in each row, as
-    every alpha^i has: row c holds phase[c] at column perm[c], so
-    (mat v)[c] = phase[c] v[perm[c]]."""
-    perm = np.argmax(np.abs(mat), axis=1)
-    return perm, mat[np.arange(len(mat)), perm]
+def _alpha_symbol(alpha, p, q):
+    """The `grid_spectral.spectral_apply` action of p + q alpha^i, for the
+    matrix ``alpha`` = alpha^i and p (None for 0) and q scalars or 1-D
+    arrays over the axis's wavenumbers.  alpha^i has one nonzero entry
+    phase_c in each row c, at a column b != c with phase_b phase_c = 1, so
+    components c and b of the transform become p v_c + q phase_c v_b and
+    p v_b + q phase_b v_c, in place through the two temporaries."""
+    perm = np.argmax(np.abs(alpha), axis=1)
+    pairs = [(c, b, q * alpha[c, b], q * alpha[b, c]) for c, b in enumerate(perm) if c < b]
 
-
-def _alpha_apply(sp, values):
-    """alpha^i values on the spinor axis, for the `_signed_permutation` sp of
-    alpha^i: one product a component, into a fresh array."""
-    out = np.empty(values.shape, dtype=np.complex128)
-    for c, (b, phase) in enumerate(zip(*sp)):
-        np.multiply(values[b], phase, out=out[c])
-    return out
+    def act(spec, tmp):
+        t_c, t_b = tmp
+        for c, b, q_c, q_b in pairs:
+            v_c, v_b = spec[c], spec[b]
+            np.multiply(v_b, q_c, out=t_c)
+            np.multiply(v_c, q_b, out=t_b)
+            for v, t in ((v_c, t_c), (v_b, t_b)):
+                if p is None:
+                    v[...] = t
+                else:
+                    v *= p
+                    v += t
+    return act
 
 
 def _half_potential(sample: MetricSample, tau, S):
     """exp(-tau (i M + sum_i a c^i alpha^i)) at every node.  The metrics
-    with a connection (static1d, static2d) have no alpha potential, so each
-    alpha coefficient is real (-tau Gvec) or purely imaginary (i tau a c^i,
-    passed as its real part marked `Imaginary`) and one `exp_dirac` call
-    covers both terms."""
+    with a connection (static1d, static2d) have no alpha potential
+    (`MetricModel` rejects one), so each alpha coefficient is real
+    (-tau Gvec) or purely imaginary (i tau a c^i, passed as its real part
+    marked `Imaginary`) and one `exp_dirac` call covers both terms."""
     gvec = [-tau * np.asarray(g) for g in sample.Gvec]
     for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
-        # beside an alpha potential the coefficient is mixed, which exp_dirac rejects
-        gvec[i] = gvec[i] + 1j * tau * v * c if np.any(gvec[i]) else Imaginary(tau * v * c)
+        gvec[i] = Imaginary(tau * v * c)
     out = exp_dirac(-tau * sample.G, gvec, S)
     if np.any(sample.scalar):
         out *= np.exp(-1j * tau * sample.scalar)
@@ -153,8 +162,8 @@ class StepWorkspace:
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
     inverts exactly.  Potentials of the built-in models are static, so one
     workspace serves every step of size dt; what the steps build from it
-    (alpha's signed permutations, the cn preconditioner and coefficients,
-    the sweep factors, the column blocks, the scratch fields) is built at
+    (the cn preconditioner, coefficients and symbols, the sweep factors,
+    the column blocks, the scratch fields) is built at
     its first use and kept (see `cached`), so dt and a_eff are not to be
     replaced after a step.
     """
@@ -174,7 +183,6 @@ class StepWorkspace:
 
         self.alpha = [alpha_matrix(i + 1, self.S) for i in range(grid.d)]
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
-        self.d2_mult = [derivative_multiplier(grid, i, 2) for i in range(grid.d)]
 
         self.half = _half_potential(sample, 0.5 * self.dt, self.S)
         self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
@@ -188,14 +196,10 @@ class StepWorkspace:
             self.built[key] = build()
         return self.built[key]
 
-    def alpha_perm(self, i):
-        """alpha^i of axis i as its `_signed_permutation`."""
-        return self.cached(("alpha", i), lambda: _signed_permutation(self.alpha[i]))
-
     def blocks(self):
-        """The column blocks of the sweeps along axis 0 of a 2-D grid (see
-        `grid_spectral.column_blocks`): S planes of spectrum and the
-        shift's two temporaries; None on a 1-D grid."""
+        """The column blocks of the transforms along axis 0 of a 2-D grid
+        (see `grid_spectral.column_blocks`): S planes of spectrum and the
+        `_alpha_symbol`'s two temporaries; None on a 1-D grid."""
         return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2))
 
     def scratch(self, k):
@@ -214,13 +218,16 @@ def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorFi
 
 def _cn_term(values, ws):
     """E values, E = (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] the transport
-    term of the Cayley step, into a fresh array: alpha^i as its signed
-    permutation (`StepWorkspace.alpha_perm`), and each axis's coefficient
-    (dt/2) a^i/S^i built at its first product and kept."""
+    term of the Cayley step, into a fresh array: alpha^i [[d_i]] is one
+    `spectral_apply` of the `_alpha_symbol` with p = 0 and q the
+    first-derivative multiplier, through the workspace's blocks.  Each
+    axis's coefficient (dt/2) a^i/S^i and symbol are built at its first
+    product and kept."""
     out = None
     for i in range(ws.grid.d):
-        coef, sp = ws.cached(("cn", i), lambda: (0.5 * ws.dt * ws.a_eff[i], ws.alpha_perm(i)))
-        term = _alpha_apply(sp, derivative_values(values, i, ws.d1_mult[i]))
+        coef, act = ws.cached(("cn", i), lambda: (
+            0.5 * ws.dt * ws.a_eff[i], _alpha_symbol(ws.alpha[i], None, ws.d1_mult[i])))
+        term = spectral_apply(values, i, act, temps=2, blocks=ws.blocks())
         term *= coef
         if out is None:
             out = term
@@ -229,11 +236,11 @@ def _cn_term(values, ws):
     return out
 
 
-def cn_apply_values(values, ws, sign):
-    """Apply I + sign E to field values, matrix-free, with E the transport
+def cn_apply_values(values, ws):
+    """Apply A = I + E to field values, matrix-free, with E the transport
     term (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] (see `_cn_term`)."""
     term = _cn_term(values, ws)
-    return np.add(values, term, out=term) if sign > 0 else np.subtract(values, term, out=term)
+    return np.add(values, term, out=term)
 
 
 # Smallest product of Thomas multipliers that a block of the band sweep
@@ -292,14 +299,14 @@ class BandPreconditioner:
         self.K = K
         diag = w0 + np.multiply.outer([c, -c], mult)           # (2, N): T+ and T-
         if K == 0:
-            self.alpha_perm = _signed_permutation(alpha)
             self.w_band = w0
             self.shift = w - w0
             inv = 1.0 / diag
             # M^-1 = inv+ P+ + inv- P- = s0 + s1 alpha
-            self.s0 = 0.5 * (inv[0] + inv[1])
-            self.s1 = 0.5 * (inv[0] - inv[1])
+            self.circulant = _alpha_symbol(alpha, 0.5 * (inv[0] + inv[1]),
+                                           0.5 * (inv[0] - inv[1]))
             return
+        self.circulant = None
         self.w_band = w0 + 2.0 * wK * np.cos(2.0 * np.pi * K * np.arange(N) / N)
         self.shift = w - self.w_band
         self.basis = np.linalg.eigh(alpha)[1][:, ::-1]
@@ -395,18 +402,24 @@ class BandPreconditioner:
         y *= self.carry_back
 
     def solve(self, values):
-        """M^-1 values, one FFT pair."""
-        vhat = np.fft.fft(values, axis=1)
-        if self.K == 0:
-            out = self.s0 * vhat + self.s1 * _alpha_apply(self.alpha_perm, vhat)
-            return np.fft.ifft(out, axis=1)
+        """M^-1 values into a fresh array: one `spectral_apply`, so one FFT
+        pair, of the symbol ``circulant`` (an `_alpha_symbol`) at K = 0 and
+        of the chain solve `_chains` at K > 0."""
+        # the bound method is taken here, not kept: kept, it would make the
+        # preconditioner a reference cycle
+        return spectral_apply(values, 0, self.circulant or self._chains, temps=2)
+
+    def _chains(self, spec, tmp):
+        """M^-1 on the transform spec, (S, 1, N), in place: the chain solve
+        in alpha's eigenbasis, written back as basis @ x."""
+        vhat = spec[:, 0]
         S, N = vhat.shape
         u = (self.basis_h @ vhat).reshape(S, -1, self.g)
         y = np.take(u, self.order, axis=1).reshape((2, S // 2) + self.z.shape[2:])
         self._sweep(y)
         y -= self._corners(y)[..., None, None, :] * self.z
         x = np.take(y.reshape(S, -1, self.g), self.unorder, axis=1).reshape(S, N)
-        return np.fft.ifft(self.basis @ x, axis=1)
+        vhat[...] = self.basis @ x
 
 
 def cayley_preconditioner(ws: StepWorkspace) -> BandPreconditioner | None:
@@ -479,7 +492,7 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     psi = f.values
     if pre is None:
         def apply(v):
-            return cn_apply_values(v, ws, +1)
+            return cn_apply_values(v, ws)
 
         t = _cn_term(psi, ws)
         x0 = np.subtract(psi, t, out=t)
@@ -515,43 +528,20 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
     """(shift, weight, corr) of one directional sweep: ``shift`` is the
-    `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I.
-
-    alpha^i has one nonzero entry phase_c in each row c, at a column b != c
-    with phase_b phase_c = 1 (`StepWorkspace.alpha_perm`), so the shift
-    less the identity maps components c and b of the transform to
-
-        cosm1 v_c + rot_c v_b  and  cosm1 v_b + rot_b v_c,
-
-    cosm1 = cos(theta) - 1, computed as -2 sin^2(theta/2) to keep its
-    digits where theta is small, and rot_c = -i sin(theta) phase_c, each a
-    1-D array over the axis's wavenumbers.
+    `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I, the
+    `_alpha_symbol` with p = cos(theta) - 1, computed as -2 sin^2(theta/2)
+    to keep its digits where theta is small, and q = -i sin(theta).
     poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
     with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
     max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
-    dt xi, blends with a, and weights its correction [[d_i^2]] Xi by
-    corr = dt^2 a (None for poly1).
+    dt xi, blends with a, and takes its correction dt^2 a [[d_i^2]] Xi with
+    corr = (the [[d_i^2]] multiplier, dt^2 a); None for poly1.
     """
     a = ws.a_eff[axis]
     ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
     theta = (ws.dt * ahat) * ws.grid.freqs[axis]
-    sin = np.sin(theta)
-    cosm1 = -2.0 * np.sin(0.5 * theta) ** 2
-    perm, phase = ws.alpha_perm(axis)
-    pairs = [(c, b, (-1j * phase[c]) * sin, (-1j * phase[b]) * sin)
-             for c, b in enumerate(perm) if c < b]
-
-    def shift(spec, tmp):
-        t_c, t_b = tmp
-        for c, b, rot_c, rot_b in pairs:
-            v_c, v_b = spec[c], spec[b]
-            np.multiply(v_b, rot_c, out=t_c)
-            np.multiply(v_c, rot_b, out=t_b)
-            for v, t in ((v_c, t_c), (v_b, t_b)):
-                v *= cosm1
-                v += t
-
-    corr = (ws.dt ** 2) * a if second_order else None
+    shift = _alpha_symbol(ws.alpha[axis], -2.0 * np.sin(0.5 * theta) ** 2, -1j * np.sin(theta))
+    corr = (derivative_multiplier(ws.grid, axis, 2), (ws.dt ** 2) * a) if second_order else None
     return shift, a if ahat == 1.0 else a / ahat, corr
 
 
@@ -579,9 +569,10 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     blocks = ws.blocks()
     out = spectral_apply(values, axis, shift, out, temps=2, blocks=blocks)
     if corr is not None:
+        mult, coef = corr
         xi = np.add(out, values, out=ws.scratch(1))
-        d2 = derivative_values(xi, axis, ws.d2_mult[axis], out=xi, blocks=blocks)
-        d2 *= corr
+        d2 = derivative_values(xi, axis, mult, out=xi, blocks=blocks)
+        d2 *= coef
     for rows, _ in slabs(ws.grid.shape, 0):
         o, v = out[:, rows], values[:, rows]
         o *= weight[rows]

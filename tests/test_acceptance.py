@@ -270,7 +270,7 @@ def _complexity_envelopes():
     def apply_at(N):
         ws = StepWorkspace(flat, make_grid(1, 5.0, N), 1e-3)
         v = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
-        return lambda: cn_apply_values(v, ws, +1)
+        return lambda: cn_apply_values(v, ws)
 
     def dense_at(N):
         ws = StepWorkspace(flat, make_grid(1, 5.0, N), 1e-3)

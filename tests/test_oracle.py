@@ -29,7 +29,7 @@ def test_dense_G_matches_matrix_free_1d(rng):
     G = build_dense_G(ws)
     for _ in range(20):
         v = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-        assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws, +1).ravel())) < 1e-11
+        assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws).ravel())) < 1e-11
 
 
 def test_dense_G_matches_matrix_free_2d(rng):
@@ -39,7 +39,7 @@ def test_dense_G_matches_matrix_free_2d(rng):
     ws = StepWorkspace(m2, g, 1e-2)
     G = build_dense_G(ws)
     v = rng.standard_normal((2, 8, 6)) + 1j * rng.standard_normal((2, 8, 6))
-    assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws, +1).ravel())) < 1e-11
+    assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws).ravel())) < 1e-11
 
 
 def test_dense_G_anti_hermitian_part_flat():

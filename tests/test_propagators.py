@@ -1,6 +1,10 @@
+import ast
 import collections
 import dataclasses
+import gc
+import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,15 +14,14 @@ from conftest import expm_small, flat_exact_evolution, loglog_slope
 from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
-from curvedirac.grid_spectral import SpinorField, derivative_values, make_grid
+from curvedirac.grid_spectral import SpinorField, derivative_multiplier, derivative_values, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 from curvedirac.oracle import dense_cn_step
 from curvedirac.propagators import (
     StepWorkspace,
-    _alpha_apply,
+    _alpha_symbol,
     _cn_term,
-    _signed_permutation,
     _spin_matmul,
     cayley_preconditioner,
     cn_apply_values,
@@ -77,18 +80,50 @@ def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
 
 
 @pytest.mark.parametrize("S", [2, 4])
-def test_signed_permutation_applies_alpha(rng, S):
-    # every axis of the spinor size: alpha^1, alpha^2 (and alpha^3 at S = 4),
-    # directly and as a 2-D workspace caches them
-    ws = StepWorkspace(MetricModel("flat", mass=1.0, spinor_dim=S), make_grid(2, 5.0, 8), 0.1)
-    cases = [(mat, ws.alpha_perm(i)) for i, mat in enumerate(ws.alpha)]
-    if S == 4:
-        cases.append((alpha_matrix(3, S), _signed_permutation(alpha_matrix(3, S))))
-    assert len(cases) == (3 if S == 4 else 2)
-    values = rng.standard_normal((S, 6, 5)) + 1j * rng.standard_normal((S, 6, 5))
-    for mat, sp in cases:
-        assert np.array_equal(_alpha_apply(sp, values),
-                              (mat @ values.reshape(S, -1)).reshape(values.shape))
+def test_alpha_symbol_matches_the_dense_symbol(rng, S):
+    # p I + q alpha^i at every wavenumber, for every alpha^i of the spinor
+    # size (alpha^3 too at S = 4), with p absent (0), a scalar and an array
+    N = 7
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    spec0 = crand(S, 3, N)
+    alphas = [alpha_matrix(i, S) for i in range(1, 4 if S == 4 else 3)]
+    for alpha in alphas:
+        for p, q in ((None, crand(N)), (0.3 - 0.2j, 1.5j), (crand(N), crand(N))):
+            spec = spec0.copy()
+            _alpha_symbol(alpha, p, q)(spec, np.empty((2, 3, N), dtype=np.complex128))
+            dense = np.multiply.outer(np.broadcast_to(q, N), alpha)
+            dense += np.multiply.outer(np.broadcast_to(0.0 if p is None else p, N), np.eye(S))
+            ref = np.einsum("kab,blk->alk", dense, spec0)
+            assert np.allclose(spec, ref, rtol=0, atol=1e-14)
+
+
+def test_propagators_make_no_direct_fft_call():
+    # every transform of a step goes through grid_spectral.spectral_apply
+    tree = ast.parse(inspect.getsource(propagators))
+    names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert not [n for n in names if n.startswith(("np.fft", "numpy.fft"))]
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "numpy.fft" not in imported
+
+
+@pytest.mark.parametrize("name,K", [("exp5", 10), ("exp1", 0)], ids=["band", "circulant"])
+def test_band_preconditioner_is_freed_by_reference_counting(rng, name, K):
+    # the preconditioner holds no reference to itself, so dropping the last
+    # reference frees it without the cycle collector
+    cfg, ws = preset_workspace(name, "ci")
+    pre = propagators._band_preconditioner(ws)
+    assert pre.K == K
+    pre.solve(rng.standard_normal((2,) + ws.grid.shape) + 0j)
+    ref = weakref.ref(pre)
+    gc.disable()
+    try:
+        del pre
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ half potential
@@ -128,7 +163,7 @@ def test_cn_apply_zero_dt_is_identity(rng):
     g = make_grid(1, 5.0, 32)
     ws = StepWorkspace(EXP1, g, 0.0)
     f = SpinorField(rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32)), g)
-    out = cn_apply_values(f.values, ws, +1)
+    out = cn_apply_values(f.values, ws)
     assert np.max(np.abs(out - f.values)) < 1e-15
 
 
@@ -140,8 +175,9 @@ def test_cn_apply_plane_wave_formula():
     u = np.array([1.0, 0.5 + 0.2j])
     wave = np.exp(1j * xi * g.axes[0])
     f = SpinorField(np.stack([u[0] * wave, u[1] * wave]), g)
-    for sign in (+1, -1):
-        out = cn_apply_values(f.values, ws, sign)
+    plus = cn_apply_values(f.values, ws)
+    # (I - E) psi = 2 psi - (I + E) psi
+    for sign, out in ((+1, plus), (-1, 2.0 * f.values - plus)):
         expect = (np.eye(2) + sign * 1j * dt * xi / 2 * alpha_matrix(1, 2)) @ u
         assert np.max(np.abs(out - expect[:, None] * wave)) < 1e-13
 
@@ -152,8 +188,8 @@ def test_cn_apply_linear(rng):
     u = SpinorField(rng.standard_normal((2, 48)) + 1j * rng.standard_normal((2, 48)), g)
     v = SpinorField(rng.standard_normal((2, 48)) + 1j * rng.standard_normal((2, 48)), g)
     a, b = 0.3 - 1.1j, 2.0
-    lhs = cn_apply_values(a * u.values + b * v.values, ws, +1)
-    rhs = a * cn_apply_values(u.values, ws, +1) + b * cn_apply_values(v.values, ws, +1)
+    lhs = cn_apply_values(a * u.values + b * v.values, ws)
+    rhs = a * cn_apply_values(u.values, ws) + b * cn_apply_values(v.values, ws)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -287,8 +323,8 @@ def test_circulant_takes_no_more_iterations_than_plain_gmres(monkeypatch, name, 
 def cayley_residual(f, out, ws):
     """||(I - E) psi - (I + E) psi*|| / ||psi||, the residual of the Cayley
     step psi -> psi*, unscaled by any preconditioner."""
-    b = cn_apply_values(f.values, ws, -1)
-    return np.linalg.norm(b - cn_apply_values(out.values, ws, +1)) / np.linalg.norm(f.values)
+    b = 2.0 * f.values - cn_apply_values(f.values, ws)      # (I - E) psi
+    return np.linalg.norm(b - cn_apply_values(out.values, ws)) / np.linalg.norm(f.values)
 
 
 def test_preconditioned_step_matches_dense_oracle():
@@ -713,7 +749,8 @@ def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
         a = ws.a_eff[axis]
         ref = a * xi + (1 - a) * f.values
         if second_order:
-            ref += ws.dt ** 2 * a * derivative_values(xi, axis, ws.d2_mult[axis])
+            d2_mult = derivative_multiplier(g, axis, 2)
+            ref += ws.dt ** 2 * a * derivative_values(xi, axis, d2_mult)
         out = step(f, axis, ws)
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -728,8 +765,9 @@ def whole_array_sweep(f, axis, ws, second_order):
     inc = np.fft.ifft(np.moveaxis(spec, -1, ax), axis=ax)
     out = inc * weight + f.values
     if corr is not None:
-        mult = ws.d2_mult[axis].reshape([-1 if i == ax else 1 for i in range(f.values.ndim)])
-        out += np.fft.ifft(np.fft.fft(inc + f.values, axis=ax) * mult, axis=ax) * corr
+        mult, coef = corr
+        mult = mult.reshape([-1 if i == ax else 1 for i in range(f.values.ndim)])
+        out += np.fft.ifft(np.fft.fft(inc + f.values, axis=ax) * mult, axis=ax) * coef
     return out
 
 
