@@ -293,10 +293,9 @@ def test_c11_complexity_trend():
     # work.  Over the 16x range a factor-2 band still rejects N^3
     # (envelope 16) and N log N (envelope about 9.6).
     # Times are process CPU time, which leaves out the time other processes
-    # hold the core, taken in a child interpreter with one BLAS thread, as
-    # bench/run.py times: with more, the CPU time of a BLAS helper thread
-    # waiting beside cn_apply_values' (2, 2) @ (2, N) product is counted
-    # too (about 9 ms against 5 ms at N = 65536 on 2 CPUs).
+    # hold the core, taken in a child interpreter with one BLAS thread to
+    # match how bench/run.py times.  The powers of two timed here never
+    # take grid_spectral's split of awkward FFT sizes.
     with Budget("C11 complexity trend", 120.0) as b:
         src = str(Path(cd.__file__).resolve().parents[1])
         env = {**os.environ, **dict.fromkeys(BLAS_VARS, "1"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvedirac import grid_spectral
 from curvedirac.errors import ConfigurationError
 from curvedirac.grid_spectral import (
     SpinorField,
@@ -251,6 +252,125 @@ def test_derivative_values_along_axis_0_equals_a_whole_array_transform(rng, S, o
     ref = np.fft.ifft(np.fft.fft(values, axis=1) * mult[:, None], axis=1)
     assert np.array_equal(derivative_values(values, 0, mult), ref)
     assert np.array_equal(derivative_values(values, 0, mult, out=values), ref)
+
+
+# ----------------------------------------------------------------- awkward sizes
+
+# sizes whose largest prime factor p has p^2 > N: the last axis is split into
+# an R-point DFT product around one np.fft call of length p
+SPLIT = {1203: (3, 401), 2018: (2, 1009), 18027: (9, 2003)}
+# powers of 2, 5-smooth, a prime (R = 1) and 3 * 59 * 113 (p = 113 < R = 177)
+UNSPLIT = (512, 1000, 2003, 20001)
+
+
+@pytest.mark.parametrize("N", list(SPLIT) + list(UNSPLIT) + [900, 2000, 18432])
+def test_fft_split_rule_depends_on_the_largest_prime_factor(N):
+    split = grid_spectral._fft_split(N)
+    assert (None if split is None else split[:2]) == SPLIT.get(N)
+    if split is not None:
+        R, p, dft, idft, tw, twc = split
+        assert R * p == N and dft.shape == (R, R) and tw.shape == (R, p)
+        assert np.allclose(idft @ dft, np.eye(R), atol=1e-14)
+        assert np.array_equal(twc, tw.conj())
+
+
+def split_shapes(N):
+    """The one axis of a 1-D grid and the last axis of a 2-D one."""
+    return [(N,), (8, N)]
+
+
+def symbol_act(sym):
+    """An action with a symbol over the transform axis and one temporary."""
+    def act(spec, tmp):
+        np.multiply(spec[0], sym, out=tmp[0])
+        spec[1] += tmp[0]
+        spec *= sym
+    return act
+
+
+def numpy_apply(values, act):
+    """F^-1 act F along the last axis through np.fft, without the split."""
+    spec = np.fft.fft(values, axis=-1)
+    lines = spec if spec.ndim == 3 else spec[:, None]
+    act(lines, np.empty((1,) + lines.shape[1:], dtype=np.complex128))
+    return np.fft.ifft(spec, axis=-1)
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [s for N in SPLIT for s in split_shapes(N)], ids=str)
+def test_split_sizes_match_numpy_fft(rng, shape):
+    g = make_grid(len(shape), 5.0, shape)
+    values = complex_field(rng, (2,) + shape)
+    act = symbol_act(complex_field(rng, shape[-1]))
+    ref = numpy_apply(values, act)
+    kept = values.copy()
+    assert rel_err(spectral_apply(values, g.d - 1, act, temps=1), ref) < 1e-13
+    assert np.array_equal(values, kept)
+    mult = derivative_multiplier(g, g.d - 1, 1)
+    dref = np.fft.ifft(np.fft.fft(values, axis=-1) * mult, axis=-1)
+    assert rel_err(derivative_values(values, g.d - 1, mult), dref) < 1e-13
+    f = SpinorField(values, g)
+    assert rel_err(forward_dft_axis(f, g.d - 1).values, np.fft.fft(values, axis=-1)) < 1e-13
+    assert rel_err(inverse_dft_axis(f, g.d - 1).values, np.fft.ifft(values, axis=-1)) < 1e-13
+    # in place
+    out = derivative_values(values, g.d - 1, mult, out=values)
+    assert out is values and rel_err(values, dref) < 1e-13
+    values[...] = kept
+    out = spectral_apply(values, g.d - 1, act, out=values, temps=1)
+    assert out is values and rel_err(values, ref) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [s for N in UNSPLIT for s in split_shapes(N)], ids=str)
+def test_unsplit_sizes_keep_numpy_fft_bits(rng, shape):
+    g = make_grid(len(shape), 5.0, shape)
+    values = complex_field(rng, (2,) + shape)
+    act = symbol_act(complex_field(rng, shape[-1]))
+    ref = numpy_apply(values, act)
+    assert np.array_equal(spectral_apply(values, g.d - 1, act, temps=1), ref)
+    f = SpinorField(values, g)
+    assert np.array_equal(forward_dft_axis(f, g.d - 1).values, np.fft.fft(values, axis=-1))
+    assert np.array_equal(inverse_dft_axis(f, g.d - 1).values, np.fft.ifft(values, axis=-1))
+    assert np.array_equal(spectral_apply(values, g.d - 1, act, out=values, temps=1), ref)
+
+
+def test_axis_0_of_a_2d_grid_keeps_numpy_fft_at_a_split_size(rng):
+    g = make_grid(2, 5.0, (1203, 8))
+    f = SpinorField(complex_field(rng, (2,) + g.shape), g)
+    assert np.array_equal(forward_dft_axis(f, 0).values, np.fft.fft(f.values, axis=1))
+    assert np.array_equal(inverse_dft_axis(f, 0).values, np.fft.ifft(f.values, axis=1))
+
+
+def test_split_transform_is_one_numpy_fft_call_each_way(rng, monkeypatch):
+    # the tables come from np.exp, and the R-point part is a matrix product,
+    # so a pair counts as one fft and one ifft, first call included
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    grid_spectral._fft_split.cache_clear()
+    values = complex_field(rng, (2, 18027))
+    spectral_apply(values, 0, lambda spec, _: None, out=values)
+    assert calls == ["fft", "ifft"]
+
+
+def test_split_writes_through_a_strided_out(rng):
+    # out may be a non-contiguous view: the split writes through it
+    values = complex_field(rng, (2, 1203))
+    act = symbol_act(complex_field(rng, 1203))
+    big = np.zeros((2, 2 * 1203), dtype=np.complex128)
+    out = big[:, ::2]
+    assert spectral_apply(values, 0, act, out=out, temps=1) is out
+    assert rel_err(out, numpy_apply(values, act)) < 1e-13
+    assert not big[:, 1::2].any()
 
 
 # ----------------------------------------------------------------- dense matrix

@@ -5,11 +5,13 @@ from conftest import flat_exact_evolution
 
 from curvedirac.errors import BudgetError
 from curvedirac.geometry import MetricModel, ScalarForm
-from curvedirac.grid_spectral import SpinorField, make_grid
-from curvedirac.harness import RunConfig, initial_condition, restrict_to_coarse, run_simulation
+from curvedirac.grid_spectral import SpinorField, _fft_split, make_grid
+from curvedirac.harness import (RunConfig, initial_condition, preset_config, restrict_to_coarse,
+                                run_simulation)
 from curvedirac.krylov import KrylovOptions
-from curvedirac.oracle import build_dense_G, dense_cn_step
-from curvedirac.propagators import StepWorkspace, cn_apply_values, cn_transport_step
+from curvedirac.oracle import MAX_DENSE_UNKNOWNS, build_dense_G, dense_cn_step
+from curvedirac.propagators import (StepWorkspace, cayley_preconditioner, cn_apply_values,
+                                    cn_transport_step)
 from curvedirac.spinor_algebra import alpha_matrix
 
 EXP1 = MetricModel("static1d", mass=1.0,
@@ -112,6 +114,21 @@ def test_dense_vs_matrix_free_agree_on_presets(rng):
         dd = dense_cn_step(f, ws)
         kk = cn_transport_step(f, ws, KrylovOptions(tol=1e-11))
         assert np.linalg.norm(dd.values - kk.values) < 1e-9 * np.linalg.norm(dd.values)
+
+
+@pytest.mark.parametrize("name,N,K", [("exp1", 1203, 0), ("exp4", 2018, 16)])
+def test_cn_step_at_split_sizes_matches_dense_oracle(name, N, K):
+    """A 1-D cn step whose transforms take the split (N = 3 * 401 on the
+    circulant, 2 * 1009 on the K = 16 band) agrees with the dense LU step
+    within C04's bound."""
+    cfg = preset_config(name, "ci").replace(N=(N,))
+    assert _fft_split(N) is not None and 2 * N <= MAX_DENSE_UNKNOWNS
+    ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+    f = initial_condition(cfg, ws.grid)
+    out = cn_transport_step(f, ws, cfg.krylov)
+    assert cayley_preconditioner(ws).K == K
+    dense = dense_cn_step(f, ws)
+    assert np.linalg.norm(out.values - dense.values) < 1e-9 * np.linalg.norm(dense.values)
 
 
 # ------------------------------------------------------------- reference runs
