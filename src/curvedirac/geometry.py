@@ -275,37 +275,70 @@ def ripple_band(model: MetricModel, grid: Grid):
 class MetricSample:
     """The stepper's coefficients at the grid nodes (see `sample_metric`).
 
-    The potential is M = beta G + alpha . Gvec + scalar I; Gvec holds up to
-    three alpha coefficients, arrays or scalars.
+    The potential is M = beta G + alpha . Gvec + scalar I.  Gvec holds the
+    alpha coefficients the model has, arrays (none for the static metrics,
+    whose connection takes the alpha terms), and ``scalar`` is the number
+    0.0 where the model has no scalar potential V.
     """
 
     velocity: list          # a^i(x) per axis, real; axes may share one array
     connection: list | None  # c^i(x) per axis, None when every c^i is zero
     G: np.ndarray
     Gvec: tuple
-    scalar: np.ndarray
+    scalar: np.ndarray | float
+
+
+def require_finite(name: str, values, grid: Grid):
+    """``values`` when every entry is finite; otherwise a GeometryError
+    naming the coefficient and its first non-finite node.  One sum decides,
+    since a finite sum has finite terms; only a sum that is not finite is
+    searched node by node.  Call it under np.errstate, as the sum of large
+    finite values may overflow.  The last grid.d axes of ``values`` are the
+    grid's."""
+    if np.isfinite(values.sum()):
+        return values
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    node = np.unravel_index(np.argmin(finite), finite.shape)[finite.ndim - grid.d:]
+    x = ", ".join(f"{ax[k]:.6g}" for ax, k in zip(grid.axes, node))
+    raise GeometryError(f"{name} is not finite at node {tuple(map(int, node))}, x = ({x})")
 
 
 def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
     """Velocities, connection shifts and potential at the grid nodes, each
     closed form (and the graphene strain) evaluated once, on the grid's open
     coordinates ``np.ix_(*grid.axes)``: a 2-D form is sampled per axis and
-    no full-grid mesh is built."""
+    no full-grid mesh is built.  An overflow (a growing closed form, say)
+    raises GeometryError (`require_finite`), not a numpy warning."""
     model.check_grid(grid)
+    with np.errstate(all="ignore"):
+        sample = _sample(model, grid)
+        named = [(f"velocity a^{i + 1}", v) for i, v in enumerate(sample.velocity)]
+        named += [(f"spin connection c^{i + 1}", c) for i, c in enumerate(sample.connection or ())]
+        named += [(f"potential Gvec[{i}]", g) for i, g in enumerate(sample.Gvec)]
+        named += [("potential G", sample.G), ("scalar potential", sample.scalar)]
+        for name, values in named:
+            if np.ndim(values):   # a number is the sampler's zero scalar potential
+                require_finite(name, values, grid)
+    return sample
+
+
+def _sample(model, grid):
     coords = np.ix_(*grid.axes)
-    zero = np.zeros(grid.shape)
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
-        scal = model.v_pot.value(*coords) if model.v_pot.name != "zero" else zero
-        ax = model.ax_pot.value(*coords) if model.ax_pot.name != "zero" else 0.0
-        gvec = (-np.asarray(ax) if np.ndim(ax) else 0.0, 0.0, 0.0)
+        scal = model.v_pot.value(*coords) if model.v_pot.name != "zero" else 0.0
+        gvec = (-model.ax_pot.value(*coords),) if model.ax_pot.name != "zero" else ()
         return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
     if model.kind == "graphene":
         x = coords[0]
         a = 1.0 / (1.0 - _graphene_strain(model, grid))
-        v = model.v_pot.value(x) if model.v_pot.name != "zero" else zero
-        axp = model.ax_pot.value(x) if model.ax_pot.name != "zero" else zero
-        return MetricSample([a], None, model.mass - v, (-a * axp, 0.0, 0.0), zero)
+        G = np.full(grid.shape, float(model.mass))
+        if model.v_pot.name != "zero":
+            G -= model.v_pot.value(x)
+        gvec = (-a * model.ax_pot.value(x),) if model.ax_pot.name != "zero" else ()
+        return MetricSample([a], None, G, gvec, 0.0)
     # static diagonal metrics: a = e^{Phi - Psi}, c = grad(Phi)/2, M = e^{Phi} sigma^3 m
     phi = model.phi.value(*coords)
     a = phi - model.psi.value(*coords)
@@ -317,17 +350,20 @@ def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
         conn = None
     G = np.exp(phi)
     G *= model.mass
-    return MetricSample([a] * grid.d, conn, G, (0.0, 0.0, 0.0), zero)
+    return MetricSample([a] * grid.d, conn, G, (), 0.0)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:
     """Weight of the covariant norm: (h^d sum w |psi|^2)^(1/2) is the conserved
-    one.  Psi is evaluated on the open coordinates, as in `sample_metric`."""
+    one.  Psi is evaluated on the open coordinates, as in `sample_metric`,
+    and an overflow raises GeometryError (`require_finite`)."""
     model.check_grid(grid)
     if model.kind == "flat":
         return np.ones(grid.shape)
-    if model.kind == "graphene":
-        return 1.0 - _graphene_strain(model, grid)
-    w = model.psi.value(*np.ix_(*grid.axes))
-    w *= grid.d
-    return np.exp(w, out=w)
+    with np.errstate(all="ignore"):
+        if model.kind == "graphene":
+            return 1.0 - _graphene_strain(model, grid)
+        w = model.psi.value(*np.ix_(*grid.axes))
+        w *= grid.d
+        np.exp(w, out=w)
+        return require_finite("covariant weight", w, grid)

@@ -474,7 +474,10 @@ def write_diagnostics(records, path) -> str:
 def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Advance ceil(T/dt) Strang steps, recording diagnostics each step.
 
-    The final step is shortened when T is not a multiple of dt.  With an
+    The final step is shortened when T is not a multiple of dt, through
+    `StepWorkspace.with_step`, so a run samples the metric once.  The
+    workspace is built before the step-0 record: a non-finite coefficient
+    raises GeometryError before any file is written.  With an
     output directory and stride > 0 it writes the spinor field alone,
     ``snapshot_<n>.csv`` (or ``.dcrv``, see `write_snapshot`), at step 0,
     every stride steps and the last step.  Halts with SimulationError
@@ -489,6 +492,8 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     model = cfg.metric
     psi = initial_condition(cfg, grid)
     weight = gamma_weight(model, grid)
+    nsteps = cfg.steps()
+    ws = StepWorkspace(model, grid, cfg.dt, cfg.pml) if nsteps else None
 
     out_dir = cfg.out_dir
     snapshots = []
@@ -514,15 +519,13 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         halt("step 0: initial field is not finite")
     snap(0, psi)
 
-    nsteps = cfg.steps()
-    ws = StepWorkspace(model, grid, cfg.dt, cfg.pml) if nsteps else None
     t = 0.0
     for n in range(1, nsteps + 1):
         active = ws
         if n == nsteps:
             rem = cfg.T - (nsteps - 1) * cfg.dt
             if abs(rem - cfg.dt) > 1e-12 * cfg.dt:
-                active = StepWorkspace(model, grid, rem, cfg.pml)
+                active = ws.with_step(rem)
         try:
             psi = strang_step(psi, cfg.scheme, active, cfg.krylov)
             l2 = l2_norm(psi)

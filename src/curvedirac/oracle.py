@@ -35,7 +35,9 @@ def build_dense_G(ws: StepWorkspace) -> np.ndarray:
     """Dense matrix of I + (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]].
 
     Equals `propagators.cn_apply_values` on flattened fields; intended
-    for cross-checks at small N only.
+    for cross-checks at small N only.  Assembled in place: the first axis's
+    product is scaled where it lies, the other axes are added to it and 1
+    to its diagonal, so in 1-D the peak is about 1.5 n x n matrices.
     """
     grid = ws.grid
     n = ws.S * int(np.prod(grid.N))
@@ -44,9 +46,13 @@ def build_dense_G(ws: StepWorkspace) -> np.ndarray:
             f"dense operator would have {n} unknowns (> {MAX_DENSE_UNKNOWNS}); "
             "the O(n^2) assembly is reserved for oracle-sized problems"
         )
-    G = np.eye(n, dtype=np.complex128)
-    for axis in range(grid.d):
-        G += 0.5 * ws.dt * _dense_axis_operator(ws, axis)
+    G = _dense_axis_operator(ws, 0)
+    G *= 0.5 * ws.dt
+    for axis in range(1, grid.d):
+        term = _dense_axis_operator(ws, axis)
+        term *= 0.5 * ws.dt
+        G += term
+    G.flat[::n + 1] += 1.0
     return G
 
 

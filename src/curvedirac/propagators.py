@@ -46,11 +46,13 @@ Transport variants:
 PML enters only through the transport stage: velocities are divided by the
 complex stretch fields.
 
-Memory.  An explicit step allocates only the field it returns: the two
+Memory.  A workspace holds one (S, S, *grid) matrix field, ``half``, beside
+the metric sample it keeps; `StepWorkspace.with_step` adds only another
+``half``.  An explicit step allocates only the field it returns: the two
 pointwise stages and the sweeps alternate between that array and one
-scratch field that the workspace owns (`StepWorkspace.scratch`; poly2's
-correction takes a second one).  The scratch is allocated at the first
-explicit step, not in the build, and reused by every later step.  The
+scratch field of the workspace's model part (`StepWorkspace.scratch`;
+poly2's correction takes a second one), allocated at the first explicit
+step and reused by every later step of every derived workspace.  The
 FFTs run in place along the contiguous last axis.  Along axis 0 of a 2-D
 grid they go a block of columns at a time (`grid_spectral.spectral_apply`)
 through the workspace's `StepWorkspace.blocks`, S + 2 planes of about
@@ -68,12 +70,13 @@ applies alpha^i as its one nonzero entry a row.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
-from .geometry import MetricModel, MetricSample, ripple_band, sample_metric
+from .geometry import MetricModel, MetricSample, require_finite, ripple_band, sample_metric
 from .grid_spectral import (
     Grid, SpinorField, column_blocks, derivative_multiplier, derivative_values, slabs,
     spectral_apply,
@@ -139,9 +142,10 @@ def _half_potential(sample: MetricSample, tau, S):
     (`MetricModel` rejects one), so each alpha coefficient is real
     (-tau Gvec) or purely imaginary (i tau a c^i, passed as its real part
     marked `Imaginary`) and one `exp_dirac` call covers both terms."""
-    gvec = [-tau * np.asarray(g) for g in sample.Gvec]
-    for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
-        gvec[i] = Imaginary(tau * v * c)
+    if sample.connection is None:
+        gvec = [-tau * g for g in sample.Gvec]
+    else:
+        gvec = [Imaginary(tau * v * c) for v, c in zip(sample.velocity, sample.connection)]
     out = exp_dirac(-tau * sample.G, gvec, S)
     if np.any(sample.scalar):
         out *= np.exp(-1j * tau * sample.scalar)
@@ -149,64 +153,89 @@ def _half_potential(sample: MetricSample, tau, S):
 
 
 class StepWorkspace:
-    """Precomputed per-step data: the pointwise factor, stretched velocities
-    and derivative multipliers, all built from one `geometry.sample_metric`
-    of the model.
+    """Precomputed step data from one `geometry.sample_metric` of the model,
+    in two parts.
 
-    ``half`` is the half step exp(-dt/2 (i M + sum_i a c^i alpha^i)) of the
-    local generator, applied on both sides of the transport; the connection
-    term is absent on flat space and graphene, where ``half`` is the bare
-    half potential exp(-i dt/2 M).  ``a_eff`` holds the per-axis
-    velocities, divided by the layer's stretch when one is enabled; without
-    a layer the axes may share one array.  ``ripple`` is the model's
+    The model part depends only on the model, the grid and the layer: the
+    kept ``sample``; ``a_eff``, the per-axis velocities divided by the
+    layer's stretch when one is enabled (without a layer the axes may share
+    one array); ``alpha``; ``d1_mult``; ``ripple``, the model's
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
-    inverts exactly.  Potentials of the built-in models are static, so one
-    workspace serves every step of size dt; what the steps build from it
-    (the cn preconditioner, coefficients and symbols, the sweep factors,
-    the column blocks, the scratch fields) is built at
-    its first use and kept (see `cached`), so dt and a_eff are not to be
-    replaced after a step.
+    inverts exactly; and, in ``shared``, the column blocks and the scratch
+    fields, built at their first use.
+
+    The step part is what dt adds: ``half``, the half step
+    exp(-dt/2 (i M + sum_i a c^i alpha^i)) of the local generator applied
+    on both sides of the transport (the bare half potential exp(-i dt/2 M)
+    on flat space and graphene, which have no connection), and, in
+    ``built`` (see `cached`), the cn coefficients and symbols, the Cayley
+    preconditioner and the sweep factors, built at their first use.
+
+    Each workspace keeps one dt; `with_step` derives one for another step
+    size that shares the model part, so a run samples the metric once.
+    ``half`` is built with its workspace, not at the first step, so that a
+    non-finite factor is rejected before step 1: every coefficient is
+    computed with numpy's warnings off and then checked by
+    `geometry.require_finite`, which raises GeometryError.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
                  pml: PmlConfig | None = None):
-        sample = sample_metric(model, grid)
+        self.sample = sample_metric(model, grid)
         self.grid = grid
-        self.dt = float(dt)
         self.S = model.spinor_dim
 
         if pml is not None and pml.enabled:
-            self.a_eff = [apply_pml(sample.velocity[i], stretch_factor(pml, i, grid), i)
-                          for i in range(grid.d)]
+            with np.errstate(all="ignore"):
+                self.a_eff = [
+                    require_finite(f"layered velocity a^{i + 1}",
+                                   apply_pml(v, stretch_factor(pml, i, grid), i), grid)
+                    for i, v in enumerate(self.sample.velocity)]
         else:
-            self.a_eff = sample.velocity
+            self.a_eff = list(self.sample.velocity)
 
         self.alpha = [alpha_matrix(i + 1, self.S) for i in range(grid.d)]
         self.d1_mult = [derivative_multiplier(grid, i, 1) for i in range(grid.d)]
-
-        self.half = _half_potential(sample, 0.5 * self.dt, self.S)
         self.ripple = None if pml is not None and pml.enabled else ripple_band(model, grid)
+        self.shared = {}
+        self._set_step(dt)
+
+    def with_step(self, dt: float) -> StepWorkspace:
+        """A workspace for step dt that shares this one's model part: its
+        ``half`` is built now, the rest of its step part at first use."""
+        ws = copy.copy(self)
+        ws._set_step(dt)
+        return ws
+
+    def _set_step(self, dt):
+        self.dt = float(dt)
+        with np.errstate(all="ignore"):
+            self.half = require_finite("half step factor", _half_potential(
+                self.sample, 0.5 * self.dt, self.S), self.grid)
         self.last_krylov = None
         self.built = {}
 
-    def cached(self, key, build):
-        """build(), called at the first request for ``key`` and kept for
-        every later one."""
-        if key not in self.built:
-            self.built[key] = build()
-        return self.built[key]
+    def cached(self, key, build, store=None):
+        """build(), called at the first request for ``key`` and kept in
+        ``store`` (the step part's ``built`` unless given) for every later
+        one."""
+        store = self.built if store is None else store
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def blocks(self):
         """The column blocks of the transforms along axis 0 of a 2-D grid
         (see `grid_spectral.column_blocks`): S planes of spectrum and the
         `_alpha_symbol`'s two temporaries; None on a 1-D grid."""
-        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2))
+        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2),
+                           self.shared)
 
     def scratch(self, k):
         """Scratch field k of the explicit step, (S, *grid): 0 carries
         every other stage's result, 1 poly2's dt^2 correction."""
         return self.cached(("scratch", k), lambda: np.empty(
-            (self.S,) + self.grid.shape, dtype=np.complex128))
+            (self.S,) + self.grid.shape, dtype=np.complex128), self.shared)
 
 
 def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorField:

@@ -129,25 +129,23 @@ def _mesh_strain(model, grid):
 def mesh_sample_metric(model, grid) -> MetricSample:
     """`geometry.sample_metric` with every form evaluated on full meshes."""
     coords = grid.meshes()
-    zero = np.zeros(grid.shape)
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
-        scal = mesh_value(model.v_pot, *coords) if model.v_pot.name != "zero" else zero
-        ax = mesh_value(model.ax_pot, *coords) if model.ax_pot.name != "zero" else 0.0
-        gvec = (-np.asarray(ax) if np.ndim(ax) else 0.0, 0.0, 0.0)
+        scal = mesh_value(model.v_pot, *coords) if model.v_pot.name != "zero" else 0.0
+        gvec = (-mesh_value(model.ax_pot, *coords),) if model.ax_pot.name != "zero" else ()
         return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
     if model.kind == "graphene":
         x = coords[0]
         a = 1.0 / (1.0 - _mesh_strain(model, grid))
-        v = mesh_value(model.v_pot, x) if model.v_pot.name != "zero" else zero
-        axp = mesh_value(model.ax_pot, x) if model.ax_pot.name != "zero" else zero
-        return MetricSample([a], None, model.mass - v, (-a * axp, 0.0, 0.0), zero)
+        v = mesh_value(model.v_pot, x) if model.v_pot.name != "zero" else np.zeros(grid.shape)
+        gvec = (-a * mesh_value(model.ax_pot, x),) if model.ax_pot.name != "zero" else ()
+        return MetricSample([a], None, model.mass - v, gvec, 0.0)
     phi = mesh_value(model.phi, *coords)
     a = np.exp(phi - mesh_value(model.psi, *coords))
     conn = [0.5 * g for g in mesh_grad(model.phi, *coords)]
     if not any(np.any(c) for c in conn):
         conn = None
-    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (0.0, 0.0, 0.0), zero)
+    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (), 0.0)
 
 
 def mesh_gamma_weight(model, grid) -> np.ndarray:

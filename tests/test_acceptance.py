@@ -42,9 +42,7 @@ from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
 
 # the BLAS thread-count variables that bench/run.py sets to one
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-EXP1_METRIC = MetricModel("static1d", mass=1.0,
-                          phi=ScalarForm("gauss", (1.0, 5e-3)),
-                          psi=ScalarForm("gauss", (1.0, 1e-2)))
+EXP1_METRIC = preset_config("exp1").metric
 
 
 class Budget:

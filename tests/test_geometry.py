@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,16 +15,15 @@ from curvedirac.geometry import (
     sample_metric,
 )
 from curvedirac.grid_spectral import make_grid
-from curvedirac.harness import RunConfig, run_simulation
+from curvedirac.harness import RunConfig, preset_config, run_simulation
 from curvedirac.spinor_algebra import SIGMA1, SIGMA3, alpha_matrix, beta_matrix
 
 
-EXP1 = MetricModel("static1d", mass=1.0,
-                   phi=ScalarForm("gauss", (1.0, 5e-3)),
-                   psi=ScalarForm("gauss", (1.0, 1e-2)))
-EXP4 = MetricModel("graphene", mass=0.0, a0=0.4, k0=2.0, ell=5.0,
-                   ax_pot=ScalarForm("linear", (5.0,)),
-                   v_pot=ScalarForm("linear", (5.0,)))
+EXP1 = preset_config("exp1").metric
+EXP3 = preset_config("exp3").metric
+EXP4 = preset_config("exp4").metric
+EXP6 = preset_config("exp6").metric   # graphene without potentials
+ZERO = ScalarForm("zero")
 
 
 def potential_matrix(sample, S):
@@ -111,7 +111,7 @@ def test_exp1_velocity_at_origin_is_one():
 
 def test_graphene_velocity_at_origin_is_one():
     g = make_grid(1, 10.0, 2000)
-    a = sample_metric(MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0), g).velocity[0]
+    a = sample_metric(EXP6, g).velocity[0]
     k0 = np.argmin(np.abs(g.axes[0]))
     assert abs(g.axes[0][k0]) < 1e-12
     assert abs(a[k0] - 1.0) < 1e-14
@@ -149,6 +149,21 @@ def test_other_graphene_fields_reject_a_degenerate_metric(field):
         field(MetricModel("graphene", a0=1.0, k0=2.0, ell=5.0), g)
 
 
+
+@pytest.mark.parametrize("phi,psi,name", [
+    (ScalarForm("gauss", (1.0, -0.5)), ZERO, "velocity a^1"),    # exp(Phi - Psi)
+    (ZERO, ScalarForm("gauss", (1.0, -0.5)), "covariant weight"),  # exp(2 Psi)
+])
+def test_overflowing_coefficients_raise_naming_the_first_bad_node(phi, psi, name):
+    # growing forms that ScalarForm accepts: the coefficient overflows at the
+    # box's edges, x = -5 first, and no numpy warning escapes
+    g = make_grid(1, 5.0, 64)
+    model = MetricModel("static1d", mass=1.0, phi=phi, psi=psi)
+    field = gamma_weight if name == "covariant weight" else sample_metric
+    with pytest.raises(GeometryError, match=re.escape(f"{name} is not finite at node (0,), x = (-5)")):
+        field(model, g)
+
+
 def test_velocity_bound_reports_supremum():
     g = make_grid(1, 5.0, 512)
     amax = max(float(np.max(a)) for a in sample_metric(EXP1, g).velocity)
@@ -180,8 +195,7 @@ def test_graphene_potential_example_at_x_one():
     (MetricModel("flat", mass=1.0), 1, 5.0, 64),
     (EXP1, 1, 5.0, 64),
     (EXP4, 1, 10.0, 128),
-    (MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                 psi=ScalarForm("gauss", (1.0, 5e-3))), 2, (5.0, 5.0), (16, 16)),
+    (EXP3, 2, (5.0, 5.0), (16, 16)),
 ])
 def test_potential_hermitian_everywhere(model, d, a, N):
     g = make_grid(d, a, N)
@@ -285,7 +299,7 @@ def test_connection_matches_analytic_phi_derivative():
 def test_gamma_weight_values():
     g = make_grid(1, 10.0, 4001)
     assert np.all(gamma_weight(MetricModel("flat"), g) == 1.0)
-    w = gamma_weight(MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0), g)
+    w = gamma_weight(EXP6, g)
     assert abs(np.min(w) - (1.0 - 0.5053237)) < 1e-6
     x = g.axes[0]
     w1 = gamma_weight(EXP1, g)
@@ -294,7 +308,7 @@ def test_gamma_weight_values():
 
 def test_graphene_weight_inverts_velocity():
     g = make_grid(1, 10.0, 512)
-    m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0)
+    m = EXP6
     assert np.max(np.abs(gamma_weight(m, g) * sample_metric(m, g).velocity[0] - 1.0)) < 1e-14
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from curvedirac.geometry import MetricModel, ScalarForm, gamma_weight, sample_me
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.krylov import KrylovOptions
 from curvedirac.pml import PmlConfig
-from curvedirac.propagators import StepWorkspace, _half_potential
+from curvedirac.propagators import StepWorkspace, _half_potential, strang_step
 from curvedirac import harness
 from curvedirac.harness import (
     PRESET_NAMES,
@@ -280,7 +281,7 @@ def test_gaussian_wavepacket_amplitude_at_origin():
 
 
 def test_graphene_pair_norm_matches_gaussian_integral():
-    cfg = RunConfig(d=1, a=10.0, N=2000, metric=MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0),
+    cfg = RunConfig(d=1, a=10.0, N=2000, metric=preset_config("exp6").metric,
                     scheme="cn", dt=1e-2, T=0.0, ic_kind="graphene_pair", ic_beta=2.0)
     f = initial_condition(cfg, cfg.grid())
     # integral of 2 beta^2 exp(-beta x^2) / (4 pi) dx = beta^(3/2) / (2 sqrt(pi))
@@ -304,7 +305,7 @@ def test_wavepacket_2d_at_origin():
 
 
 def test_density_values():
-    cfg = RunConfig(d=1, a=10.0, N=2000, metric=MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0),
+    cfg = RunConfig(d=1, a=10.0, N=2000, metric=preset_config("exp6").metric,
                     scheme="cn", dt=1e-2, T=0.0, ic_kind="graphene_pair", ic_beta=2.0)
     g = cfg.grid()
     f = initial_condition(cfg, g)
@@ -348,7 +349,7 @@ def _setup_fields(cfg, mesh):
         weight = gamma_weight(cfg.metric, grid)
         half = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml).half
     fields = {"ic": psi.values, "weight": weight, "half": half, "G": sample.G,
-              "scalar": sample.scalar}
+              "scalar": np.asarray(sample.scalar)}
     fields.update((f"velocity{i}", v) for i, v in enumerate(sample.velocity))
     fields.update((f"connection{i}", c) for i, c in enumerate(sample.connection or ()))
     fields.update((f"Gvec{i}", np.asarray(g)) for i, g in enumerate(sample.Gvec))
@@ -374,7 +375,7 @@ def test_2d_setup_sampled_per_axis_matches_the_full_mesh_formulas(scale):
     for key in want:
         g, w = got[key], want[key]
         assert g.shape == w.shape, key
-        if g.ndim:  # Gvec holds scalar zeros
+        if g.ndim:  # the scalar potential is the number 0.0
             assert g.shape[-2:] == cfg.grid().shape, key
             assert g.flags.c_contiguous and g.flags.writeable, key
         assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w)), key
@@ -422,6 +423,45 @@ def test_final_step_shortened_to_hit_horizon():
     res = run_simulation(cfg)
     assert res.diagnostics[-1].step == 3
     assert res.diagnostics[-1].t == pytest.approx(0.0025, rel=1e-12)
+    # the shortened step is bit for bit one from a workspace built for it
+    rem = cfg.T - 2 * cfg.dt
+    before = run_simulation(cfg.replace(T=2 * cfg.dt)).final
+    want = strang_step(before, cfg.scheme, StepWorkspace(cfg.metric, cfg.grid(), rem, cfg.pml),
+                       cfg.krylov)
+    assert res.final.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["cn", "poly1", "poly2"])
+def test_a_run_samples_the_metric_once(monkeypatch, scheme):
+    # three steps, the last one shortened
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_metric(*args)
+
+    monkeypatch.setattr(propagators, "sample_metric", counted)
+    res = run_simulation(parse_config(MINIMAL).replace(scheme=scheme, T=0.0025, dt=1e-3))
+    assert res.diagnostics[-1].t == pytest.approx(0.0025, rel=1e-12)
+    assert len(res.diagnostics) == 4 and len(calls) == 1
+
+
+def test_overflowing_metric_is_rejected_before_any_file(tmp_path):
+    # exp1 with Phi = exp(x^2 / 2), a growing form that ScalarForm accepts:
+    # exp(Phi - Psi) overflows at the box's edges.  It used to warn, and then
+    # halt at step 1 on a non-finite operator.
+    cfg = preset_config("exp1", "ci")
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = cfg.replace(metric=dataclasses.replace(cfg.metric, phi=ScalarForm("gauss", (1.0, -0.5))),
+                      out_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=r"velocity a\^1 is not finite at node \(0,\), x = \(-5\)"):
+            StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
+        with pytest.raises(GeometryError, match=r"velocity a\^1"):
+            run_simulation(cfg)
+    assert not any(out.iterdir())
 
 
 def test_simulation_deterministic():
@@ -435,9 +475,7 @@ def test_simulation_halts_on_krylov_failure():
     from curvedirac.krylov import KrylovOptions
 
     cfg = parse_config(MINIMAL).replace(
-        metric=MetricModel("static1d", mass=1.0,
-                           phi=ScalarForm("gauss", (1.0, 5e-3)),
-                           psi=ScalarForm("gauss", (1.0, 1e-2))),
+        metric=preset_config("exp1").metric,
         dt=0.5, T=2.0, krylov=KrylovOptions(tol=1e-14, restart=2, maxit=2))
     with pytest.raises(SimulationError) as err:
         run_simulation(cfg)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import flat_exact_evolution
 
 from curvedirac.errors import BudgetError
-from curvedirac.geometry import MetricModel, ScalarForm
+from curvedirac.geometry import MetricModel
 from curvedirac.grid_spectral import SpinorField, _fft_split, make_grid
 from curvedirac.harness import (RunConfig, initial_condition, preset_config, restrict_to_coarse,
                                 run_simulation)
@@ -14,9 +16,8 @@ from curvedirac.propagators import (StepWorkspace, cayley_preconditioner, cn_app
                                     cn_transport_step)
 from curvedirac.spinor_algebra import alpha_matrix
 
-EXP1 = MetricModel("static1d", mass=1.0,
-                   phi=ScalarForm("gauss", (1.0, 5e-3)),
-                   psi=ScalarForm("gauss", (1.0, 1e-2)))
+EXP1 = preset_config("exp1").metric
+EXP3 = preset_config("exp3").metric
 
 
 def test_dense_G_zero_dt_is_identity():
@@ -35,10 +36,8 @@ def test_dense_G_matches_matrix_free_1d(rng):
 
 
 def test_dense_G_matches_matrix_free_2d(rng):
-    m2 = MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                     psi=ScalarForm("gauss", (1.0, 5e-3)))
     g = make_grid(2, (5.0, 5.0), (8, 6))
-    ws = StepWorkspace(m2, g, 1e-2)
+    ws = StepWorkspace(EXP3, g, 1e-2)
     G = build_dense_G(ws)
     v = rng.standard_normal((2, 8, 6)) + 1j * rng.standard_normal((2, 8, 6))
     assert np.max(np.abs(G @ v.ravel() - cn_apply_values(v, ws).ravel())) < 1e-11
@@ -58,6 +57,25 @@ def test_dense_G_size_guard():
     ws = StepWorkspace(MetricModel("flat"), g, 0.1)
     with pytest.raises(BudgetError):
         build_dense_G(ws)
+
+
+def test_dense_assembly_holds_about_one_matrix(rng):
+    # exp1 at N = 400, n = 800: the assembly scales the first axis's product
+    # in place and peaks at 1.53 matrices, the derivative matrix and its
+    # scaled copy included (0.25 each in 1-D); assembled out of place, the
+    # assembly and the step both peaked at 3.0
+    g = make_grid(1, 5.0, 400)
+    ws = StepWorkspace(EXP1, g, 5e-4)
+    f = SpinorField(rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400)), g)
+    matrix = 800 * 800 * np.dtype(np.complex128).itemsize
+    for build, bound in ((lambda: build_dense_G(ws), 1.6), (lambda: dense_cn_step(f, ws), 2.1)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * matrix
 
 
 def test_dense_cn_step_zero_dt(rng):
@@ -100,11 +118,8 @@ def test_dense_vs_matrix_free_agree_on_presets(rng):
     cases = [
         (MetricModel("flat", mass=1.0), 1, 5.0, 64),
         (EXP1, 1, 5.0, 64),
-        (MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0,
-                     ax_pot=ScalarForm("linear", (5.0,)),
-                     v_pot=ScalarForm("linear", (5.0,))), 1, 10.0, 64),
-        (MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                     psi=ScalarForm("gauss", (1.0, 5e-3))), 2, (5.0, 5.0), (16, 16)),
+        (preset_config("exp4").metric, 1, 10.0, 64),
+        (EXP3, 2, (5.0, 5.0), (16, 16)),
     ]
     for model, d, a, N in cases:
         g = make_grid(d, a, N)

@@ -102,7 +102,7 @@ def test_apply_pml_broadcast_axis():
 
 
 def test_disabled_pml_bit_identical_to_bypassed():
-    cfg = RunConfig(d=1, a=4.5, N=128, metric=MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0),
+    cfg = RunConfig(d=1, a=4.5, N=128, metric=preset_config("exp6").metric,
                     scheme="poly1", dt=1e-2, T=0.0, ic_kind="graphene_pair", ic_beta=2.0)
     g = cfg.grid()
     psi = initial_condition(cfg, g)

@@ -12,12 +12,13 @@ import pytest
 from conftest import expm_small, flat_exact_evolution, loglog_slope
 
 from curvedirac import geometry, propagators
-from curvedirac.errors import ConfigurationError, StepFailureError
+from curvedirac.errors import ConfigurationError, GeometryError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
 from curvedirac.grid_spectral import SpinorField, derivative_multiplier, derivative_values, make_grid
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 from curvedirac.oracle import dense_cn_step
+from curvedirac.pml import PmlConfig
 from curvedirac.propagators import (
     StepWorkspace,
     _alpha_symbol,
@@ -35,9 +36,8 @@ from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
 
 FLAT0 = MetricModel("flat", mass=0.0)
 FLAT1 = MetricModel("flat", mass=1.0)
-EXP1 = MetricModel("static1d", mass=1.0,
-                   phi=ScalarForm("gauss", (1.0, 5e-3)),
-                   psi=ScalarForm("gauss", (1.0, 1e-2)))
+EXP1 = preset_config("exp1").metric
+EXP3 = preset_config("exp3").metric
 # static metric with velocity e^{-psi} <= 1 and no spin connection (phi = 0):
 # the regime in which the explicit scheme's norm is provably non-increasing
 WELL = MetricModel("static1d", mass=1.0,
@@ -415,10 +415,8 @@ def test_plain_step_starts_from_the_first_order_cayley_map(monkeypatch):
     # 2-D grids take plain GMRES: it solves (I + E) u = psi from
     # u0 = psi - T, the first-order Cayley map (I - 2E) psi written for
     # u = (psi* + psi) / 2, and the step agrees with the dense LU solve
-    m = MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                    psi=ScalarForm("gauss", (1.0, 5e-3)))
     g = make_grid(2, (5.0, 5.0), (16, 16))
-    ws = StepWorkspace(m, g, 0.05)
+    ws = StepWorkspace(EXP3, g, 0.05)
     X, Y = g.meshes()
     v = np.zeros((2, 16, 16), dtype=np.complex128)
     v[0] = np.exp(-(X ** 2 + Y ** 2) / 2 + 1j * (X + 2 * Y))
@@ -786,7 +784,7 @@ def test_poly_sweep_equals_the_whole_array_transform(rng, S, second_order):
     step = poly_axis_step2 if second_order else poly_axis_step
     for axis in range(2):
         assert np.array_equal(step(f, axis, ws).values, whole_array_sweep(f, axis, ws, second_order))
-    assert ws.built["blocks"].shape[1] == 85
+    assert ws.shared["blocks"].shape[1] == 85
 
 
 def test_poly_axis_norm_nonexpansive_for_unit_bounded_velocity():
@@ -894,10 +892,8 @@ def local_half_oracle(model, grid, dt):
 
 
 STATIC_MODELS = {
-    "static1d": (MetricModel("static1d", mass=1.0, phi=ScalarForm("gauss", (1.0, 5e-3)),
-                             psi=ScalarForm("gauss", (1.0, 1e-2))), (5.0,), (48,)),
-    "static2d": (MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                             psi=ScalarForm("gauss", (1.0, 5e-3))), (5.0, 5.0), (16, 12)),
+    "static1d": (EXP1, (5.0,), (48,)),
+    "static2d": (EXP3, (5.0, 5.0), (16, 12)),
 }
 
 
@@ -965,18 +961,77 @@ def test_workspace_build_is_lean(monkeypatch):
     assert peak < 5.5 * field_bytes
 
 
+def held_arrays(obj):
+    """Every numpy array reachable from obj through attributes, lists,
+    tuples and dicts, each once."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return found
+
+
 def test_workspace_keeps_one_matrix_field():
-    # exp3 at 256^2: the built workspace holds 1.13 matrix fields, the one
-    # pointwise factor and the velocity
+    # exp3 at 256^2: the built workspace holds one (S, S, *grid) matrix
+    # field, the pointwise factor, and beside it only the kept sample's
+    # velocity, G and connection shifts, 1/8 of a field each: 1.50 fields.
+    # An all-zero scalar potential kept as well would read 1.63.
     cfg, field_bytes = exp3_matrix_field_bytes()
+    StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)   # imports numpy.fft first
     tracemalloc.start()
     try:
         ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ws.half.shape[:2] == (2, 2)
-    assert kept <= 1.5 * field_bytes
+    matrix_fields = [a for a in held_arrays(ws) if a.shape == (ws.S, ws.S) + ws.grid.shape]
+    assert len(matrix_fields) == 1 and matrix_fields[0] is ws.half
+    sample = ws.sample
+    coefficients = {id(a): a.nbytes for a in [*sample.velocity, sample.G, *sample.connection]}
+    assert kept <= ws.half.nbytes + sum(coefficients.values()) + 0.01 * field_bytes
+
+
+@pytest.mark.parametrize("layer", [False, True], ids=["bare", "layer"])
+@pytest.mark.parametrize("name", ["exp1", "exp3", "exp5"])   # circulant, 2-D, band
+@pytest.mark.parametrize("scheme", ["cn", "poly1", "poly2"])
+def test_with_step_matches_a_fresh_workspace(name, scheme, layer):
+    # a workspace derived for another step size shares the model part and
+    # steps bit for bit as one built for that size; the parent, whose step
+    # part is already built, keeps stepping as before
+    cfg = preset_config(name, "ci")
+    pml = PmlConfig(True, "I", 3.0, 0.3, 0.1) if layer else PmlConfig()
+    grid, h = cfg.grid(), 0.37 * cfg.dt
+    ws = StepWorkspace(cfg.metric, grid, cfg.dt, pml)
+    f = initial_condition(cfg, grid)
+    first = strang_step(f, scheme, ws, cfg.krylov)
+    derived = ws.with_step(h)
+    fresh = StepWorkspace(cfg.metric, grid, h, pml)
+    assert derived.dt == h and derived.sample is ws.sample and derived.a_eff is ws.a_eff
+    assert derived.half.tobytes() == fresh.half.tobytes()
+    got, want = (strang_step(f, scheme, w, cfg.krylov) for w in (derived, fresh))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert derived.last_krylov == fresh.last_krylov
+    assert strang_step(f, scheme, ws, cfg.krylov).values.tobytes() == first.values.tobytes()
+
+
+def test_a_non_finite_half_step_is_rejected_at_build():
+    # Phi = 2x on [-5, 5]: dt/2 a c reaches 110 at dt = 0.01, and 1.1e4 at
+    # dt = 1, where the connection's cosh overflows
+    m = MetricModel("static1d", phi=ScalarForm("linear", (2.0,)))
+    ws = StepWorkspace(m, make_grid(1, 5.0, 64), 0.01)
+    for build in (lambda: ws.with_step(1.0), lambda: StepWorkspace(m, ws.grid, 1.0)):
+        with pytest.raises(GeometryError, match="half step factor is not finite"):
+            build()
 
 
 # ------------------------------------------------------------ buffered explicit step
@@ -992,7 +1047,7 @@ def test_returned_fields_never_alias_the_scratch(scheme):
     third = strang_step(second, scheme, ws)
     assert np.array_equal(first.values, kept[0]) and np.array_equal(second.values, kept[1])
     # one scratch field, and poly2's correction one more
-    fields = [v for k, v in ws.built.items() if k[0] == "scratch"]
+    fields = [v for k, v in ws.shared.items() if k[0] == "scratch"]
     assert len(fields) == (1 if scheme == "poly1" else 2)
     for out in (first, second, third):
         assert not any(np.shares_memory(out.values, buf) for buf in fields)
@@ -1018,13 +1073,14 @@ def test_explicit_step_allocates_only_its_result(scheme):
 @pytest.mark.parametrize("scheme", ["poly1", "poly2"])
 def test_sweep_factors_are_built_once_at_first_use(scheme):
     cfg, ws = preset_workspace("exp3", "ci")
-    assert not ws.built
+    assert not ws.built and not ws.shared
     f = strang_step(initial_condition(cfg, ws.grid), scheme, ws)
     second_order = scheme == "poly2"
-    keys = [("sweep", axis, second_order) for axis in range(2)] + ["blocks"]
-    factors = [ws.built[k] for k in keys]
+    keys = [("sweep", axis, second_order) for axis in range(2)]
+    factors = [ws.built[k] for k in keys] + [ws.shared["blocks"]]
     strang_step(f, scheme, ws)
     assert all(ws.built[k] is v for k, v in zip(keys, factors))
+    assert ws.shared["blocks"] is factors[-1]
 
 
 @pytest.mark.parametrize("scheme", ["poly1", "poly2"])
@@ -1229,11 +1285,7 @@ def test_strang_exp1_matches_fine_self_reference():
 
 
 def test_two_dimensional_step_s2_and_s4(rng):
-    m2 = MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (1.0, 1e-2)),
-                     psi=ScalarForm("gauss", (1.0, 5e-3)))
-    m4 = MetricModel("static2d", spinor_dim=4, mass=1.0,
-                     phi=ScalarForm("gauss", (1.0, 1e-2)),
-                     psi=ScalarForm("gauss", (1.0, 5e-3)))
+    m2, m4 = EXP3, dataclasses.replace(EXP3, spinor_dim=4)
     g = make_grid(2, (5.0, 5.0), (32, 32))
     X, Y = g.meshes()
     blob = np.exp(-(X ** 2 + Y ** 2) / 2 + 1j * (2 * X + 2 * Y))
