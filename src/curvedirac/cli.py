@@ -7,7 +7,8 @@ Subcommands:
     norms <config>                           diagnostics only, no snapshots
 
 run and preset print a summary: steps, the first and last norms, and on a
-cn run the largest GMRES iteration count and Krylov residual of any step.
+cn run the mean GMRES iterations and operator products a step, and the
+largest iteration count and Krylov residual of any step.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def _print_summary(res):
     solves = [r for r in res.diagnostics if r.krylov_iters is not None]
     if solves:
         iters = [r.krylov_iters for r in solves]
-        print(f"krylov:   mean {sum(iters) / len(iters):.2f} iterations a step")
+        products = sum(r.krylov_products for r in solves) / len(solves)
+        print(f"krylov:   mean {sum(iters) / len(iters):.2f} iterations, "
+              f"{products:.2f} operator products a step")
         print(f"krylov:   max {max(iters)} iterations, "
               f"max residual {max(r.krylov_residual for r in solves):.3e}")
     if res.snapshots:

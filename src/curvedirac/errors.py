@@ -26,7 +26,7 @@ class StepFailureError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """The dense oracle would exceed its size budget (`oracle.MAX_DENSE_UNKNOWNS`)."""
+    """The dense oracle would exceed its byte budget (`oracle.MAX_DENSE_BYTES`)."""
 
 
 class SimulationError(RuntimeError):

@@ -323,6 +323,7 @@ class DiagnosticsRecord:
     l2_gamma: float
     krylov_iters: int | None = None
     krylov_residual: float | None = None
+    krylov_products: int | None = None
 
 
 @dataclass
@@ -445,13 +446,14 @@ def _read_snapshot_csv(path, grid: Grid, S: int) -> np.ndarray:
 
 
 def diagnostics_csv(records) -> str:
-    """Header step,t,l2,l2_gamma,krylov_iters,krylov_residual (the Krylov
-    columns empty for explicit schemes), a row a record."""
-    lines = ["step,t,l2,l2_gamma,krylov_iters,krylov_residual\n"]
+    """Header step,t,l2,l2_gamma,krylov_iters,krylov_residual,krylov_products
+    (the Krylov columns empty for explicit schemes), a row a record."""
+    lines = ["step,t,l2,l2_gamma,krylov_iters,krylov_residual,krylov_products\n"]
     for r in records:
         k = "" if r.krylov_iters is None else str(r.krylov_iters)
         res = "" if r.krylov_residual is None else _fmt(r.krylov_residual)
-        lines.append(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k},{res}\n")
+        p = "" if r.krylov_products is None else str(r.krylov_products)
+        lines.append(f"{r.step},{_fmt(r.t)},{_fmt(r.l2)},{_fmt(r.l2_gamma)},{k},{res},{p}\n")
     return "".join(lines)
 
 
@@ -539,8 +541,9 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                  f"step-0 value (bound {GROWTH_BOUND:g})", active.dt)
         t += active.dt
         report = active.last_krylov
-        kit, kres = (report.iterations, report.residual) if report is not None else (None, None)
-        records.append(DiagnosticsRecord(n, t, l2, gamma, kit, kres))
+        counts = ((report.iterations, report.residual, report.products)
+                  if report is not None else (None, None, None))
+        records.append(DiagnosticsRecord(n, t, l2, gamma, *counts))
         if cfg.stride > 0 and (n % cfg.stride == 0 or n == nsteps):
             snap(n, psi)
 

@@ -9,7 +9,10 @@ through x0.  The true residual is re-checked before a converged solve returns.
 A non-finite operator output shows as a non-finite norm (of the residual or
 of a new Arnoldi vector) and raises KrylovError.  A right-preconditioned
 system A M^-1 y = b is passed as the operator y -> A M^-1 y, whose residual is
-that of A x = b at x = M^-1 y, so `tol` keeps its meaning.
+that of A x = b at x = M^-1 y, so `tol` keeps its meaning.  A caller that
+knows a good approximate inverse of the operator as a scalar passes it as
+``relax``: when the first check misses the tolerance, the solve takes one
+defect correction x + relax r and checks again before any Arnoldi cycle.
 
 Contract: every residual, the reported one included, is b - apply(x) on the
 very b-shaped array x that is returned, so on every exit but b = 0 (where
@@ -73,12 +76,13 @@ def _finite(norm):
 
 @dataclass
 class KrylovReport:
-    iterations: int
+    iterations: int          # Arnoldi steps; the defect correction is not one
     residual: float          # final relative residual ||b - apply(x)|| / ||b||, recomputed
     converged: bool
+    products: int            # operator calls: every residual check and Arnoldi step
 
 
-def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
+def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200, relax=None):
     """Solve apply(x) = b to relative residual `tol`.
 
     Parameters
@@ -89,6 +93,10 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
         Right-hand side (any shape, complex).
     x0 : ndarray, optional
         Warm start; defaults to zero.
+    relax : scalar, optional
+        When the first residual r misses ``tol``, x becomes x + relax r
+        once, and the true residual of that x is checked before any Arnoldi
+        cycle.  The correction is not counted as an iteration.
 
     Returns
     -------
@@ -99,20 +107,27 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
     shape = b.shape
     bnorm = _norm(b)
     if bnorm == 0.0:
-        return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True)
+        return np.zeros(shape, dtype=np.complex128), KrylovReport(0, 0.0, True, 0)
 
     x = (np.zeros(shape, dtype=np.complex128) if x0 is None
          else np.asarray(x0, dtype=np.complex128).reshape(shape))
-    total_iters = 0
+    total_iters = products = 0
 
     while True:
         r = (b - apply(x)).ravel()     # on x itself: see the module docstring
+        products += 1
         beta = _finite(_norm(r))
         resid = beta / bnorm
         if resid <= tol:
-            return x, KrylovReport(total_iters, resid, True)
+            return x, KrylovReport(total_iters, resid, True, products)
+        if relax is not None:
+            # x + relax r, in r's fresh array: x (perhaps x0) is not written
+            r *= relax
+            x = np.add(x, r.reshape(shape), out=r.reshape(shape))
+            relax = None
+            continue
         if total_iters >= maxit:
-            return x, KrylovReport(total_iters, resid, False)
+            return x, KrylovReport(total_iters, resid, False, products)
 
         m = min(restart, maxit - total_iters)
         Q = np.empty((m + 1, b.size), dtype=np.complex128)
@@ -126,6 +141,7 @@ def gmres(apply, b, x0=None, tol=1e-10, restart=30, maxit=200):
             # copy: w is changed in place, and apply() may hand back a view of
             # its input (e.g. the identity)
             w = np.array(apply(Q[k].reshape(shape)), dtype=np.complex128).ravel()
+            products += 1
             wnorm0 = _finite(_norm(w))
             basis = Q[:k + 1]
             # blocked classical Gram-Schmidt: h_j = <Q_j, w>, w -= sum_j h_j Q_j

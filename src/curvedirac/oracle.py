@@ -2,7 +2,7 @@
 
 Dense assembly of the Cayley transport matrix and a direct LU step, checked
 against the matrix-free GMRES path.  The dense matrix costs O(n^2) memory, so
-the assembly carries a hard size guard and can never dominate a test run by
+the assembly carries a hard byte budget and can never dominate a test run by
 accident.
 """
 
@@ -14,7 +14,16 @@ from .errors import BudgetError
 from .grid_spectral import SpinorField, dense_diff_matrix
 from .propagators import StepWorkspace
 
-MAX_DENSE_UNKNOWNS = 16384
+# The byte budget of the n x n complex matrices the oracle holds at once, at
+# most DENSE_MATRICES of them: the step's G and LAPACK's LU copy of it, or in
+# 2-D the assembly's G, the second axis's term and its spatial factors.
+MAX_DENSE_BYTES = 1 << 30
+DENSE_MATRICES = 2.5
+
+
+def dense_bytes(n: int) -> float:
+    """The bytes that the oracle holds at once for n unknowns."""
+    return DENSE_MATRICES * n * n * np.dtype(np.complex128).itemsize
 
 
 def _dense_axis_operator(ws: StepWorkspace, axis: int) -> np.ndarray:
@@ -41,9 +50,11 @@ def build_dense_G(ws: StepWorkspace) -> np.ndarray:
     """
     grid = ws.grid
     n = ws.S * int(np.prod(grid.N))
-    if n > MAX_DENSE_UNKNOWNS:
+    need = dense_bytes(n)
+    if need > MAX_DENSE_BYTES:
         raise BudgetError(
-            f"dense operator would have {n} unknowns (> {MAX_DENSE_UNKNOWNS}); "
+            f"dense operator of {n} unknowns would hold {need / 2**30:.2f} GiB "
+            f"(> {MAX_DENSE_BYTES / 2**30:g} GiB); "
             "the O(n^2) assembly is reserved for oracle-sized problems"
         )
     G = _dense_axis_operator(ws, 0)

@@ -27,8 +27,11 @@ Transport variants:
             exact inverse, where GMRES's first check already meets the
             tolerance: 0 iterations and 1 FFT pair a step.  Every step is
             one `gmres` call, started from the first-order Cayley map
-            (I - dt a.alpha.[[grad]]) psi written for u, u0 = psi - E psi
-            (see `cn_transport_step`).
+            (I - dt a.alpha.[[grad]]) psi written for u, u0 = psi - E psi;
+            the circulant solve then takes one defect correction by its
+            own constant-velocity Cayley inverse before any Arnoldi step,
+            which meets the tolerance on exp1 and exp2: 0 iterations and 3
+            FFT pairs a step (see `cn_transport_step`).
 * ``poly1`` per-axis blend w * (exponentially shifted) + (1 - w) * unshifted,
             the shift exp(-i theta alpha^i) = cos(theta) - i sin(theta) alpha^i
             applied to the Fourier coefficients; explicit, one FFT pair per
@@ -503,8 +506,20 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     step is one `gmres` call.  GMRES's residual product runs on the very
     array it returns (see `krylov`), and that product has already computed
     M^-1 y, so u costs no further FFT pair: a step costs one FFT pair for T
-    and one for each operator product.  Only psi = 0, where GMRES calls no
-    operator, takes one M^-1 product of the zero field.
+    and one for each operator product (`KrylovReport.products`).  Only
+    psi = 0, where GMRES calls no operator, takes one M^-1 product of the
+    zero field.
+
+    On the circulant path (``pre.K == 0``) GMRES is passed
+    relax = w_band: when the start misses the tolerance, y becomes
+    y + w_band r once before any Arnoldi step.  In u that is
+    u + (I + E_m)^-1 r, E_m the transport term at the constant velocity
+    1/w_band, a defect correction by the circulant's own Cayley inverse;
+    GMRES's optimal one-step length matched w_band to six digits on exp1
+    and exp2.  There it meets the tolerance, and a step costs T and two
+    operator products: 0 iterations and 3 FFT pairs.  The band path needs
+    no correction, and the plain path's (relax = 1) fell just short of the
+    tolerance on exp3 run as cn, so neither takes one.
 
     The Cayley residual is (I - E) psi - A psi* = 2 (psi - A u), so GMRES
     runs to tol / 2 on ||psi - A u|| / ||psi||, and the report carries
@@ -519,6 +534,7 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
     psi = f.values
+    relax = None
     if pre is None:
         def apply(v):
             return cn_apply_values(v, ws)
@@ -538,8 +554,9 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
         if not pre.K:
             t = _cn_term(psi, ws)
             x0 += np.multiply(pre.shift, t, out=t)
+            relax = pre.w_band
     u, report = gmres(apply, psi, x0=x0, tol=0.5 * opts.tol, restart=opts.restart,
-                      maxit=opts.maxit)
+                      maxit=opts.maxit, relax=relax)
     if pre is not None:
         u = last[1] if last[0] is u else pre.solve(u)
     report.residual *= 2.0

@@ -560,10 +560,13 @@ def test_krylov_iterations_recorded_only_for_cn():
     res = run_simulation(cfg)
     assert all(r.krylov_iters is not None for r in res.diagnostics[1:])
     assert all(0 < r.krylov_residual <= cfg.krylov.tol for r in res.diagnostics[1:])
+    # the band path: GMRES's first residual check is its one product
+    assert all(r.krylov_products == 1 for r in res.diagnostics[1:])
     cfg = preset_config("exp3", "ci").replace(T=5 * 1.14e-4)
     res = run_simulation(cfg)
     assert all(r.krylov_iters is None for r in res.diagnostics[1:])
     assert all(r.krylov_residual is None for r in res.diagnostics[1:])
+    assert all(r.krylov_products is None for r in res.diagnostics[1:])
 
 
 # ----------------------------------------------------------------- files
@@ -785,9 +788,9 @@ def test_diagnostics_csv_format(tmp_path):
     res = run_simulation(cfg)
     p = write_diagnostics(res.diagnostics, str(tmp_path / "d.csv"))
     lines = open(p).read().splitlines()
-    assert lines[0] == "step,t,l2,l2_gamma,krylov_iters,krylov_residual"
+    assert lines[0] == "step,t,l2,l2_gamma,krylov_iters,krylov_residual,krylov_products"
     assert lines[1].startswith("0,0.0,")
-    assert lines[-1].endswith(",")  # explicit scheme: empty krylov column
+    assert lines[-1].endswith(",,,")  # explicit scheme: empty krylov columns
 
 
 def test_run_writes_outputs(tmp_path):
@@ -951,7 +954,9 @@ def test_cli_summary_names_the_mean_krylov_iterations(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[2:]
     iters = [int(r.split(",")[4]) for r in rows]
-    assert f"krylov:   mean {np.mean(iters):.2f} iterations a step" in lines
+    products = [int(r.split(",")[6]) for r in rows]
+    assert (f"krylov:   mean {np.mean(iters):.2f} iterations, "
+            f"{np.mean(products):.2f} operator products a step") in lines
     assert len(iters) == 400 and np.mean(iters) < max(iters)
 
 

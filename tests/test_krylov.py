@@ -71,7 +71,7 @@ def test_caller_x0_is_never_written(rng, case):
 def test_zero_rhs_never_calls_the_operator():
     x, rep = gmres(lambda v: pytest.fail("operator called on b = 0"),
                    np.zeros((2, 8), dtype=complex), x0=np.ones((2, 8)))
-    assert rep == KrylovReport(0, 0.0, True) and not np.any(x)
+    assert rep == KrylovReport(0, 0.0, True, 0) and not np.any(x)
 
 
 def test_matches_dense_solve(rng):
@@ -91,6 +91,59 @@ def test_exact_warm_start_needs_no_iterations(rng):
     xex = np.linalg.solve(A, b)
     x, rep = gmres(lambda v: A @ v, b, x0=xex)
     assert rep.converged and rep.iterations == 0
+
+
+def counted(A):
+    """The operator v -> A v on flat vectors, and the list of its inputs."""
+    seen = []
+
+    def apply(v):
+        seen.append(v)
+        return A @ v
+    return apply, seen
+
+
+def test_exact_relax_meets_tol_at_the_second_product(rng):
+    # on d I the correction x + r / d is the solution: the second residual
+    # check meets the tolerance before any Arnoldi step
+    d = 2.5 - 0.5j
+    b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    apply, seen = counted(d * np.eye(20))
+    x, rep = gmres(apply, b, relax=1 / d)
+    assert rep.converged and rep.iterations == 0 and rep.products == len(seen) == 2
+    assert seen[-1] is x and rep.residual <= 1e-10
+    assert np.linalg.norm(x - b / d) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_missed_relax_converges_and_counts_only_arnoldi_steps(rng):
+    # a correction that misses leaves GMRES to start from it: the same
+    # iterations and bits as a plain solve from x0 + relax r, one product
+    # more, x0 unwritten, and the report's residual that of the returned x
+    A, b, _ = _contract_cases(rng)["converged"]
+    b = b.ravel()
+    x0 = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    x0.flags.writeable = False
+    relax = 0.05
+    apply, seen = counted(A)
+    x, rep = gmres(apply, b, x0=x0, relax=relax)
+    corrected = x0 + relax * (b - A @ x0)
+    plain_x, plain = gmres(lambda v: A @ v, b, x0=corrected)
+    assert rep.converged and rep.iterations == plain.iterations > 0
+    assert rep.products == len(seen) == plain.products + 1 == rep.iterations + 3
+    assert np.array_equal(x, plain_x) and seen[-1] is x
+    assert rep.residual == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+
+def test_start_that_meets_tol_ignores_relax(rng):
+    # a NaN relax would poison x if it were taken
+    n = 16
+    A = rng.standard_normal((n, n)) + 8 * np.eye(n)
+    b = rng.standard_normal(n).astype(complex)
+    apply, seen = counted(A)
+    x0 = np.linalg.solve(A, b)
+    x, rep = gmres(apply, b, x0=x0, relax=math.nan)
+    assert rep.converged and rep.iterations == 0 and rep.products == len(seen) == 1
+    assert np.shares_memory(x, x0)
 
 
 def test_shaped_operands_treated_as_flat_vector(rng):

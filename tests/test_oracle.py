@@ -11,7 +11,7 @@ from curvedirac.grid_spectral import SpinorField, _fft_split, make_grid
 from curvedirac.harness import (RunConfig, initial_condition, preset_config, restrict_to_coarse,
                                 run_simulation)
 from curvedirac.krylov import KrylovOptions
-from curvedirac.oracle import MAX_DENSE_UNKNOWNS, build_dense_G, dense_cn_step
+from curvedirac.oracle import MAX_DENSE_BYTES, build_dense_G, dense_bytes, dense_cn_step
 from curvedirac.propagators import (StepWorkspace, cayley_preconditioner, cn_apply_values,
                                     cn_transport_step)
 from curvedirac.spinor_algebra import alpha_matrix
@@ -57,6 +57,24 @@ def test_dense_G_size_guard():
     ws = StepWorkspace(MetricModel("flat"), g, 0.1)
     with pytest.raises(BudgetError):
         build_dense_G(ws)
+
+
+def test_byte_budget_refuses_16384_unknowns_before_any_allocation(rng):
+    # one 16384^2 complex matrix is 4.3 GB; the largest oracle size in the
+    # suite, n = 4036 (exp4 at N = 2018), holds about 0.65 GB
+    assert dense_bytes(4036) <= MAX_DENSE_BYTES < dense_bytes(16384)
+    g = make_grid(1, 5.0, 8192)
+    ws = StepWorkspace(MetricModel("flat"), g, 0.1)
+    f = SpinorField(rng.standard_normal((2, 8192)) + 0j, g)
+    for build in (lambda: build_dense_G(ws), lambda: dense_cn_step(f, ws)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="16384 unknowns"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_dense_assembly_holds_about_one_matrix(rng):
@@ -137,7 +155,7 @@ def test_cn_step_at_split_sizes_matches_dense_oracle(name, N, K):
     circulant, 2 * 1009 on the K = 16 band) agrees with the dense LU step
     within C04's bound."""
     cfg = preset_config(name, "ci").replace(N=(N,))
-    assert _fft_split(N) is not None and 2 * N <= MAX_DENSE_UNKNOWNS
+    assert _fft_split(N) is not None and dense_bytes(2 * N) <= MAX_DENSE_BYTES
     ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
     f = initial_condition(cfg, ws.grid)
     out = cn_transport_step(f, ws, cfg.krylov)

@@ -369,11 +369,15 @@ def test_preconditioned_solve_costs_one_fft_pair_per_operator_product(monkeypatc
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
     cn_transport_step(f, ws, cfg.krylov)
-    # the start's T = E psi, one product per iteration, the initial and the
-    # closing residual; u = M^-1 y is taken from the closing product
+    # the start's T = E psi and one pair for each operator product: the
+    # initial residual, the one after the circulant's defect correction, one
+    # per iteration and the closing residual; u = M^-1 y is taken from the
+    # closing product
+    report = ws.last_krylov
     assert cayley_preconditioner(ws).K == 0
-    assert 0 < ws.last_krylov.iterations < cfg.krylov.restart
-    assert len(calls) == ws.last_krylov.iterations + 3
+    assert 0 < report.iterations < cfg.krylov.restart
+    assert report.products == report.iterations + 3
+    assert len(calls) == report.products + 1
 
 
 def count_transforms(monkeypatch):
@@ -386,19 +390,22 @@ def count_transforms(monkeypatch):
     return calls
 
 
-def test_circulant_start_takes_one_iteration_and_four_fft_pairs(monkeypatch):
-    # exp1: the first-order start u0 = psi - T leaves one iteration, so a
-    # step is T, the initial residual, one Arnoldi product and the closing
-    # residual (u = M^-1 y is taken from the last)
-    cfg, ws = preset_workspace("exp1", "ci")
+@pytest.mark.parametrize("name", ["exp1", "exp2"])
+def test_circulant_start_takes_no_iteration_and_three_fft_pairs(monkeypatch, name):
+    # the first-order start u0 = psi - T and one defect correction by the
+    # circulant's w_band meet the tolerance, so a step is T, the initial
+    # residual and the corrected one (u = M^-1 y is taken from the last)
+    cfg, ws = preset_workspace(name, "ci")
     f = initial_condition(cfg, ws.grid)
     calls = count_transforms(monkeypatch)
     for _ in range(3):
         calls.clear()
         f = strang_step(f, "cn", ws, cfg.krylov)
         assert cayley_preconditioner(ws).K == 0
-        assert ws.last_krylov.iterations == 1 and ws.last_krylov.residual <= cfg.krylov.tol
-        assert calls == {"fft": 4, "ifft": 4}
+        report = ws.last_krylov
+        assert report.iterations == 0 and report.products == 2
+        assert report.residual <= cfg.krylov.tol
+        assert calls == {"fft": 3, "ifft": 3}
 
 
 def test_layered_circulant_averages_at_most_five_iterations():
@@ -604,7 +611,7 @@ def test_band_step_on_a_zero_field_returns_zero(monkeypatch):
     out = cn_transport_step(zero, ws, cfg.krylov)
     assert not np.any(out.values) and out.values.shape == zero.values.shape
     assert [r.iterations for _, r in calls] == [0]
-    assert ws.last_krylov == KrylovReport(0, 0.0, True)
+    assert ws.last_krylov == KrylovReport(0, 0.0, True, 0)
 
 
 def test_inexact_band_falls_back_to_gmres_from_the_preconditioned_start(monkeypatch):
