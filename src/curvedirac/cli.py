@@ -21,8 +21,12 @@ from . import harness
 
 
 def _load(path) -> harness.RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return harness.parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return harness.parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        msg = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ConfigurationError(msg) from None
 
 
 def _values(text):

@@ -182,7 +182,14 @@ def parse_form(text: str) -> ScalarForm:
 # ---------------------------------------------------------------------------
 # metric models
 
-_KINDS = ("flat", "static1d", "static2d", "graphene")
+# The background fields each kind reads besides the mass; any other field of
+# _KEYS (named by its config key) must keep its default, so no set value is
+# dropped without notice.
+_READS = {"flat": ("ax_pot", "v_pot"), "static1d": ("phi", "psi"), "static2d": ("phi", "psi"),
+          "graphene": ("a0", "k0", "ell", "ax_pot", "v_pot")}
+_KEYS = {"phi": "metric.Phi", "psi": "metric.Psi", "a0": "metric.a0", "k0": "metric.k0",
+         "ell": "metric.ell", "ax_pot": "the external potential metric.Ax",
+         "v_pot": "the external potential metric.V"}
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ class MetricModel:
     v_pot: ScalarForm = ZERO_FORM
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _READS:
             raise ConfigurationError(f"unknown metric kind '{self.kind}'", "kind")
         if self.spinor_dim not in (2, 4):
             raise ConfigurationError("spinor_dim must be 2 or 4", "spinor_dim")
@@ -209,12 +216,12 @@ class MetricModel:
                 raise ConfigurationError(f"metric {name} must be finite, got {value}", name)
         if self.kind == "graphene" and not self.ell > 0:
             raise ConfigurationError("graphene sheet length ell must be positive", "ell")
-        if self.kind in ("static1d", "static2d"):
-            for name in ("ax_pot", "v_pot"):
-                if getattr(self, name) != ZERO_FORM:
-                    raise ConfigurationError(
-                        "static metrics carry no external potentials here; "
-                        "set metric.Ax / metric.V only for flat or graphene", name)
+        for name, key in _KEYS.items():
+            # a field's class attribute is its default
+            if name not in _READS[self.kind] and getattr(self, name) != getattr(MetricModel, name):
+                raise ConfigurationError(
+                    f"metric kind '{self.kind}' does not read {key}; leave it at its default",
+                    name)
 
     @property
     def dimension(self):

@@ -68,14 +68,15 @@ def grid_axes(d, a, N):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with per-axis nodes and FFT-ordered wavenumbers."""
+    """Uniform periodic grid with per-axis nodes and FFT-ordered wavenumbers;
+    equality and hashing use (d, a, N), from which the rest follows."""
 
     d: int
     a: tuple          # per-axis half-width
     N: tuple          # per-axis point count
-    h: tuple = field(init=False)
-    axes: tuple = field(init=False)   # node coordinates, one 1-D array per axis
-    freqs: tuple = field(init=False)  # wavenumbers xi_p in FFT order, per axis
+    h: tuple = field(init=False, compare=False)
+    axes: tuple = field(init=False, compare=False)   # node coordinates, one 1-D array per axis
+    freqs: tuple = field(init=False, compare=False)  # wavenumbers xi_p in FFT order, per axis
 
     def __post_init__(self):
         h = tuple(2.0 * self.a[i] / self.N[i] for i in range(self.d))
@@ -309,16 +310,13 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return -(xi * xi).astype(np.complex128)
 
 
-def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None,
-                      blocks=None) -> np.ndarray:
+def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None) -> np.ndarray:
     """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array.
 
     The product runs through `spectral_apply`, into ``out`` when given (it
-    may be ``values``), otherwise into a fresh array, which is returned;
-    ``blocks`` is its scratch for axis 0 of a 2-D grid.
+    may be ``values``), otherwise into a fresh array, which is returned.
     """
-    return spectral_apply(values, axis, lambda spec, _: np.multiply(spec, mult, out=spec),
-                          out, blocks=blocks)
+    return spectral_apply(values, axis, lambda spec, _: np.multiply(spec, mult, out=spec), out)
 
 
 def spectral_derivative(f: SpinorField, axis: int, order: int = 1) -> SpinorField:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 import re
 import struct
@@ -92,7 +93,7 @@ class RunConfig:
         if self.scheme == "poly2" and not self.dt * xi_max < math.sqrt(2):
             raise ConfigurationError(
                 f"scheme.dt = {self.dt} breaks poly2's stability bound dt * xi_max < sqrt(2) "
-                f"(xi_max = {xi_max:.6g})", "dt")
+                f"(xi_max = {xi_max:.6g}): its symbol's modulus |1 - dt^2 xi^2| passes 1", "dt")
         if not 0 <= self.T < math.inf:
             raise ConfigurationError(f"scheme.T must be >= 0 and finite, got {self.T}", "T")
         if self.ic_kind not in IC_KINDS:
@@ -577,14 +578,16 @@ def convergence_sweep(cfg: RunConfig, sweep: str, values, refine: int = 2,
     temporal error floors the table), restricted onto each coarse grid by
     index subsampling.
     sweep = 'dt': fixed grid, reference at min(values)/refine^2.
-    The reference and every swept configuration are built, and so checked,
-    before any run.
+    ``refine`` is a whole number >= 1.  The reference and every swept
+    configuration are built, and so checked, before any run.
 
     Returns a list of (value, error) rows, optionally written as CSV
     'param,error'.
     """
     if sweep not in ("h", "dt"):
         raise ConfigurationError("sweep must be 'h' or 'dt'")
+    if isinstance(refine, bool) or not isinstance(refine, numbers.Integral) or refine < 1:
+        raise ConfigurationError(f"refine must be a whole number >= 1, got {refine!r}")
     values = list(values)
     if not all(0 < v < math.inf for v in values):
         raise ConfigurationError(f"sweep values must be positive and finite, got {values}")

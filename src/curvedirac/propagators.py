@@ -41,9 +41,9 @@ Transport variants:
             weight w = a / ahat, so w stays in [0, 1] where a > 1
             (0 <= a <= 1: ahat = 1, theta = dt xi, w = a).
 * ``poly2`` the blend with theta = dt xi and w = a, plus the explicit
-            dt^2 a [[d_i^2]] correction applied to the shifted field.  Note the
-            correction term is explicit, so unlike poly1 this variant is
-            subject to a dt * xi_max < sqrt(2) restriction, which
+            dt^2 a [[d_i^2]] correction of the shifted field: the shift
+            times 1 - dt^2 xi^2, one symbol and one FFT pair per axis.  Its
+            modulus makes poly2 subject to dt * xi_max < sqrt(2), which
             `harness.RunConfig` enforces.
 
 PML enters only through the transport stage: velocities are divided by the
@@ -53,18 +53,18 @@ Memory.  A workspace holds one (S, S, *grid) matrix field, ``half``, beside
 the metric sample it keeps; `StepWorkspace.with_step` adds only another
 ``half``.  An explicit step allocates only the field it returns: the two
 pointwise stages and the sweeps alternate between that array and one
-scratch field of the workspace's model part (`StepWorkspace.scratch`;
-poly2's correction takes a second one), allocated at the first explicit
-step and reused by every later step of every derived workspace.  The
-FFTs run in place along the contiguous last axis.  Along axis 0 of a 2-D
-grid they go a block of columns at a time (`grid_spectral.spectral_apply`)
-through the workspace's `StepWorkspace.blocks`, S + 2 planes of about
-`grid_spectral.SLAB` nodes, also built at their first use: no full-field
-copy is made.  The pointwise loops take temporaries of one grid slab
-(SLAB nodes).  The public stage functions return a fresh field unless a
-caller passes ``out``.  The ``cn`` step takes no scratch field, only the
-blocks: each pointwise stage returns a fresh field, and the transport
-returns GMRES's (or the preconditioner's) fresh solution.
+scratch field of the workspace's model part (`StepWorkspace.scratch`),
+allocated at the first explicit step and reused by every later step of
+every derived workspace.  The FFTs run in place along the contiguous last
+axis.  Along axis 0 of a 2-D grid they go a block of columns at a time
+(`grid_spectral.spectral_apply`) through the workspace's
+`StepWorkspace.blocks`, S + 2 planes of about `grid_spectral.SLAB` nodes,
+also built at their first use: no full-field copy is made.  The pointwise
+loops take temporaries of one grid slab (SLAB nodes).  The public stage
+functions return a fresh field unless a caller passes ``out``.  The ``cn``
+step takes no scratch field, only the blocks: each pointwise stage returns
+a fresh field, and the transport returns GMRES's (or the preconditioner's)
+fresh solution.
 
 Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
 is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
@@ -81,8 +81,7 @@ import numpy as np
 from .errors import ConfigurationError, StepFailureError
 from .geometry import MetricModel, MetricSample, require_finite, ripple_band, sample_metric
 from .grid_spectral import (
-    Grid, SpinorField, column_blocks, derivative_multiplier, derivative_values, slabs,
-    spectral_apply,
+    Grid, SpinorField, column_blocks, derivative_multiplier, slabs, spectral_apply,
 )
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
@@ -165,7 +164,7 @@ class StepWorkspace:
     one array); ``alpha``; ``d1_mult``; ``ripple``, the model's
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
     inverts exactly; and, in ``shared``, the column blocks and the scratch
-    fields, built at their first use.
+    field, built at their first use.
 
     The step part is what dt adds: ``half``, the half step
     exp(-dt/2 (i M + sum_i a c^i alpha^i)) of the local generator applied
@@ -234,10 +233,9 @@ class StepWorkspace:
         return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2),
                            self.shared)
 
-    def scratch(self, k):
-        """Scratch field k of the explicit step, (S, *grid): 0 carries
-        every other stage's result, 1 poly2's dt^2 correction."""
-        return self.cached(("scratch", k), lambda: np.empty(
+    def scratch(self):
+        """The explicit step's scratch field, (S, *grid): every other stage's result."""
+        return self.cached("scratch", lambda: np.empty(
             (self.S,) + self.grid.shape, dtype=np.complex128), self.shared)
 
 
@@ -573,22 +571,24 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
 
 
 def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
-    """(shift, weight, corr) of one directional sweep: ``shift`` is the
-    `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I, the
-    `_alpha_symbol` with p = cos(theta) - 1, computed as -2 sin^2(theta/2)
-    to keep its digits where theta is small, and q = -i sin(theta).
-    poly1 shifts by theta = dt ahat xi with ahat = max(1, max|a|) and blends
-    with a / ahat, which keeps the weight in [0, 1] for 0 <= a; where
-    max|a| <= 1 that is the plain sweep, bit for bit.  poly2 shifts by
-    dt xi, blends with a, and takes its correction dt^2 a [[d_i^2]] Xi with
-    corr = (the [[d_i^2]] multiplier, dt^2 a); None for poly1.
+    """(shift, weight) of one directional sweep: ``shift`` is the
+    `grid_spectral.spectral_apply` action of g exp(-i theta alpha^i) - I,
+    the `_alpha_symbol` with p = g cos(theta) - 1 (cos(theta) - 1 taken as
+    -2 sin^2(theta/2) to keep its digits where theta is small) and
+    q = -i g sin(theta).  poly1 takes g = 1 and theta = dt ahat xi,
+    ahat = max(1, max|a|), and blends with a / ahat, in [0, 1] for 0 <= a;
+    where max|a| <= 1 that is the plain sweep, bit for bit.  poly2 takes
+    theta = dt xi and blends with a; its correction dt^2 a [[d_i^2]] Xi,
+    Xi = F^-1[exp(-i theta alpha^i) F psi], is the factor g = 1 - theta^2.
     """
     a = ws.a_eff[axis]
     ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
     theta = (ws.dt * ahat) * ws.grid.freqs[axis]
-    shift = _alpha_symbol(ws.alpha[axis], -2.0 * np.sin(0.5 * theta) ** 2, -1j * np.sin(theta))
-    corr = (derivative_multiplier(ws.grid, axis, 2), (ws.dt ** 2) * a) if second_order else None
-    return shift, a if ahat == 1.0 else a / ahat, corr
+    p, q = -2.0 * np.sin(0.5 * theta) ** 2, -1j * np.sin(theta)
+    if second_order:
+        p -= theta ** 2 * np.cos(theta)
+        q *= 1.0 - theta ** 2
+    return _alpha_symbol(ws.alpha[axis], p, q), a if ahat == 1.0 else a / ahat
 
 
 def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
@@ -596,35 +596,22 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     """The directional sweep shared by poly1 and poly2, written into ``out``
     when given, otherwise into a fresh array:
 
-        D = F^-1[(cos(theta) - 1 - i sin(theta) alpha^i) F psi] = Xi - psi,
-        psi' = psi + w D [+ dt^2 a [[d_i^2]] Xi for poly2],
+        D = F^-1[(g exp(-i theta alpha^i) - I) F psi],   psi' = psi + w D,
 
-    with theta and w from `_sweep_factors`, built at the first sweep of each
-    kind and axis.  The bracket is exp(-i theta alpha^i) - I, since
-    (alpha^i)^2 = I, so the transform yields the increment D and the blend
-    is two passes.  The transform pair and the shift run in ``out`` through
+    one transform pair and one blend pass for either scheme, with the
+    symbol and w from `_sweep_factors`, built at the first sweep of each
+    kind and axis.  The pair and the symbol run in ``out`` through
     `grid_spectral.spectral_apply`, which must not overlap f; along axis 0
     of a 2-D grid they go a block of columns at a time through the
-    workspace's `StepWorkspace.blocks`.  poly2 forms Xi = D + psi in the
-    workspace's scratch field 1 and takes its correction there with one
-    `derivative_values`.
+    workspace's `StepWorkspace.blocks`.
     """
-    shift, weight, corr = ws.cached(
+    shift, weight = ws.cached(
         ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
-    values = f.values
-    blocks = ws.blocks()
-    out = spectral_apply(values, axis, shift, out, temps=2, blocks=blocks)
-    if corr is not None:
-        mult, coef = corr
-        xi = np.add(out, values, out=ws.scratch(1))
-        d2 = derivative_values(xi, axis, mult, out=xi, blocks=blocks)
-        d2 *= coef
+    out = spectral_apply(f.values, axis, shift, out, temps=2, blocks=ws.blocks())
     for rows, _ in slabs(ws.grid.shape, 0):
-        o, v = out[:, rows], values[:, rows]
+        o = out[:, rows]
         o *= weight[rows]
-        o += v
-        if corr is not None:
-            o += d2[:, rows]
+        o += f.values[:, rows]
     return SpinorField(out, f.grid)
 
 
@@ -646,7 +633,7 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     ws.half, the transport, ws.half again (see `StepWorkspace`).
 
     The explicit schemes allocate only the returned array.  Their stages
-    alternate between it and the workspace's scratch field 0, so that the
+    alternate between it and the workspace's scratch field, so that the
     last sweep lands in the scratch and the second half writes the result; the
     returned field never shares memory with the workspace.  The Krylov
     report (cn only) lands on ws.last_krylov.
@@ -659,7 +646,7 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
         return half_potential_step(f, ws)
     step = poly_axis_step if scheme == "poly1" else poly_axis_step2
     result = np.empty(f.values.shape, dtype=np.complex128)
-    bufs = (ws.scratch(0), result)
+    bufs = (ws.scratch(), result)
     d = ws.grid.d
     f = half_potential_step(f, ws, out=bufs[d % 2])
     for axis in range(d):

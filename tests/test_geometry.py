@@ -129,6 +129,27 @@ def test_graphene_f_values():
     assert fmax5 < 1.0  # metric stays non-degenerate
 
 
+# per kind, a field it does not read set away from its default
+UNREAD_FIELDS = {
+    "flat": [("phi", ScalarForm("gauss", (3.0, 0.1))), ("psi", ScalarForm("const", (0.2,))),
+             ("a0", 0.4), ("k0", 2.0), ("ell", 5.0)],
+    "graphene": [("phi", ScalarForm("gauss", (3.0, 0.1))), ("psi", ScalarForm("const", (0.2,)))],
+    "static1d": [("a0", 0.4), ("k0", 2.0), ("ell", 5.0)],
+    "static2d": [("a0", 0.4), ("k0", 2.0), ("ell", 5.0)],
+}
+
+
+@pytest.mark.parametrize("kind", UNREAD_FIELDS)
+def test_a_field_its_kind_never_reads_is_rejected(kind):
+    for name, value in UNREAD_FIELDS[kind]:
+        with pytest.raises(ConfigurationError, match="does not read metric") as err:
+            MetricModel(kind, **{name: value})
+        assert err.value.field == name
+    # the defaults themselves stay legal
+    defaults = {name: getattr(MetricModel, name) for name, _ in UNREAD_FIELDS[kind]}
+    assert MetricModel(kind, **defaults) == MetricModel(kind)
+
+
 def test_graphene_degeneracy_raises():
     g = make_grid(1, 10.0, 256)
     with pytest.raises(GeometryError):

@@ -41,6 +41,15 @@ def test_make_grid_integer_wavenumbers_at_a_pi():
     assert np.allclose(np.sort(g.freqs[0]), np.arange(-4, 4))
 
 
+def test_grids_compare_and_hash_by_dimension_width_and_size():
+    g = make_grid(1, 5.0, 8)
+    assert g == make_grid(1, 5.0, 8) and hash(g) == hash(make_grid(1, 5.0, 8))
+    assert g != make_grid(1, 5.0, 16) and g != make_grid(1, 4.0, 8)
+    assert g != make_grid(2, 5.0, 8)
+    grids = {g, make_grid(1, 5.0, 8), make_grid(1, 5.0, 16), make_grid(2, (5.0, 3.0), (8, 6))}
+    assert len(grids) == 3
+
+
 def test_make_grid_odd_N_symmetric_wavenumbers():
     g = make_grid(1, 5.0, 9)
     p = np.sort(np.round(g.freqs[0] * 5 / np.pi).astype(int))

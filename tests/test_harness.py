@@ -121,6 +121,20 @@ def test_static_metric_rejects_external_potentials():
         parse_config(bad)
 
 
+def test_a_metric_field_its_kind_never_reads_is_reported_at_its_line():
+    bad = MINIMAL.replace("metric.kind = flat", "metric.kind = graphene") + "metric.Phi = gauss(3,0.1)\n"
+    line = bad.splitlines().index("metric.Phi = gauss(3,0.1)") + 1
+    with pytest.raises(ConfigurationError, match=f"^line {line}: .*does not read metric.Phi"):
+        parse_config(bad)
+
+
+def test_cli_run_of_a_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(MINIMAL.encode() + b"# \xff\n")
+    assert cli.main(["run", str(cfgfile)]) == 1
+    assert f"error: {cfgfile}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_graphene_pair_needs_two_components():
     bad = (MINIMAL.replace("ic.kind = gaussian_wavepacket", "ic.kind = graphene_pair")
            + "metric.S = 4\n")
@@ -832,6 +846,17 @@ def test_sweep_reference_resolution_has_zero_error():
                     scheme="cn", dt=2e-3, T=0.02, ic_kind="gaussian_wavepacket", ic_k0=3.0)
     rows = convergence_sweep(cfg, "h", [2 * 5.0 / 64], refine=1)
     assert rows[0][1] < 1e-12
+
+
+@pytest.mark.parametrize("refine", [0, -2, 1.5, 2.0, True])
+def test_sweep_requires_a_whole_refinement_of_at_least_one(monkeypatch, refine):
+    runs = []
+    monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+    cfg = parse_config(MINIMAL)
+    for sweep, values in (("dt", [2e-3, 1e-3]), ("h", [2 * 5.0 / 64])):
+        with pytest.raises(ConfigurationError, match="refine"):
+            convergence_sweep(cfg, sweep, values, refine=refine)
+    assert runs == []
 
 
 def test_sweep_requires_descending_values():
