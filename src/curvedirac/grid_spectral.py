@@ -151,15 +151,15 @@ def slabs(shape, temps):
         yield slice(lo, lo + step), buf[:, :min(step, shape[0] - lo)]
 
 
-def column_blocks(shape, planes):
-    """Scratch of `spectral_apply` along axis 0 of a 2-D grid ``shape``:
-    ``planes`` arrays of one block of B columns, each held transposed as
-    (B, N1) with B N1 about SLAB nodes; None on a 1-D grid, whose one axis
-    is contiguous."""
+def column_blocks(shape, S):
+    """Scratch of `spectral_apply` along axis 0 of a 2-D grid ``shape``: S + 2
+    arrays (the spectrum of S components, the action's two temporaries) of one
+    block of B columns, each held transposed as (B, N1) with B N1 about SLAB
+    nodes; None on a 1-D grid, whose one axis is contiguous."""
     if len(shape) < 2:
         return None
     width = max(1, min(shape[1], SLAB // shape[0]))
-    return np.empty((planes, width, shape[0]), dtype=np.complex128)
+    return np.empty((S + 2, width, shape[0]), dtype=np.complex128)
 
 
 def _largest_prime_factor(n: int) -> int:
@@ -230,7 +230,7 @@ def _ifft_last(spec, out):
     return out
 
 
-def spectral_apply(values: np.ndarray, axis: int, act, out=None, temps=0,
+def spectral_apply(values: np.ndarray, axis: int, act, out=None,
                    blocks=None) -> np.ndarray:
     """F^-1 act F along grid axis ``axis`` of a raw (S, N1[, N2]) array,
     into ``out`` when given (it may be ``values``), otherwise into a fresh
@@ -238,8 +238,8 @@ def spectral_apply(values: np.ndarray, axis: int, act, out=None, temps=0,
 
     ``act(spec, tmp)`` changes ``spec`` in place: (S, L, N), the transforms
     of L grid lines on its last axis, so a 1-D symbol over the axis's N
-    wavenumbers broadcasts; ``tmp`` holds ``temps`` arrays shaped like
-    spec[0].
+    wavenumbers broadcasts; ``tmp`` holds two arrays shaped like spec[0],
+    the temporaries of `propagators._alpha_symbol`.
 
     Along the last grid axis the transforms run in place in ``out`` and
     ``act`` sees slabs of its rows.  There an awkward size N (largest prime
@@ -249,10 +249,10 @@ def spectral_apply(values: np.ndarray, axis: int, act, out=None, temps=0,
     natural order, equal to numpy's to about 1e-15 relative; every other N
     takes one in-place `np.fft` call, as on axis 0.
     Along the strided axis 0 of a 2-D grid the forward transform of a block
-    of columns writes it transposed into ``blocks`` (a `column_blocks` of at
-    least S + temps planes, allocated when None), ``act`` runs there, and
-    the inverse writes it back into ``out``: no full-field copy, and every
-    line sees the same transforms and products on either path.
+    of columns writes it transposed into ``blocks`` (a `column_blocks` of S,
+    allocated when None), ``act`` runs there, and the inverse writes it back
+    into ``out``: no full-field copy, and every line sees the same
+    transforms and products on either path.
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
@@ -260,18 +260,18 @@ def spectral_apply(values: np.ndarray, axis: int, act, out=None, temps=0,
     if axis == len(shape) - 1:
         _fft_last(values, out)
         lines = out if len(shape) == 2 else out[:, None]
-        for rows, tmp in slabs(lines.shape[1:], temps):
+        for rows, tmp in slabs(lines.shape[1:], 2):
             act(lines[:, rows], tmp)
         return _ifft_last(out, out)
     if blocks is None:
-        blocks = column_blocks(shape, S + temps)
+        blocks = column_blocks(shape, S)
     width = blocks.shape[1]
     for lo in range(0, shape[1], width):
         cols = slice(lo, lo + width)
         blk = blocks[:, :min(width, shape[1] - lo)]
         spec = blk[:S]
         np.fft.fft(values[:, :, cols], axis=1, out=spec.transpose(0, 2, 1))
-        act(spec, blk[S:S + temps])
+        act(spec, blk[S:])
         np.fft.ifft(spec, axis=2, out=out[:, :, cols].transpose(0, 2, 1))
     return out
 
@@ -310,19 +310,11 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return -(xi * xi).astype(np.complex128)
 
 
-def derivative_values(values: np.ndarray, axis: int, mult: np.ndarray, out=None) -> np.ndarray:
-    """Apply a precomputed Fourier multiplier along one axis of a raw (S, N1[, N2]) array.
-
-    The product runs through `spectral_apply`, into ``out`` when given (it
-    may be ``values``), otherwise into a fresh array, which is returned.
-    """
-    return spectral_apply(values, axis, lambda spec, _: np.multiply(spec, mult, out=spec), out)
-
-
 def spectral_derivative(f: SpinorField, axis: int, order: int = 1) -> SpinorField:
     """Pseudospectral derivative: multiply mode p by (i xi_p)^order, transform back."""
     mult = derivative_multiplier(f.grid, axis, order)
-    return SpinorField(derivative_values(f.values, axis, mult), f.grid)
+    values = spectral_apply(f.values, axis, lambda spec, _: np.multiply(spec, mult, out=spec))
+    return SpinorField(values, f.grid)
 
 
 def dense_diff_matrix(N: int, a: float) -> np.ndarray:

@@ -293,8 +293,16 @@ def initial_condition(cfg: RunConfig, grid: Grid) -> SpinorField:
 
 
 def density(f: SpinorField) -> np.ndarray:
-    """Pointwise sum of squared component moduli."""
-    return np.sum(np.abs(f.values) ** 2, axis=0)
+    """Pointwise sum of squared component moduli, re^2 + im^2 summed over
+    the spin axis a slab at a time from one reading of the field's float64
+    view."""
+    values = np.ascontiguousarray(f.values)
+    parts = values.view(np.float64).reshape(values.shape + (2,))
+    dens = np.empty(f.grid.shape)
+    for rows, _ in slabs(f.grid.shape, 0):
+        sq = np.einsum("k...,k...->...", parts[:, rows], parts[:, rows])
+        np.add(sq[..., 0], sq[..., 1], out=dens[rows])
+    return dens
 
 
 def l2_norm(f: SpinorField) -> float:
@@ -303,17 +311,9 @@ def l2_norm(f: SpinorField) -> float:
 
 
 def gamma_norm(f: SpinorField, weight: np.ndarray) -> float:
-    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm: the density
-    re^2 + im^2, summed over the spin axis a slab at a time from one
-    reading of the field's float64 view, then one dot product with the
-    weight."""
-    values = np.ascontiguousarray(f.values)
-    parts = values.view(np.float64).reshape(values.shape + (2,))
-    dens = np.empty(f.grid.shape)
-    for rows, _ in slabs(f.grid.shape, 0):
-        sq = np.einsum("k...,k...->...", parts[:, rows], parts[:, rows])
-        np.add(sq[..., 0], sq[..., 1], out=dens[rows])
-    return float(np.sqrt(f.grid.cell_volume() * np.dot(weight.ravel(), dens.ravel())))
+    """(h^d sum_k w(x_k) |psi_k|^2)^(1/2), the covariant norm: one dot
+    product of the weight with the `density`."""
+    return float(np.sqrt(f.grid.cell_volume() * np.dot(weight.ravel(), density(f).ravel())))
 
 
 @dataclass

@@ -93,19 +93,14 @@ def sigma_profile(profile, sigma0, x, lstar, l, h=0.0):
     return np.where(np.abs(x) < lstar, 0.0, out)
 
 
-def layer_bounds(cfg: PmlConfig, grid: Grid, axis: int):
-    """(lstar, l) for one axis; l is the grid half-width."""
-    l = grid.a[axis]
-    return (1.0 - cfg.fraction) * l, l
-
-
 def stretch_factor(cfg: PmlConfig, axis: int, grid: Grid) -> np.ndarray:
-    """S^i over the axis nodes; real when theta = 0, complex otherwise."""
+    """S^i over the axis nodes; real when theta = 0, complex otherwise.  The
+    layer spans L* <= |x| < L, L the grid half-width and L* = (1 - fraction) L."""
     x = grid.axes[axis]
     if not cfg.enabled:
         return np.ones_like(x)
-    lstar, l = layer_bounds(cfg, grid, axis)
-    sig = sigma_profile(cfg.profile, cfg.sigma0, x, lstar, l, h=grid.h[axis])
+    l = grid.a[axis]
+    sig = sigma_profile(cfg.profile, cfg.sigma0, x, (1.0 - cfg.fraction) * l, l, h=grid.h[axis])
     if cfg.theta == 0.0:
         return 1.0 + sig
     return 1.0 + np.exp(1j * cfg.theta) * sig

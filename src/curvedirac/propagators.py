@@ -68,7 +68,8 @@ fresh solution.
 
 Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
 is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
-applies alpha^i as its one nonzero entry a row.
+applies alpha^i as its one nonzero entry a row through the two temporaries
+that `spectral_apply` lends every action; `_spin_matmul` takes only ``half``.
 """
 
 from __future__ import annotations
@@ -91,23 +92,21 @@ SCHEMES = ("cn", "poly1", "poly2")
 
 
 def _spin_matmul(mat, values, out=None):
-    """Apply an (S, S) matrix or (S, S, *grid) matrix field on the spinor axis.
+    """Apply an (S, S, *grid) matrix field, ws.half, on the spinor axis.
 
     The matrix is applied entry by entry, out[a] = values[0] mat[a, 0]
     + values[1] mat[a, 1] + ..., one slab of the grid at a time, into
-    ``out`` when given; ``out`` must not overlap ``values``.  This runs on
-    the calling thread alone, where a BLAS product would start its own
-    thread pool for a constant matrix.  The steps pass it only ws.half: the
-    constant alpha^i go through `_alpha_symbol`.
+    ``out`` when given; ``out`` must not overlap ``values``.  The constant
+    alpha^i never come here: they go through `_alpha_symbol`.
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
+    S = len(mat)
     for rows, (term,) in slabs(values.shape[1:], 1):
-        m = mat if mat.ndim == 2 else mat[:, :, rows]
-        v, o = values[:, rows], out[:, rows]
-        for a in range(len(mat)):
+        m, v, o = mat[:, :, rows], values[:, rows], out[:, rows]
+        for a in range(S):
             np.multiply(v[0], m[a, 0], out=o[a])
-            for k in range(1, len(mat)):
+            for k in range(1, S):
                 np.multiply(v[k], m[a, k], out=term)
                 o[a] += term
     return out
@@ -230,7 +229,7 @@ class StepWorkspace:
         """The column blocks of the transforms along axis 0 of a 2-D grid
         (see `grid_spectral.column_blocks`): S planes of spectrum and the
         `_alpha_symbol`'s two temporaries; None on a 1-D grid."""
-        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S + 2),
+        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S),
                            self.shared)
 
     def scratch(self):
@@ -257,7 +256,7 @@ def _cn_term(values, ws):
     for i in range(ws.grid.d):
         coef, act = ws.cached(("cn", i), lambda: (
             0.5 * ws.dt * ws.a_eff[i], _alpha_symbol(ws.alpha[i], None, ws.d1_mult[i])))
-        term = spectral_apply(values, i, act, temps=2, blocks=ws.blocks())
+        term = spectral_apply(values, i, act, blocks=ws.blocks())
         term *= coef
         if out is None:
             out = term
@@ -437,7 +436,7 @@ class BandPreconditioner:
         of the chain solve `_chains` at K > 0."""
         # the bound method is taken here, not kept: kept, it would make the
         # preconditioner a reference cycle
-        return spectral_apply(values, 0, self.circulant or self._chains, temps=2)
+        return spectral_apply(values, 0, self.circulant or self._chains)
 
     def _chains(self, spec, tmp):
         """M^-1 on the transform spec, (S, 1, N), in place: the chain solve
@@ -459,22 +458,32 @@ def cayley_preconditioner(ws: StepWorkspace) -> BandPreconditioner | None:
     box and without a layer (``ws.ripple``, see `geometry.ripple_band`), w
     is the band itself, and M = w + c alpha [[d]] is A / a exactly.
     Otherwise M is the circulant w_band = m, the midrange of Re w, whenever
-    m > 0.  2-D grids, a velocity with a zero and a non-finite w take plain
-    GMRES.  Built at the first solve and kept in the workspace.
+    m > 0 and max|w| <= CIRCULANT_SPREAD min|w|.  2-D grids and a w past
+    that spread (a zero, infinite or NaN w among them) take plain GMRES.
+    Built at the first solve and kept in the workspace.
     """
     if ws.grid.d != 1:
         return None
     return ws.cached("cayley", lambda: _band_preconditioner(ws))
 
 
+# Largest max|w| / min|w|, w = 1/a, at which the 1-D cn solve takes the
+# circulant: one constant w_band fits a wider spread so badly that its start
+# and defect correction stall GMRES at step 1 where plain GMRES completes
+# (seen from 3.9e6 up).  The presets read at most 2.02, circulant solves
+# complete up to 1.1e5, and a bound of 10 already loses one that completes.
+CIRCULANT_SPREAD = 1e6
+
+
 def _band_preconditioner(ws):
+    c, mult, alpha = 0.5 * ws.dt, ws.d1_mult[0], ws.alpha[0]
     with np.errstate(all="ignore"):
         w = 1.0 / ws.a_eff[0]
-    if not np.all(np.isfinite(w)):
-        return None
-    c, mult, alpha = 0.5 * ws.dt, ws.d1_mult[0], ws.alpha[0]
+        spread = np.max(np.abs(w)) / np.min(np.abs(w))
     if ws.ripple is not None:
         return BandPreconditioner(w, *ws.ripple, c, mult, alpha)
+    if not spread <= CIRCULANT_SPREAD:    # inf or NaN where w has a zero, an inf or a NaN
+        return None
     m = 0.5 * (np.max(w.real) + np.min(w.real))
     return BandPreconditioner(w, 0, m, 0.0, c, mult, alpha) if m > 0 else None
 
@@ -607,7 +616,7 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     """
     shift, weight = ws.cached(
         ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
-    out = spectral_apply(f.values, axis, shift, out, temps=2, blocks=ws.blocks())
+    out = spectral_apply(f.values, axis, shift, out, blocks=ws.blocks())
     for rows, _ in slabs(ws.grid.shape, 0):
         o = out[:, rows]
         o *= weight[rows]

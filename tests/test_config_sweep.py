@@ -25,7 +25,7 @@ from curvedirac.errors import ConfigurationError, GeometryError, SimulationError
 from curvedirac.geometry import MetricModel, ScalarForm
 from curvedirac.harness import RunConfig, run_simulation
 from curvedirac.pml import PROFILES, PmlConfig
-from curvedirac.propagators import SCHEMES
+from curvedirac.propagators import SCHEMES, StepWorkspace, cayley_preconditioner
 
 DRAWS = 300
 # closed forms and their coefficient counts; the last four take one coordinate
@@ -108,3 +108,28 @@ def test_random_configurations_are_rejected_completed_or_halted(tmp_path, seed):
             raise AssertionError(f"draw {k} of seed {seed}") from exc
     # the sweep reaches past the checks: most draws run
     assert ends["completed"] > DRAWS // 2, ends
+
+
+def replay(seed, k, out_dir):
+    """The build of draw k of seed's sweep: the draws before it are made and
+    dropped, which leaves the generator where the sweep has it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        draw_config(rng, out_dir)
+    return draw_config(rng, out_dir)
+
+
+def test_stiff_1d_cn_metrics_take_plain_gmres_and_complete(tmp_path):
+    # 1-D cn draws whose w = 1/a spreads by 3.9e6 (seed 7 draw 172) up to
+    # 7.9e74 (seed 1 draw 237): on the circulant their solve stalled at
+    # step 1.  Seed 7 draw 12 spreads by 1.1e5 and completes on the
+    # circulant, which it keeps.
+    for seed, k, circulant in [(1, 0, False), (1, 237, False), (7, 167, False),
+                               (7, 172, False), (7, 12, True)]:
+        out_dir = str(tmp_path / f"{seed}-{k}")
+        build = replay(seed, k, out_dir)
+        cfg = build()
+        assert cfg.scheme == "cn" and cfg.d == 1
+        pre = cayley_preconditioner(StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml))
+        assert (pre is not None and pre.K == 0) == circulant, (seed, k)
+        assert outcome(build, out_dir) == "completed", (seed, k)

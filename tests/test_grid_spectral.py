@@ -10,7 +10,6 @@ from curvedirac.grid_spectral import (
     column_blocks,
     dense_diff_matrix,
     derivative_multiplier,
-    derivative_values,
     forward_dft_axis,
     grid_axes,
     inverse_dft_axis,
@@ -219,36 +218,37 @@ def complex_field(rng, shape):
 
 
 def test_column_blocks_leave_a_ragged_last_block():
-    blocks = column_blocks(RAGGED, 4)
+    blocks = column_blocks(RAGGED, 2)    # S = 2: two spectrum planes, two lent
     width = blocks.shape[1]
     assert blocks.shape == (4, width, RAGGED[0]) and RAGGED[1] % width != 0
-    assert column_blocks((64,), 4) is None
+    assert column_blocks((64,), 2) is None
 
 
 @pytest.mark.parametrize("S", [2, 4])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_spectral_apply_equals_a_whole_array_transform(rng, S, axis):
-    # an action with a symbol along the transform axis and a temporary; the
-    # blocked axis-0 path gives the whole-array transform's bits
+    # an action with a symbol along the transform axis and one of the two
+    # lent temporaries; the blocked axis-0 path gives the whole-array
+    # transform's bits
     g = make_grid(2, (3.0, 5.0), RAGGED)
     values = complex_field(rng, (S,) + g.shape)
     sym = complex_field(rng, g.N[axis])
 
     def act(spec, tmp):
-        assert spec.shape[-1] == g.N[axis] and tmp.shape == (1,) + spec.shape[1:]
+        assert spec.shape[-1] == g.N[axis] and tmp.shape == (2,) + spec.shape[1:]
         np.multiply(spec[0], sym, out=tmp[0])
         spec[1] += tmp[0]
         spec *= sym
 
     ax = 1 + axis
     spec = np.moveaxis(np.fft.fft(values, axis=ax), ax, -1)
-    act(spec, np.empty((1,) + spec.shape[1:], dtype=np.complex128))
+    act(spec, np.empty((2,) + spec.shape[1:], dtype=np.complex128))
     ref = np.fft.ifft(np.moveaxis(spec, -1, ax), axis=ax)
     kept = values.copy()
-    assert np.array_equal(spectral_apply(values, axis, act, temps=1), ref)
+    assert np.array_equal(spectral_apply(values, axis, act), ref)
     assert np.array_equal(values, kept)
     # in place, through caller-owned blocks
-    out = spectral_apply(values, axis, act, out=values, temps=1, blocks=column_blocks(g.shape, S + 1))
+    out = spectral_apply(values, axis, act, out=values, blocks=column_blocks(g.shape, S))
     assert out is values and np.array_equal(values, ref)
 
 
@@ -259,8 +259,8 @@ def test_derivative_values_along_axis_0_equals_a_whole_array_transform(rng, S, o
     values = complex_field(rng, (S,) + g.shape)
     mult = derivative_multiplier(g, 0, order)
     ref = np.fft.ifft(np.fft.fft(values, axis=1) * mult[:, None], axis=1)
-    assert np.array_equal(derivative_values(values, 0, mult), ref)
-    assert np.array_equal(derivative_values(values, 0, mult, out=values), ref)
+    assert np.array_equal(spectral_derivative(SpinorField(values, g), 0, order).values, ref)
+    assert np.array_equal(spectral_apply(values, 0, multiply_act(mult), out=values), ref)
 
 
 # ----------------------------------------------------------------- awkward sizes
@@ -288,6 +288,11 @@ def split_shapes(N):
     return [(N,), (8, N)]
 
 
+def multiply_act(mult):
+    """The action of a derivative multiplier, as `spectral_derivative` applies it."""
+    return lambda spec, _: np.multiply(spec, mult, out=spec)
+
+
 def symbol_act(sym):
     """An action with a symbol over the transform axis and one temporary."""
     def act(spec, tmp):
@@ -301,7 +306,7 @@ def numpy_apply(values, act):
     """F^-1 act F along the last axis through np.fft, without the split."""
     spec = np.fft.fft(values, axis=-1)
     lines = spec if spec.ndim == 3 else spec[:, None]
-    act(lines, np.empty((1,) + lines.shape[1:], dtype=np.complex128))
+    act(lines, np.empty((2,) + lines.shape[1:], dtype=np.complex128))
     return np.fft.ifft(spec, axis=-1)
 
 
@@ -316,19 +321,19 @@ def test_split_sizes_match_numpy_fft(rng, shape):
     act = symbol_act(complex_field(rng, shape[-1]))
     ref = numpy_apply(values, act)
     kept = values.copy()
-    assert rel_err(spectral_apply(values, g.d - 1, act, temps=1), ref) < 1e-13
+    assert rel_err(spectral_apply(values, g.d - 1, act), ref) < 1e-13
     assert np.array_equal(values, kept)
     mult = derivative_multiplier(g, g.d - 1, 1)
     dref = np.fft.ifft(np.fft.fft(values, axis=-1) * mult, axis=-1)
-    assert rel_err(derivative_values(values, g.d - 1, mult), dref) < 1e-13
+    assert rel_err(spectral_derivative(SpinorField(values, g), g.d - 1).values, dref) < 1e-13
     f = SpinorField(values, g)
     assert rel_err(forward_dft_axis(f, g.d - 1).values, np.fft.fft(values, axis=-1)) < 1e-13
     assert rel_err(inverse_dft_axis(f, g.d - 1).values, np.fft.ifft(values, axis=-1)) < 1e-13
     # in place
-    out = derivative_values(values, g.d - 1, mult, out=values)
+    out = spectral_apply(values, g.d - 1, multiply_act(mult), out=values)
     assert out is values and rel_err(values, dref) < 1e-13
     values[...] = kept
-    out = spectral_apply(values, g.d - 1, act, out=values, temps=1)
+    out = spectral_apply(values, g.d - 1, act, out=values)
     assert out is values and rel_err(values, ref) < 1e-13
 
 
@@ -338,11 +343,11 @@ def test_unsplit_sizes_keep_numpy_fft_bits(rng, shape):
     values = complex_field(rng, (2,) + shape)
     act = symbol_act(complex_field(rng, shape[-1]))
     ref = numpy_apply(values, act)
-    assert np.array_equal(spectral_apply(values, g.d - 1, act, temps=1), ref)
+    assert np.array_equal(spectral_apply(values, g.d - 1, act), ref)
     f = SpinorField(values, g)
     assert np.array_equal(forward_dft_axis(f, g.d - 1).values, np.fft.fft(values, axis=-1))
     assert np.array_equal(inverse_dft_axis(f, g.d - 1).values, np.fft.ifft(values, axis=-1))
-    assert np.array_equal(spectral_apply(values, g.d - 1, act, out=values, temps=1), ref)
+    assert np.array_equal(spectral_apply(values, g.d - 1, act, out=values), ref)
 
 
 def test_axis_0_of_a_2d_grid_keeps_numpy_fft_at_a_split_size(rng):
@@ -377,7 +382,7 @@ def test_split_writes_through_a_strided_out(rng):
     act = symbol_act(complex_field(rng, 1203))
     big = np.zeros((2, 2 * 1203), dtype=np.complex128)
     out = big[:, ::2]
-    assert spectral_apply(values, 0, act, out=out, temps=1) is out
+    assert spectral_apply(values, 0, act, out=out) is out
     assert rel_err(out, numpy_apply(values, act)) < 1e-13
     assert not big[:, 1::2].any()
 

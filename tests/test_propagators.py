@@ -14,7 +14,7 @@ from conftest import expm_small, flat_exact_evolution, loglog_slope
 from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, GeometryError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
-from curvedirac.grid_spectral import SpinorField, derivative_multiplier, derivative_values, make_grid
+from curvedirac.grid_spectral import SpinorField, make_grid, spectral_derivative
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 from curvedirac.oracle import dense_cn_step
@@ -66,7 +66,9 @@ def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
     def crand(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    mat = crand(S, S, *grid_shape) if field else crand(S, S)
+    # a matrix field, or one constant over the grid as a zero-stride view
+    mat = crand(S, S, *grid_shape) if field else np.broadcast_to(
+        crand(S, S).reshape((S, S) + (1,) * len(grid_shape)), (S, S) + grid_shape)
     values = crand(S, *grid_shape)
     if strided:
         # a non-contiguous view: every other node of a doubled last axis
@@ -522,7 +524,7 @@ def test_band_inverse_on_long_multi_block_and_padded_chains(changes, padded):
     rng = np.random.default_rng(16)
     v = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
     x = pre.solve(v)
-    Mx = w_band * x + 0.5 * ws.dt * _spin_matmul(ws.alpha[0], derivative_values(x, 0, ws.d1_mult[0]))
+    Mx = w_band * x + 0.5 * ws.dt * ws.alpha[0] @ spectral_derivative(SpinorField(x, ws.grid), 0).values
     assert np.linalg.norm(Mx - v) <= 1e-12 * np.linalg.norm(v)
 
 
@@ -754,8 +756,7 @@ def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
         a = ws.a_eff[axis]
         ref = a * xi + (1 - a) * f.values
         if second_order:
-            d2_mult = derivative_multiplier(g, axis, 2)
-            ref += ws.dt ** 2 * a * derivative_values(xi, axis, d2_mult)
+            ref += ws.dt ** 2 * a * spectral_derivative(SpinorField(xi, g), axis, 2).values
         out = step(f, axis, ws)
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
