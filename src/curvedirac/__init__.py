@@ -34,7 +34,6 @@ from .propagators import (
     cn_transport_step,
     half_potential_step,
     poly_axis_step,
-    poly_axis_step2,
     strang_step,
 )
 from .oracle import build_dense_G, dense_cn_step
@@ -66,7 +65,7 @@ __all__ = [
     "PmlConfig", "apply_pml", "sigma_profile",
     "stretch_factor", "KrylovOptions", "KrylovReport", "gmres",
     "StepWorkspace", "cn_transport_step", "half_potential_step",
-    "poly_axis_step", "poly_axis_step2", "strang_step", "build_dense_G",
+    "poly_axis_step", "strang_step", "build_dense_G",
     "dense_cn_step", "DiagnosticsRecord", "RunConfig", "SimulationResult",
     "convergence_sweep", "density", "gamma_norm", "initial_condition",
     "l2_norm", "parse_config", "preset_config", "read_snapshot",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +52,29 @@ def per_axis(value, d, conv, name):
     return tuple(conv(x) for x in t)
 
 
+def _whole_count(value):
+    """A point count as an int: a whole number, given as an int or as an
+    integral float (the rule `krylov.check_options` applies to its counts)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ConfigurationError(f"point count N must be a whole number, got {value!r}", "N")
+    return int(value)
+
+
 def grid_axes(d, a, N):
-    """Checked per-axis (a, N) tuples of a d-dimensional grid."""
+    """Checked (d, a, N) of a d-dimensional grid: d an int, a and N per-axis
+    tuples; an integral float d or N is taken as its int."""
     if d not in (1, 2):
-        raise ConfigurationError(f"dimension d must be 1 or 2, got {d}", "d")
+        raise ConfigurationError(f"dimension d must be 1 or 2, got {d!r}", "d")
+    d = int(d)
     a = per_axis(a, d, float, "a")
-    N = per_axis(N, d, int, "N")
+    N = per_axis(N, d, _whole_count, "N")
     for i in range(d):
         if not 0 < a[i] < math.inf:
             raise ConfigurationError(
                 f"half-width a[{i}] must be positive and finite, got {a[i]}", "a")
         if N[i] < 4:
             raise ConfigurationError(f"point count N[{i}] must be >= 4, got {N[i]}", "N")
-    return a, N
+    return d, a, N
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,7 @@ class Grid:
 
 def make_grid(d, a, N) -> Grid:
     """Build a periodic grid; both even and odd point counts are accepted."""
-    return Grid(d, *grid_axes(d, a, N))
+    return Grid(*grid_axes(d, a, N))
 
 
 @dataclass

@@ -40,11 +40,6 @@ Transport variants:
             ahat = max(1, max|a|) the shift is theta = dt ahat xi and the
             weight w = a / ahat, so w stays in [0, 1] where a > 1
             (0 <= a <= 1: ahat = 1, theta = dt xi, w = a).
-* ``poly2`` the blend with theta = dt xi and w = a, plus the explicit
-            dt^2 a [[d_i^2]] correction of the shifted field: the shift
-            times 1 - dt^2 xi^2, one symbol and one FFT pair per axis.  Its
-            modulus makes poly2 subject to dt * xi_max < sqrt(2), which
-            `harness.RunConfig` enforces.
 
 PML enters only through the transport stage: velocities are divided by the
 complex stretch fields.
@@ -88,7 +83,7 @@ from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
 from .spinor_algebra import Imaginary, alpha_matrix, exp_dirac
 
-SCHEMES = ("cn", "poly1", "poly2")
+SCHEMES = ("cn", "poly1")
 
 
 def _spin_matmul(mat, values, out=None):
@@ -579,43 +574,35 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     return SpinorField(u, f.grid)
 
 
-def _sweep_factors(ws: StepWorkspace, axis: int, second_order: bool):
+def _sweep_factors(ws: StepWorkspace, axis: int):
     """(shift, weight) of one directional sweep: ``shift`` is the
-    `grid_spectral.spectral_apply` action of g exp(-i theta alpha^i) - I,
-    the `_alpha_symbol` with p = g cos(theta) - 1 (cos(theta) - 1 taken as
-    -2 sin^2(theta/2) to keep its digits where theta is small) and
-    q = -i g sin(theta).  poly1 takes g = 1 and theta = dt ahat xi,
-    ahat = max(1, max|a|), and blends with a / ahat, in [0, 1] for 0 <= a;
-    where max|a| <= 1 that is the plain sweep, bit for bit.  poly2 takes
-    theta = dt xi and blends with a; its correction dt^2 a [[d_i^2]] Xi,
-    Xi = F^-1[exp(-i theta alpha^i) F psi], is the factor g = 1 - theta^2.
+    `grid_spectral.spectral_apply` action of exp(-i theta alpha^i) - I, the
+    `_alpha_symbol` with p = cos(theta) - 1 (taken as -2 sin^2(theta/2) to
+    keep its digits where theta is small) and q = -i sin(theta), where
+    theta = dt ahat xi, ahat = max(1, max|a|); ``weight`` is a / ahat, in
+    [0, 1] for 0 <= a.  Where max|a| <= 1 that is the plain sweep, bit for
+    bit.
     """
     a = ws.a_eff[axis]
-    ahat = 1.0 if second_order else max(1.0, float(np.max(np.abs(a))))
+    ahat = max(1.0, float(np.max(np.abs(a))))
     theta = (ws.dt * ahat) * ws.grid.freqs[axis]
     p, q = -2.0 * np.sin(0.5 * theta) ** 2, -1j * np.sin(theta)
-    if second_order:
-        p -= theta ** 2 * np.cos(theta)
-        q *= 1.0 - theta ** 2
     return _alpha_symbol(ws.alpha[axis], p, q), a if ahat == 1.0 else a / ahat
 
 
-def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool,
-                out=None) -> SpinorField:
-    """The directional sweep shared by poly1 and poly2, written into ``out``
-    when given, otherwise into a fresh array:
+def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
+    """One directional sweep of the exponential blend scheme (poly1), written
+    into ``out`` when given, otherwise into a fresh array:
 
-        D = F^-1[(g exp(-i theta alpha^i) - I) F psi],   psi' = psi + w D,
+        D = F^-1[(exp(-i theta alpha^i) - I) F psi],   psi' = psi + w D,
 
-    one transform pair and one blend pass for either scheme, with the
-    symbol and w from `_sweep_factors`, built at the first sweep of each
-    kind and axis.  The pair and the symbol run in ``out`` through
-    `grid_spectral.spectral_apply`, which must not overlap f; along axis 0
-    of a 2-D grid they go a block of columns at a time through the
-    workspace's `StepWorkspace.blocks`.
+    one transform pair and one blend pass, with the symbol and w from
+    `_sweep_factors`, built at the first sweep along each axis.  The pair
+    and the symbol run in ``out`` through `grid_spectral.spectral_apply`,
+    which must not overlap f; along axis 0 of a 2-D grid they go a block of
+    columns at a time through the workspace's `StepWorkspace.blocks`.
     """
-    shift, weight = ws.cached(
-        ("sweep", axis, second_order), lambda: _sweep_factors(ws, axis, second_order))
+    shift, weight = ws.cached(("sweep", axis), lambda: _sweep_factors(ws, axis))
     out = spectral_apply(f.values, axis, shift, out, blocks=ws.blocks())
     for rows, _ in slabs(ws.grid.shape, 0):
         o = out[:, rows]
@@ -624,16 +611,12 @@ def _poly_sweep(f: SpinorField, axis: int, ws: StepWorkspace, second_order: bool
     return SpinorField(out, f.grid)
 
 
-def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
-    """One directional step of the exponential blend scheme (poly1), into
-    ``out`` when given, otherwise into a fresh array."""
-    return _poly_sweep(f, axis, ws, False, out)
-
-
-def poly_axis_step2(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
-    """Directional step with the explicit dt^2 second-derivative correction
-    (poly2), into ``out`` when given, otherwise into a fresh array."""
-    return _poly_sweep(f, axis, ws, True, out)
+def poly_axis_step2(*args, **kwargs):
+    """Raises: the poly2 scheme is gone.  The name stays only because
+    `bench/tracing.py` wraps it by name and `bench/test_gates.py` deletes it
+    to test how the trace reports an absent name; it goes with ROADMAP
+    item 2, when the benchmark reads the solver's own stage counters."""
+    raise ConfigurationError(f"poly2 was removed; scheme must be one of {SCHEMES}")
 
 
 def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
@@ -641,11 +624,11 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     """One full Strang step of size ws.dt with the named transport scheme:
     ws.half, the transport, ws.half again (see `StepWorkspace`).
 
-    The explicit schemes allocate only the returned array.  Their stages
-    alternate between it and the workspace's scratch field, so that the
-    last sweep lands in the scratch and the second half writes the result; the
-    returned field never shares memory with the workspace.  The Krylov
-    report (cn only) lands on ws.last_krylov.
+    poly1 allocates only the returned array.  Its stages alternate between
+    it and the workspace's scratch field, so that the last sweep lands in
+    the scratch and the second half writes the result; the returned field
+    never shares memory with the workspace.  The Krylov report (cn only)
+    lands on ws.last_krylov.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
@@ -653,11 +636,10 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     if scheme == "cn":
         f = cn_transport_step(half_potential_step(f, ws), ws, krylov)
         return half_potential_step(f, ws)
-    step = poly_axis_step if scheme == "poly1" else poly_axis_step2
     result = np.empty(f.values.shape, dtype=np.complex128)
     bufs = (ws.scratch(), result)
     d = ws.grid.d
     f = half_potential_step(f, ws, out=bufs[d % 2])
     for axis in range(d):
-        f = step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
+        f = poly_axis_step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
     return half_potential_step(f, ws, out=result)

@@ -7,8 +7,16 @@ full-mesh formulas of the set-up build (initial data, metric sample, covariant
 weight), evaluated on `Grid.meshes()` copies as the package once did.
 """
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads (as bench/run.py does): the suite's
+# products are small, and on a 2-CPU host OpenBLAS's default threads took
+# it from 56 s to 73 s.  The demos that test_demo_runs starts inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from curvedirac.errors import GeometryError
 from curvedirac.geometry import MetricSample, graphene_f

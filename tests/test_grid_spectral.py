@@ -71,6 +71,10 @@ def test_make_grid_rejects_bad_input():
         make_grid(1, -1.0, 16)
     with pytest.raises(ConfigurationError):
         make_grid(3, 1.0, 8)
+    for d, N in ((1, 100.5), (1.5, 16)):   # int() would take 100 and 1
+        with pytest.raises(ConfigurationError) as err:
+            make_grid(d, 5.0, N)
+        assert err.value.field == ("N" if d == 1 else "d")
 
 
 @pytest.mark.parametrize("a", [math.inf, math.nan], ids=["inf", "nan"])

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 import math
@@ -181,8 +182,7 @@ BAD_PYTHON_CONFIGS = {
     "nan_ic_k0": ("ic_k0", lambda: FLAT.replace(ic_k0=float("nan"))),
     "infinite_ic_x0": ("ic_x0", lambda: FLAT.replace(ic_x0=float("-inf"))),
     "negative_stride": ("stride", lambda: FLAT.replace(stride=-3)),  # no snapshot
-    "poly2_past_its_bound": ("dt", lambda: preset_config("exp1", "ci").replace(
-        scheme="poly2", dt=2.0 / (256 * math.pi / 5.0))),  # dt xi_max = 2
+    "fractional_N": ("N", lambda: FLAT.replace(N=64.9)),  # int() would take 64
 }
 
 
@@ -192,6 +192,14 @@ def test_python_built_configs_get_the_parsers_checks(case):
     with pytest.raises(ConfigurationError) as err:
         build()
     assert err.value.field == field
+
+
+def test_integral_float_grid_sizes_are_taken_as_ints():
+    cfg = preset_config("exp3", "ci")
+    same = cfg.replace(d=2.0, N=64.0)
+    assert same == cfg.replace(d=2, N=64)
+    assert type(same.d) is int and all(type(n) is int for n in same.N)
+    assert serialize_config(same) == serialize_config(cfg.replace(N=64))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -445,7 +453,7 @@ def test_final_step_shortened_to_hit_horizon():
     assert res.final.values.tobytes() == want.values.tobytes()
 
 
-@pytest.mark.parametrize("scheme", ["cn", "poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["cn", "poly1"])
 def test_a_run_samples_the_metric_once(monkeypatch, scheme):
     # three steps, the last one shortened
     calls = []
@@ -522,7 +530,7 @@ def test_simulation_halts_on_blowup(monkeypatch):
     cfg = RunConfig(d=1, a=5.0, N=256,
                     metric=MetricModel("static1d", mass=0.0, phi=ScalarForm("zero"),
                                        psi=ScalarForm("well", (1.0, 5e-3))),
-                    scheme="poly2", dt=0.005, T=1.0,
+                    scheme="poly1", dt=0.005, T=1.0,
                     ic_kind="gaussian_wavepacket", ic_k0=3.0)
     step = harness.strang_step
     calls = []
@@ -619,6 +627,17 @@ def test_snapshot_bit_stable(tmp_path):
     p1 = write_snapshot(f, str(tmp_path / "a.csv"))
     p2 = write_snapshot(f, str(tmp_path / "b.csv"))
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+
+def test_snapshot_saved_with_a_byte_order_mark_reads_back(tmp_path):
+    # spreadsheet "CSV UTF-8" exports put a BOM before the header
+    g = make_grid(1, 3.0, 32)
+    rng = np.random.default_rng(3)
+    f = SpinorField(rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32)), g)
+    p = Path(write_snapshot(f, str(tmp_path / "bom.csv")))
+    p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+    assert read_snapshot(str(p), g, 2).values.tobytes() == f.values.tobytes()
 
 
 # The expected bytes below were written by the per-node writer that the
@@ -884,17 +903,6 @@ def test_sweep_rejects_grids_that_do_not_nest_before_any_run(monkeypatch):
     assert runs == []
 
 
-def test_sweep_rejects_a_time_step_before_any_run(monkeypatch):
-    # poly2 on a 256-point exp1 grid: dt = 0.02 gives dt xi_max = 1.6, past
-    # poly2's bound, which used to surface after the 200-step reference run
-    runs = []
-    monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
-    cfg = preset_config("exp1", "ci").replace(N=(256,), scheme="poly2")
-    with pytest.raises(ConfigurationError, match=r"scheme.dt = 0.02 breaks poly2"):
-        convergence_sweep(cfg, "dt", [0.02, 0.01])
-    assert runs == []
-
-
 def test_cli_sweep_over_grids_that_do_not_nest_is_an_error(monkeypatch, tmp_path, capsys):
     runs = []
     monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
@@ -1000,9 +1008,15 @@ def test_cli_run_and_converge(tmp_path, capsys):
 
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("grid.d = 7\n")
-    assert cli.main(["run", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    poly2 = MINIMAL.replace("scheme.kind = cn", "scheme.kind = poly2")
+    line = poly2.splitlines().index("scheme.kind = poly2") + 1
+    removed = f"line {line}: scheme.kind must be one of ('cn', 'poly1'), got 'poly2'"
+    with pytest.raises(ConfigurationError, match=re.escape(removed)):
+        parse_config(poly2)
+    for text, error in (("grid.d = 7\n", "error:"), (poly2, f"error: {removed}")):
+        bad.write_text(text)
+        assert cli.main(["run", str(bad)]) == 1
+        assert error in capsys.readouterr().err
 
 
 def test_cli_degenerate_graphene_is_an_error_not_a_traceback(tmp_path, capsys):

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +99,48 @@ def test_dense_assembly_holds_about_one_matrix(rng):
         finally:
             tracemalloc.stop()
         assert peak <= bound * matrix
+
+
+# The growth of the peak RSS, in bytes, over one dense_cn_step at exp1
+# N = 1024 (n = 2048).  It reads the process's VmHWM: ru_maxrss would not do
+# in a child of the test process, since Linux carries it across execve and
+# the child would start at the parent's peak.
+_STEP_RSS = textwrap.dedent("""
+    import numpy as np
+    from curvedirac.grid_spectral import SpinorField, make_grid
+    from curvedirac.harness import preset_config
+    from curvedirac.oracle import dense_cn_step
+    from curvedirac.propagators import StepWorkspace
+
+    def peak_rss():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+    g = make_grid(1, 5.0, 1024)
+    ws = StepWorkspace(preset_config("exp1").metric, g, 5e-4)
+    rng = np.random.default_rng(0)
+    f = SpinorField(rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024)), g)
+    before = peak_rss()
+    dense_cn_step(f, ws)
+    print(1024 * (peak_rss() - before))
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_dense_step_peak_rss_stays_in_the_oracle_budget():
+    # tracemalloc does not see the LU copy of G that np.linalg.solve hands
+    # LAPACK; the process's peak RSS does.  The step read 2.09 matrices (2.04
+    # at N = 2048): G, its LU copy and the derivative matrix's share of the
+    # assembly.  One more n x n copy would read about 3.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _STEP_RSS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    grown = int(proc.stdout)
+    matrix = 2048 * 2048 * np.dtype(np.complex128).itemsize
+    assert 1.5 * matrix <= grown <= dense_bytes(2048)
 
 
 def test_dense_cn_step_zero_dt(rng):

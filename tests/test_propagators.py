@@ -29,7 +29,6 @@ from curvedirac.propagators import (
     cn_transport_step,
     half_potential_step,
     poly_axis_step,
-    poly_axis_step2,
     strang_step,
 )
 from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
@@ -710,9 +709,19 @@ def test_poly_axis_identity_branch_when_velocity_zero():
     ws = StepWorkspace(FLAT0, g, 0.3)
     ws.a_eff[0] = np.zeros(64)  # force the a = 0 branch of the blend
     f = gaussian_field(g)
-    for step in (poly_axis_step, poly_axis_step2):
-        out = step(f, 0, ws)
-        assert np.max(np.abs(out.values - f.values)) < 1e-14
+    out = poly_axis_step(f, 0, ws)
+    assert np.max(np.abs(out.values - f.values)) < 1e-14
+
+
+def test_the_removed_poly2_sweep_only_raises():
+    # the name stays for the benchmark's trace, which wraps it by name
+    g = make_grid(1, 5.0, 64)
+    ws = StepWorkspace(FLAT0, g, 0.3)
+    with pytest.raises(ConfigurationError, match=r"\('cn', 'poly1'\)"):
+        propagators.poly_axis_step2(gaussian_field(g), 0, ws)
+    with pytest.raises(ConfigurationError, match="scheme"):
+        strang_step(gaussian_field(g), "poly2", ws)
+    assert propagators.SCHEMES == ("cn", "poly1")
 
 
 def alpha_eigenbasis(i, S):
@@ -737,8 +746,7 @@ def test_poly_axis_unit_velocity_is_exact_shift():
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("second_order", [False, True], ids=["poly1", "poly2"])
-def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
+def test_poly_sweep_matches_the_eigenbasis_formula(rng, S):
     # Xi = Pi F^-1[exp(-i dt Lam xi) F Pi^dagger psi], blended with a
     m = MetricModel("static2d", spinor_dim=S, mass=1.0, phi=ScalarForm("gauss", (1.0, 0.5)),
                     psi=ScalarForm("gauss", (1.0, 0.3)))
@@ -746,7 +754,6 @@ def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
     ws = StepWorkspace(m, g, 0.05)
     shape = (S,) + g.shape
     f = SpinorField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), g)
-    step = poly_axis_step2 if second_order else poly_axis_step
     for axis in range(2):
         lam, Pi = alpha_eigenbasis(axis + 1, S)
         phi = np.fft.fft(np.einsum("ba,b...->a...", Pi.conj(), f.values), axis=1 + axis)
@@ -755,16 +762,14 @@ def test_poly_sweep_matches_the_eigenbasis_formula(rng, S, second_order):
         xi = np.einsum("ab,b...->a...", Pi, np.fft.ifft(phase * phi, axis=1 + axis))
         a = ws.a_eff[axis]
         ref = a * xi + (1 - a) * f.values
-        if second_order:
-            ref += ws.dt ** 2 * a * spectral_derivative(SpinorField(xi, g), axis, 2).values
-        out = step(f, axis, ws)
+        out = poly_axis_step(f, axis, ws)
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def whole_array_sweep(f, axis, ws, second_order):
-    """`_poly_sweep` with whole-array transforms along axis 1 + axis: the
+def whole_array_sweep(f, axis, ws):
+    """`poly_axis_step` with whole-array transforms along axis 1 + axis: the
     shift acts on the transform with that axis moved last."""
-    shift, weight = propagators._sweep_factors(ws, axis, second_order)
+    shift, weight = propagators._sweep_factors(ws, axis)
     ax = 1 + axis
     spec = np.moveaxis(np.fft.fft(f.values, axis=ax), ax, -1)
     shift(spec, np.empty((2,) + spec.shape[1:], dtype=np.complex128))
@@ -773,8 +778,7 @@ def whole_array_sweep(f, axis, ws, second_order):
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("second_order", [False, True], ids=["poly1", "poly2"])
-def test_poly_sweep_equals_the_whole_array_transform(rng, S, second_order):
+def test_poly_sweep_equals_the_whole_array_transform(rng, S):
     # 96 x 200 nodes: the axis-0 sweep runs in blocks of 85 columns, the last
     # one ragged; max a = 1.5 puts poly1 on its ahat scaling
     m = MetricModel("static2d", spinor_dim=S, mass=1.0, phi=ScalarForm("gauss", (0.2, 0.5)),
@@ -784,9 +788,8 @@ def test_poly_sweep_equals_the_whole_array_transform(rng, S, second_order):
     assert 1.2 < np.max(ws.a_eff[0]) < 2.0
     shape = (S,) + g.shape
     f = SpinorField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), g)
-    step = poly_axis_step2 if second_order else poly_axis_step
     for axis in range(2):
-        assert np.array_equal(step(f, axis, ws).values, whole_array_sweep(f, axis, ws, second_order))
+        assert np.array_equal(poly_axis_step(f, axis, ws).values, whole_array_sweep(f, axis, ws))
     assert ws.shared["blocks"].shape[1] == 85
 
 
@@ -798,20 +801,8 @@ def test_poly_axis_norm_nonexpansive_for_unit_bounded_velocity():
     assert vec_norm(out) <= vec_norm(f) * (1 + 1e-12)
 
 
-def test_poly2_small_dt_limit(rng):
-    g = make_grid(1, 5.0, 128)
-    f = gaussian_field(g, k0=2.0)
-    errs = []
-    for dt in (1e-3, 5e-4):
-        ws = StepWorkspace(WELL, g, dt)
-        out = poly_axis_step2(f, 0, ws)
-        errs.append(np.max(np.abs(out.values - f.values)))
-    assert errs[1] < 0.7 * errs[0]  # output -> psi as dt -> 0
-
-
-@pytest.mark.parametrize("stepper", [poly_axis_step, poly_axis_step2])
-def test_poly_single_step_richardson_order_two(stepper):
-    """Against exact constant-velocity transport both directional steps are
+def test_poly_single_step_richardson_order_two():
+    """Against exact constant-velocity transport the directional step is
     locally second order (Richardson halving ratio ~ 4)."""
     aconst = 0.7
     m = MetricModel("static1d", phi=ScalarForm("const", (float(np.log(aconst)),)),
@@ -831,35 +822,11 @@ def test_poly_single_step_richardson_order_two(stepper):
     errs = []
     for dt in (0.02, 0.01, 0.005):
         ws = StepWorkspace(m, g, dt)
-        out = stepper(f, 0, ws)
+        out = poly_axis_step(f, 0, ws)
         errs.append(np.linalg.norm(out.values - exact(dt)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.7
     assert max(orders) < 2.6
-
-
-def test_poly2_explicit_correction_has_cfl_restriction():
-    # dt * xi_max > sqrt(2) amplifies the highest modes, so RunConfig rejects
-    # it; below it stays bounded
-    ximax = 256 / 2 * np.pi / 5.0
-    cfg_ok = RunConfig(d=1, a=5.0, N=256, metric=WELL, scheme="poly2", dt=0.01, T=1.0,
-                       ic_kind="gaussian_wavepacket", ic_k0=3.0)
-    assert cfg_ok.dt * ximax < np.sqrt(2)
-    dt = 0.02
-    assert dt * ximax > np.sqrt(2)
-    with pytest.raises(ConfigurationError, match="sqrt") as err:
-        cfg_ok.replace(dt=dt, T=2.0)
-    assert err.value.field == "dt"
-    # the workspace itself still steps at that dt: 100 steps grow the field
-    grid = cfg_ok.grid()
-    ws = StepWorkspace(WELL, grid, dt)
-    f0 = initial_condition(cfg_ok, grid)
-    f = f0
-    for _ in range(100):
-        f = strang_step(f, "poly2", ws)
-    assert vec_norm(f) > 1e3 * vec_norm(f0)
-    res = run_simulation(cfg_ok)
-    assert res.diagnostics[-1].l2 <= 1.001 * res.diagnostics[0].l2
 
 
 # ------------------------------------------------------------ strang steps
@@ -871,7 +838,7 @@ def test_strang_identity_for_zero_hamiltonian():
     for i in range(g.d):
         ws.a_eff[i] = np.zeros(g.N[0])  # zero velocity: H vanishes entirely
     f = gaussian_field(g)
-    for scheme in ("cn", "poly1", "poly2"):
+    for scheme in ("cn", "poly1"):
         out = strang_step(f, scheme, ws, KrylovOptions())
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
@@ -926,11 +893,11 @@ def oracle_strang_step(f, scheme, ws, model, krylov):
         f = cn_transport_step(f, ws, krylov)
     else:
         for axis in range(ws.grid.d):
-            f = (poly_axis_step if scheme == "poly1" else poly_axis_step2)(f, axis, ws)
+            f = poly_axis_step(f, axis, ws)
     return apply(f)
 
 
-@pytest.mark.parametrize("name,scheme", [("exp3", "poly1"), ("exp3", "poly2"), ("exp1", "cn")])
+@pytest.mark.parametrize("name,scheme", [("exp3", "poly1"), ("exp1", "cn")])
 def test_fused_step_matches_the_unfused_stages(name, scheme):
     cfg, ws = preset_workspace(name, "ci")
     f = initial_condition(cfg, ws.grid)
@@ -1006,7 +973,7 @@ def test_workspace_keeps_one_matrix_field():
 
 @pytest.mark.parametrize("layer", [False, True], ids=["bare", "layer"])
 @pytest.mark.parametrize("name", ["exp1", "exp3", "exp5"])   # circulant, 2-D, band
-@pytest.mark.parametrize("scheme", ["cn", "poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["cn", "poly1"])
 def test_with_step_matches_a_fresh_workspace(name, scheme, layer):
     # a workspace derived for another step size shares the model part and
     # steps bit for bit as one built for that size; the parent, whose step
@@ -1040,7 +1007,7 @@ def test_a_non_finite_half_step_is_rejected_at_build():
 # ------------------------------------------------------------ buffered explicit step
 
 
-@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["poly1"])
 def test_returned_fields_never_alias_the_scratch(scheme):
     cfg, ws = preset_workspace("exp3", "ci")
     f = initial_condition(cfg, ws.grid)
@@ -1049,17 +1016,17 @@ def test_returned_fields_never_alias_the_scratch(scheme):
     kept = first.values.copy(), second.values.copy()
     third = strang_step(second, scheme, ws)
     assert np.array_equal(first.values, kept[0]) and np.array_equal(second.values, kept[1])
-    # one scratch field for either scheme
+    # one scratch field
     fields = [v for k, v in ws.shared.items() if k == "scratch"]
     assert len(fields) == 1
     for out in (first, second, third):
         assert not any(np.shares_memory(out.values, buf) for buf in fields)
 
 
-@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["poly1"])
 def test_explicit_step_allocates_only_its_result(scheme):
     # exp3 at 256^2: after one warm-up step a step allocates its result (1
-    # spinor field); the unbuffered step peaked at 4.06 (poly1) and 6.0 (poly2)
+    # spinor field); the unbuffered step peaked at 4.06
     cfg = preset_config("exp3", "ci").replace(N=(256, 256))
     grid = cfg.grid()
     ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
@@ -1073,20 +1040,19 @@ def test_explicit_step_allocates_only_its_result(scheme):
     assert peak <= 1.5 * f.values.nbytes
 
 
-@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["poly1"])
 def test_sweep_factors_are_built_once_at_first_use(scheme):
     cfg, ws = preset_workspace("exp3", "ci")
     assert not ws.built and not ws.shared
     f = strang_step(initial_condition(cfg, ws.grid), scheme, ws)
-    second_order = scheme == "poly2"
-    keys = [("sweep", axis, second_order) for axis in range(2)]
+    keys = [("sweep", axis) for axis in range(2)]
     factors = [ws.built[k] for k in keys] + [ws.shared["blocks"]]
     strang_step(f, scheme, ws)
     assert all(ws.built[k] is v for k, v in zip(keys, factors))
     assert ws.shared["blocks"] is factors[-1]
 
 
-@pytest.mark.parametrize("scheme", ["poly1", "poly2"])
+@pytest.mark.parametrize("scheme", ["poly1"])
 def test_reused_explicit_workspace_matches_a_fresh_one(scheme):
     cfg, ws = preset_workspace("exp3", "ci")
     fresh = StepWorkspace(cfg.metric, ws.grid, cfg.dt)
@@ -1096,11 +1062,10 @@ def test_reused_explicit_workspace_matches_a_fresh_one(scheme):
     assert np.array_equal(strang_step(f, scheme, ws).values, strang_step(f, scheme, fresh).values)
 
 
-@pytest.mark.parametrize("scheme,pairs", [("poly1", 2), ("poly2", 2)])
+@pytest.mark.parametrize("scheme,pairs", [("poly1", 2)])
 def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
-    # one pair per axis for either scheme (poly2's dt^2 correction is part of
-    # the symbol), counted in whole fields: along axis 0 each call transforms
-    # one block of columns
+    # one pair per axis, counted in whole fields: along axis 0 each call
+    # transforms one block of columns
     cfg, ws = preset_workspace("exp3", "ci")
     f = initial_condition(cfg, ws.grid)
     strang_step(f, scheme, ws)
@@ -1159,7 +1124,7 @@ def test_unknown_scheme_and_nonpositive_dt_rejected():
         cfg.replace(dt=0.0)
 
 
-@pytest.mark.parametrize("scheme,tol", [("cn", 3e-6), ("poly1", 3e-6), ("poly2", 2e-2)])
+@pytest.mark.parametrize("scheme,tol", [("cn", 3e-6), ("poly1", 3e-6)])
 def test_strang_flat_dispersion(scheme, tol):
     # plane-wave eigenspinor picks up exactly exp(-i E t), E = sqrt(xi^2 + m^2)
     g = make_grid(1, np.pi, 64)
@@ -1233,7 +1198,7 @@ def test_poly1_stays_bounded_where_the_velocity_exceeds_one(name):
     assert gamma[-1] < gamma[0]
 
 
-@pytest.mark.parametrize("scheme,lo,hi", [("cn", 1.8, 2.3), ("poly1", 0.85, 1.4), ("poly2", 0.85, 1.4)])
+@pytest.mark.parametrize("scheme,lo,hi", [("cn", 1.8, 2.3), ("poly1", 0.85, 1.4)])
 def test_temporal_orders(scheme, lo, hi):
     cfg = RunConfig(d=1, a=5.0, N=256, metric=WELL, scheme=scheme, dt=1e-3, T=0.1,
                     ic_kind="gaussian_wavepacket", ic_k0=3.0)
