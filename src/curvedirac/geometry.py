@@ -4,14 +4,14 @@ A model turns a chosen background into what the rest of the package consumes:
 
 * `sample_metric` gives the stepper's coefficients at the grid nodes: the
   per-axis velocity fields a^i(x) multiplying the transport operators, the
-  spin-connection shifts c^i(x) and the local potential matrix M(x) applied
-  in the half steps;
+  gauge exponent F(x) of the spin connection c^i = d_i F / 2 and the local
+  potential matrix M(x) applied in the half steps;
 * `gamma_weight` gives the weight w(x) of the conserved diagnostic norm;
 * `ripple_band` gives the graphene weight's three Fourier modes in closed
   form, which the cn transport's preconditioner inverts exactly.
 
-Profiles and potentials are closed forms with analytic gradients; no finite
-differencing is used anywhere, so sampled fields inherit spectral accuracy.
+Profiles and potentials are closed forms; no finite differencing is used
+anywhere, so sampled fields inherit spectral accuracy.
 A form takes broadcastable coordinates: full meshes, or the open coordinates
 ``np.ix_(*grid.axes)`` on which both samplers evaluate it.  On those a 2-D
 field is sampled per axis: ``gauss`` and ``well`` take their radial
@@ -23,15 +23,23 @@ Model kinds
 flat        a = 1, M = beta m + I V - alpha . A, w = 1
 static1d    ds^2 = e^{2 Phi} dt^2 - e^{2 Psi} dx^2:
             a = e^{Phi - Psi}, M = e^{Phi} sigma^3 m, w = e^{Psi},
-            spin-connection shift c = Phi'/2 applied around the transport stage
-static2d    same with two axes, w = e^{2 Psi}
+            spin connection c = Phi'/2, kept as its gauge exponent F = Phi
+static2d    same with two axes, c^i = d_i Phi / 2, F = Phi, w = e^{2 Psi}
 graphene    rippled sheet h(x) = a0 cos(2 pi k0 x / ell), f = (h')^2 / 2:
             a = 1/(1 - f), M = -a A_x sigma^1 + sigma^3 (m - V), w = 1 - f
 
-The anti-Hermitian connection term -i a(x) c^i(x) alpha^i is kept out of M,
-which stays Hermitian; the propagators exponentiate the two together, one
-pointwise factor exp(-dt/2 (i M + sum_i a c^i alpha^i)) applied on either
-side of the transport stage.
+The connection is a pure gradient, c^i = d_i F / 2, so
+
+    a alpha^i (d_i + c^i) psi = e^{-F/2} a alpha^i d_i (e^{F/2} psi)
+
+exactly: the sample keeps F, not c, and M stays Hermitian.  The propagators
+fold e^{+-F/2} into the pointwise factors on either side of the transport
+stage.  Flat space and graphene have no connection (F = None), and neither
+has a static metric whose Phi is constant on the grid.
+
+The 2-D model takes c = grad(Phi)/2 as the 1-D one does, so as coded
+static2d conserves int e^{Psi} |psi|^2, not the e^{2 Psi} of its weight w;
+the covariant density needs F = Phi + Psi (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -73,10 +81,6 @@ class ScalarForm:
     def value(self, *coords):
         return _FORMS[self.name][1](self.params, self._checked(coords))
 
-    def grad(self, *coords):
-        """Analytic gradient, one array per coordinate."""
-        return _FORMS[self.name][2](self.params, self._checked(coords))
-
     def _checked(self, coords):
         if len(coords) != 1 and self.name in _ONE_D:
             raise ConfigurationError(f"form '{self.name}' is one-dimensional")
@@ -99,68 +103,24 @@ def _radial(lead, r, coords):
     return functools.reduce(np.multiply, e[1:], lead * e[0])
 
 
-def _radial_grad(scale, lead, r, coords):
-    """scale x_i lead exp(-r rho^2) per coordinate, each the product of its
-    own axis factor and the other axes' exp(-r x_j^2)."""
-    e = [np.exp(-r * (x * x)) for x in coords]
-    return tuple(functools.reduce(np.multiply, e[:i] + e[i + 1:], scale * x * lead * e[i])
-                 for i, x in enumerate(coords))
-
-
 # Forms of one coordinate; the others take any number of broadcastable ones.
 _ONE_D = ("cosgauss", "linear", "quadratic", "inv_abs_one")
 
 _FORMS = {
-    "zero": (
-        0,
-        lambda p, c: np.zeros(_shape(c)),
-        lambda p, c: tuple(np.zeros(_shape(c)) for _ in c),
-    ),
-    "const": (
-        1,
-        lambda p, c: np.full(_shape(c), p[0]),
-        lambda p, c: tuple(np.zeros(_shape(c)) for _ in c),
-    ),
+    "zero": (0, lambda p, c: np.zeros(_shape(c))),
+    "const": (1, lambda p, c: np.full(_shape(c), p[0])),
     # A exp(-r rho^2)
-    "gauss": (
-        2,
-        lambda p, c: _radial(p[0], p[1], c),
-        lambda p, c: _radial_grad(-2.0 * p[1], p[0], p[1], c),
-    ),
+    "gauss": (2, lambda p, c: _radial(p[0], p[1], c)),
     # A (1 - exp(-r rho^2)): a centered dip, used to build sub-unit velocity fields
-    "well": (
-        2,
-        lambda p, c: p[0] * (1.0 - _radial(1.0, p[1], c)),
-        lambda p, c: _radial_grad(2.0 * p[1], p[0], p[1], c),
-    ),
+    "well": (2, lambda p, c: p[0] * (1.0 - _radial(1.0, p[1], c))),
     # A cos(w x) exp(-r x^2), 1-D
-    "cosgauss": (
-        3,
-        lambda p, c: p[0] * np.cos(p[1] * c[0]) * np.exp(-p[2] * c[0] ** 2),
-        lambda p, c: (
-            p[0]
-            * np.exp(-p[2] * c[0] ** 2)
-            * (-p[1] * np.sin(p[1] * c[0]) - 2.0 * p[2] * c[0] * np.cos(p[1] * c[0])),
-        ),
-    ),
+    "cosgauss": (3, lambda p, c: p[0] * np.cos(p[1] * c[0]) * np.exp(-p[2] * c[0] ** 2)),
     # c x, 1-D
-    "linear": (
-        1,
-        lambda p, c: p[0] * c[0],
-        lambda p, c: (np.full(np.shape(c[0]), p[0]),),
-    ),
+    "linear": (1, lambda p, c: p[0] * c[0]),
     # c x^2, 1-D
-    "quadratic": (
-        1,
-        lambda p, c: p[0] * c[0] ** 2,
-        lambda p, c: (2.0 * p[0] * c[0],),
-    ),
+    "quadratic": (1, lambda p, c: p[0] * c[0] ** 2),
     # c / (|x| + 1), 1-D
-    "inv_abs_one": (
-        1,
-        lambda p, c: p[0] / (np.abs(c[0]) + 1.0),
-        lambda p, c: (-p[0] * np.sign(c[0]) / (np.abs(c[0]) + 1.0) ** 2,),
-    ),
+    "inv_abs_one": (1, lambda p, c: p[0] / (np.abs(c[0]) + 1.0)),
 }
 
 ZERO_FORM = ScalarForm("zero")
@@ -283,13 +243,15 @@ class MetricSample:
     """The stepper's coefficients at the grid nodes (see `sample_metric`).
 
     The potential is M = beta G + alpha . Gvec + scalar I.  Gvec holds the
-    alpha coefficients the model has, arrays (none for the static metrics,
-    whose connection takes the alpha terms), and ``scalar`` is the number
-    0.0 where the model has no scalar potential V.
+    alpha coefficients the model has, arrays (none for the static metrics),
+    and ``scalar`` is the number 0.0 where the model has no scalar
+    potential V.  ``gauge`` is the exponent F of the spin connection
+    c^i = d_i F / 2, only on a static metric (which has no alpha potential),
+    and None where F is constant on the grid: then there is no connection.
     """
 
     velocity: list          # a^i(x) per axis, real; axes may share one array
-    connection: list | None  # c^i(x) per axis, None when every c^i is zero
+    gauge: np.ndarray | None  # F(x), full grid; None when c = 0
     G: np.ndarray
     Gvec: tuple
     scalar: np.ndarray | float
@@ -304,16 +266,26 @@ def require_finite(name: str, values, grid: Grid):
     grid's."""
     if np.isfinite(values.sum()):
         return values
-    finite = np.isfinite(values)
-    if finite.all():
+    return _require(name, "finite", np.isfinite(values), values, grid)
+
+
+def require_positive(name: str, values, grid: Grid):
+    """``values`` when every entry is > 0; otherwise a GeometryError naming
+    the coefficient and its first node that is not, as `require_finite`."""
+    return _require(name, "positive", values > 0, values, grid)
+
+
+def _require(name, what, ok, values, grid):
+    if ok.all():
         return values
-    node = np.unravel_index(np.argmin(finite), finite.shape)[finite.ndim - grid.d:]
+    node = np.unravel_index(np.argmin(ok), ok.shape)[ok.ndim - grid.d:]
     x = ", ".join(f"{ax[k]:.6g}" for ax, k in zip(grid.axes, node))
-    raise GeometryError(f"{name} is not finite at node {tuple(map(int, node))}, x = ({x})")
+    raise GeometryError(f"{name} is not {what} at node {tuple(map(int, node))}, x = ({x})")
 
 
 def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
-    """Velocities, connection shifts and potential at the grid nodes, each
+    """Velocities, the connection's gauge exponent and the potential at the
+    grid nodes, each
     closed form (and the graphene strain) evaluated once, on the grid's open
     coordinates ``np.ix_(*grid.axes)``: a 2-D form is sampled per axis and
     no full-grid mesh is built.  An overflow (a growing closed form, say)
@@ -322,7 +294,8 @@ def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
     with np.errstate(all="ignore"):
         sample = _sample(model, grid)
         named = [(f"velocity a^{i + 1}", v) for i, v in enumerate(sample.velocity)]
-        named += [(f"spin connection c^{i + 1}", c) for i, c in enumerate(sample.connection or ())]
+        if sample.gauge is not None:
+            named.append(("gauge exponent F", sample.gauge))
         named += [(f"potential Gvec[{i}]", g) for i, g in enumerate(sample.Gvec)]
         named += [("potential G", sample.G), ("scalar potential", sample.scalar)]
         for name, values in named:
@@ -346,18 +319,14 @@ def _sample(model, grid):
             G -= model.v_pot.value(x)
         gvec = (-a * model.ax_pot.value(x),) if model.ax_pot.name != "zero" else ()
         return MetricSample([a], None, G, gvec, 0.0)
-    # static diagonal metrics: a = e^{Phi - Psi}, c = grad(Phi)/2, M = e^{Phi} sigma^3 m
+    # static diagonal metrics: a = e^{Phi - Psi}, F = Phi, M = e^{Phi} sigma^3 m
     phi = model.phi.value(*coords)
     a = phi - model.psi.value(*coords)
     np.exp(a, out=a)
-    conn = list(model.phi.grad(*coords))
-    for g in conn:
-        g *= 0.5
-    if not any(np.any(c) for c in conn):
-        conn = None
     G = np.exp(phi)
     G *= model.mass
-    return MetricSample([a] * grid.d, conn, G, (), 0.0)
+    gauge = phi if np.ptp(phi) else None    # a constant Phi has no gradient
+    return MetricSample([a] * grid.d, gauge, G, (), 0.0)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:

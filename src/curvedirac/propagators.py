@@ -3,17 +3,23 @@ exponential-polynomial transport, shared pointwise stages.
 
 One step advances psi by dt as
 
-    half (pointwise) -> transport -> half (pointwise)
+    lead (pointwise) -> transport -> trail (pointwise)
 
-The paper splits the Hamiltonian into the transport -i sum_i a^i alpha^i d_i
-and the local part H_loc = M - i sum_i a c^i alpha^i.  The pointwise factor
-is the exact half step of H_loc at every node,
-
-    exp(-i dt/2 H_loc) = exp(-dt/2 (i M + sum_i a c^i alpha^i)),
-
-one closed-form exponential (`spinor_algebra.exp_dirac`): M is Hermitian and
-the spin connection's term anti-Hermitian, so the factor is unitary only
-without a connection.  The symmetric split keeps order 2.
+The spin connection is a gauge (see `geometry`):
+a alpha^i (d_i + c^i) = e^{-F/2} a alpha^i d_i e^{F/2}, and e^{F/2} commutes
+with the Hermitian potential M.  So with H = exp(-i dt/2 M), the exact half
+step of M at every node, and T the transport stage without a connection, a
+Strang step is e^{-F/2} H T H e^{F/2}: lead = H e^{F/2} and
+trail = e^{-F/2} H (`_half_factors`), order 2.  H is unitary, so a step
+conserves what T conserves, in the weight e^F times T's.  Where M has no
+alpha potential, H is diagonal and each factor is S diagonal planes, applied
+by one broadcast multiply; an alpha potential (flat space or graphene with
+A_x, which have no connection) keeps an (S, S, *grid) matrix field.  Without
+a connection lead is trail.  Inside an absorbing layer T carries a / S^i, so
+the connection term is (a / S^i) c^i: the stretch acts on the covariant
+derivative as a whole, and a real stretch (theta = 0) keeps the stretched
+covariant norm on static metrics too (in 1-D, int Re S e^{Psi} |psi|^2
+under cn).
 
 Transport variants:
 
@@ -44,13 +50,13 @@ Transport variants:
 PML enters only through the transport stage: velocities are divided by the
 complex stretch fields.
 
-Memory.  A workspace holds one (S, S, *grid) matrix field, ``half``, beside
-the metric sample it keeps; `StepWorkspace.with_step` adds only another
-``half``.  An explicit step allocates only the field it returns: the two
-pointwise stages and the sweeps alternate between that array and one
-scratch field of the workspace's model part (`StepWorkspace.scratch`),
-allocated at the first explicit step and reused by every later step of
-every derived workspace.  The FFTs run in place along the contiguous last
+Memory.  A workspace holds its two pointwise factors, ``lead`` and
+``trail`` (one array when they are the same), beside the metric sample it
+keeps; `StepWorkspace.with_step` adds only another pair.  An explicit step
+allocates only the field it returns: the two pointwise stages and the
+sweeps alternate between that array and one scratch field of the
+workspace's model part (`StepWorkspace.scratch`), allocated at the first
+explicit step and reused by every later step of every derived workspace.  The FFTs run in place along the contiguous last
 axis.  Along axis 0 of a 2-D grid they go a block of columns at a time
 (`grid_spectral.spectral_apply`) through the workspace's
 `StepWorkspace.blocks`, S + 2 planes of about `grid_spectral.SLAB` nodes,
@@ -64,36 +70,44 @@ fresh solution.
 Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
 is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
 applies alpha^i as its one nonzero entry a row through the two temporaries
-that `spectral_apply` lends every action; `_spin_matmul` takes only ``half``.
+that `spectral_apply` lends every action; `_spin_matmul` takes only the
+pointwise factors.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
-from .geometry import MetricModel, MetricSample, require_finite, ripple_band, sample_metric
+from .geometry import (
+    MetricModel, MetricSample, require_finite, require_positive, ripple_band, sample_metric,
+)
 from .grid_spectral import (
     Grid, SpinorField, column_blocks, derivative_multiplier, slabs, spectral_apply,
 )
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
-from .spinor_algebra import Imaginary, alpha_matrix, exp_dirac
+from .spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
 
 SCHEMES = ("cn", "poly1")
 
 
 def _spin_matmul(mat, values, out=None):
-    """Apply an (S, S, *grid) matrix field, ws.half, on the spinor axis.
+    """Apply a pointwise factor, ws.lead or ws.trail, on the spinor axis,
+    into ``out`` when given; ``out`` must not overlap ``values``.
 
-    The matrix is applied entry by entry, out[a] = values[0] mat[a, 0]
-    + values[1] mat[a, 1] + ..., one slab of the grid at a time, into
-    ``out`` when given; ``out`` must not overlap ``values``.  The constant
-    alpha^i never come here: they go through `_alpha_symbol`.
+    A factor shaped like ``values``, (S, *grid), is diagonal planes: one
+    broadcast multiply.  An (S, S, *grid) matrix field is applied entry by
+    entry, out[a] = values[0] mat[a, 0] + values[1] mat[a, 1] + ..., one
+    slab of the grid at a time.  The constant alpha^i never come here:
+    they go through `_alpha_symbol`.
     """
+    if mat.ndim == values.ndim:
+        return np.multiply(values, mat, out=out)
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
     S = len(mat)
@@ -132,20 +146,35 @@ def _alpha_symbol(alpha, p, q):
     return act
 
 
-def _half_potential(sample: MetricSample, tau, S):
-    """exp(-tau (i M + sum_i a c^i alpha^i)) at every node.  The metrics
-    with a connection (static1d, static2d) have no alpha potential
-    (`MetricModel` rejects one), so each alpha coefficient is real
-    (-tau Gvec) or purely imaginary (i tau a c^i, passed as its real part
-    marked `Imaginary`) and one `exp_dirac` call covers both terms."""
-    if sample.connection is None:
-        gvec = [-tau * g for g in sample.Gvec]
-    else:
-        gvec = [Imaginary(tau * v * c) for v, c in zip(sample.velocity, sample.connection)]
-    out = exp_dirac(-tau * sample.G, gvec, S)
-    if np.any(sample.scalar):
-        out *= np.exp(-1j * tau * sample.scalar)
-    return out
+def _half_factors(sample: MetricSample, tau, S, gauge):
+    """(lead, trail) = (H e^{F/2}, e^{-F/2} H), H = exp(-i tau M), for
+    ``gauge`` = e^{F/2}, or one array twice when ``gauge`` is None.  With an
+    alpha potential H is one `exp_dirac` matrix field; otherwise each
+    factor is S diagonal planes, e^{+-F/2} (cos(tau G) -+ i sin(tau G)) by
+    the sign of beta's entry, in real arithmetic."""
+    if sample.Gvec:
+        out = exp_dirac(-tau * sample.G, [-tau * g for g in sample.Gvec], S)
+        if np.any(sample.scalar):
+            out *= np.exp(-1j * tau * sample.scalar)
+        return out, out
+    theta = tau * sample.G
+    cos = np.cos(theta)
+    minus_sin = np.negative(np.sin(theta, out=theta), out=theta)
+    signs = np.diag(beta_matrix(S)).real
+    factors = []
+    for scale in (1.0,) if gauge is None else (gauge, np.reciprocal(gauge)):
+        out = np.empty((S,) + cos.shape, dtype=np.complex128)
+        np.multiply(scale, cos, out=out[0].real)
+        np.multiply(scale, minus_sin, out=out[0].imag)
+        for k in range(1, S):
+            if signs[k] > 0:
+                out[k] = out[0]
+            else:
+                np.conjugate(out[0], out=out[k])
+        if np.any(sample.scalar):
+            out *= np.exp(-1j * tau * sample.scalar)
+        factors.append(out)
+    return factors[0], factors[-1]
 
 
 class StepWorkspace:
@@ -160,19 +189,20 @@ class StepWorkspace:
     inverts exactly; and, in ``shared``, the column blocks and the scratch
     field, built at their first use.
 
-    The step part is what dt adds: ``half``, the half step
-    exp(-dt/2 (i M + sum_i a c^i alpha^i)) of the local generator applied
-    on both sides of the transport (the bare half potential exp(-i dt/2 M)
-    on flat space and graphene, which have no connection), and, in
-    ``built`` (see `cached`), the cn coefficients and symbols, the Cayley
-    preconditioner and the sweep factors, built at their first use.
+    The step part is what dt adds: the pointwise factors ``lead`` =
+    H e^{F/2} and ``trail`` = e^{-F/2} H applied before and after the
+    transport, H = exp(-i dt/2 M) (`_half_factors`; ``lead is trail``
+    without a connection), and, in ``built`` (see `cached`), the cn
+    coefficients and symbols, the Cayley preconditioner and the sweep
+    factors, built at their first use.
 
     Each workspace keeps one dt; `with_step` derives one for another step
     size that shares the model part, so a run samples the metric once.
-    ``half`` is built with its workspace, not at the first step, so that a
-    non-finite factor is rejected before step 1: every coefficient is
-    computed with numpy's warnings off and then checked by
-    `geometry.require_finite`, which raises GeometryError.
+    The factors are built with their workspace, not at the first step, so
+    that a bad one is rejected before step 1: every coefficient is
+    computed with numpy's warnings off and then checked, the gauge e^{F/2}
+    finite and > 0 and each factor finite (`geometry.require_finite`,
+    `geometry.require_positive`), which raise GeometryError.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -198,16 +228,24 @@ class StepWorkspace:
 
     def with_step(self, dt: float) -> StepWorkspace:
         """A workspace for step dt that shares this one's model part: its
-        ``half`` is built now, the rest of its step part at first use."""
+        ``lead`` and ``trail`` are built now, the rest of its step part at
+        first use."""
         ws = copy.copy(self)
         ws._set_step(dt)
         return ws
 
     def _set_step(self, dt):
         self.dt = float(dt)
+        F, grid = self.sample.gauge, self.grid
         with np.errstate(all="ignore"):
-            self.half = require_finite("half step factor", _half_potential(
-                self.sample, 0.5 * self.dt, self.S), self.grid)
+            gauge = None
+            if F is not None:
+                gauge = require_finite("gauge e^{F/2}", np.exp(0.5 * F), grid)
+                require_positive("gauge e^{F/2}", gauge, grid)
+            lead, trail = _half_factors(self.sample, 0.5 * self.dt, self.S, gauge)
+            self.lead = require_finite("lead half step factor", lead, grid)
+            self.trail = lead if trail is lead else require_finite(
+                "trail half step factor", trail, grid)
         self.last_krylov = None
         self.built = {}
 
@@ -233,11 +271,16 @@ class StepWorkspace:
             (self.S,) + self.grid.shape, dtype=np.complex128), self.shared)
 
 
-def half_potential_step(f: SpinorField, ws: StepWorkspace, out=None) -> SpinorField:
-    """Pointwise product with ws.half, the half step of the local generator
-    (see `StepWorkspace`), written into ``out`` when given (it must not
-    overlap f), otherwise into a fresh array."""
-    return SpinorField(_spin_matmul(ws.half, f.values, out=out), f.grid)
+def half_potential_step(f: SpinorField, ws: StepWorkspace, side: str,
+                        out=None) -> SpinorField:
+    """Pointwise product with the half step factor of ``side``: "lead",
+    ws.lead = H e^{F/2}, before the transport, or "trail",
+    ws.trail = e^{-F/2} H, after it (see `StepWorkspace`); written into
+    ``out`` when given (it must not overlap f), otherwise into a fresh
+    array."""
+    if side not in ("lead", "trail"):
+        raise ValueError(f"side must be 'lead' or 'trail', got {side!r}")
+    return SpinorField(_spin_matmul(getattr(ws, side), f.values, out=out), f.grid)
 
 
 def _cn_term(values, ws):
@@ -536,31 +579,34 @@ def cn_transport_step(f: SpinorField, ws: StepWorkspace,
     opts = opts or KrylovOptions()
     pre = cayley_preconditioner(ws)
     psi = f.values
-    relax = None
-    if pre is None:
-        def apply(v):
-            return cn_apply_values(v, ws)
+    # on the plain path a velocity so large that a product overflows ends as
+    # gmres's KrylovError on the non-finite norm it leaves, without a warning
+    with np.errstate(over="ignore", invalid="ignore") if pre is None else nullcontext():
+        relax = None
+        if pre is None:
+            def apply(v):
+                return cn_apply_values(v, ws)
 
-        t = _cn_term(psi, ws)
-        x0 = np.subtract(psi, t, out=t)
-    else:
-        a = ws.a_eff[0]
-        last = [None, None]   # the operator's last input and its M^-1 image
-
-        def apply(y):
-            z = pre.solve(y)
-            last[:] = y, z
-            return a * (y + pre.shift * z)
-
-        x0 = pre.w_band * psi
-        if not pre.K:
             t = _cn_term(psi, ws)
-            x0 += np.multiply(pre.shift, t, out=t)
-            relax = pre.w_band
-    u, report = gmres(apply, psi, x0=x0, tol=0.5 * opts.tol, restart=opts.restart,
-                      maxit=opts.maxit, relax=relax)
-    if pre is not None:
-        u = last[1] if last[0] is u else pre.solve(u)
+            x0 = np.subtract(psi, t, out=t)
+        else:
+            a = ws.a_eff[0]
+            last = [None, None]   # the operator's last input and its M^-1 image
+
+            def apply(y):
+                z = pre.solve(y)
+                last[:] = y, z
+                return a * (y + pre.shift * z)
+
+            x0 = pre.w_band * psi
+            if not pre.K:
+                t = _cn_term(psi, ws)
+                x0 += np.multiply(pre.shift, t, out=t)
+                relax = pre.w_band
+        u, report = gmres(apply, psi, x0=x0, tol=0.5 * opts.tol, restart=opts.restart,
+                          maxit=opts.maxit, relax=relax)
+        if pre is not None:
+            u = last[1] if last[0] is u else pre.solve(u)
     report.residual *= 2.0
     ws.last_krylov = report
     if not report.converged:
@@ -622,11 +668,11 @@ def poly_axis_step2(*args, **kwargs):
 def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
                 krylov: KrylovOptions | None = None) -> SpinorField:
     """One full Strang step of size ws.dt with the named transport scheme:
-    ws.half, the transport, ws.half again (see `StepWorkspace`).
+    ws.lead, the transport, ws.trail (see `StepWorkspace`).
 
     poly1 allocates only the returned array.  Its stages alternate between
     it and the workspace's scratch field, so that the last sweep lands in
-    the scratch and the second half writes the result; the returned field
+    the scratch and the trailing factor writes the result; the returned field
     never shares memory with the workspace.  The Krylov report (cn only)
     lands on ws.last_krylov.
     """
@@ -634,12 +680,12 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
     ws.last_krylov = None
     if scheme == "cn":
-        f = cn_transport_step(half_potential_step(f, ws), ws, krylov)
-        return half_potential_step(f, ws)
+        f = cn_transport_step(half_potential_step(f, ws, "lead"), ws, krylov)
+        return half_potential_step(f, ws, "trail")
     result = np.empty(f.values.shape, dtype=np.complex128)
     bufs = (ws.scratch(), result)
     d = ws.grid.d
-    f = half_potential_step(f, ws, out=bufs[d % 2])
+    f = half_potential_step(f, ws, "lead", out=bufs[d % 2])
     for axis in range(d):
         f = poly_axis_step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
-    return half_potential_step(f, ws, out=result)
+    return half_potential_step(f, ws, "trail", out=result)

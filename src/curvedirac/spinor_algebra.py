@@ -9,16 +9,14 @@ The closed-form exponential exploits (beta*G + alpha.Gvec)^2 = (G^2 + Gvec^2) I:
 
     exp(i [beta G + alpha . Gvec]) = I cos|G| + i (beta G + alpha . Gvec) sin|G|/|G|,
 
-with |G| = sqrt(G^2 + Gvec^2).  Each coefficient is real (the Hermitian
-potential) or purely imaginary (the spin connection), so G^2 + Gvec^2 is
-real, and cos and sin/x become cosh and sinh/x where it is negative.  The
-directional sweep needs only the special case
+with |G| = sqrt(G^2 + Gvec^2).  Every coefficient is real (a Hermitian
+potential), so the factor is unitary.  The spin connection never comes
+here: it is a gauge applied around the transport stage (see `propagators`).
+The directional sweep needs only the special case
 exp(-i t alpha^i) = cos t - i sin t alpha^i.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,42 +52,27 @@ def alpha_matrix(i: int, S: int) -> np.ndarray:
     return m
 
 
-class Imaginary(NamedTuple):
-    """The coefficient 1j * u of a real field u, passed to `exp_dirac`
-    without forming the complex array."""
-
-    u: np.ndarray
-
-
 def _real_field(values, name):
-    """(u, imaginary) with values == u, or 1j * u when imaginary, for a real u;
-    ValueError naming the term ``name`` when values is neither real nor
-    purely imaginary."""
-    if isinstance(values, Imaginary):
-        return np.asarray(values.u, dtype=np.float64), True
+    """values as a real float array; ValueError naming the term ``name``
+    when a complex values has a nonzero imaginary part."""
     v = np.asarray(values)
     if not np.iscomplexobj(v):
-        return v.astype(np.float64, copy=False), False
+        return v.astype(np.float64, copy=False)
     if not np.any(v.imag):
-        return v.real, False
-    if not np.any(v.real):
-        return v.imag, True
-    raise ValueError(f"exp_dirac: {name} must be real or purely imaginary")
+        return v.real
+    raise ValueError(f"exp_dirac: {name} must be real")
 
 
 def _cos_sinc(q):
-    """c = cos(sqrt q) and s = sin(sqrt q) / sqrt q for real q, continued to
-    q < 0 as cosh and sinh of sqrt(-q); c = s = 1 where sqrt|q| < 1e-150."""
-    mag = np.sqrt(np.abs(q))
+    """c = cos(sqrt q) and s = sin(sqrt q) / sqrt q for real q >= 0;
+    c = s = 1 where sqrt q < 1e-150."""
+    mag = np.sqrt(q)
     small = mag < 1e-150
     if np.any(small):
         mag = np.where(small, 1.0, mag)
-    pos = q >= 0
-    neg = ~pos
     c, s = np.empty_like(mag), np.empty_like(mag)
-    for out, trig, hyp in ((c, np.cos, np.cosh), (s, np.sin, np.sinh)):
-        trig(mag, out=out, where=pos)
-        hyp(mag, out=out, where=neg)
+    np.cos(mag, out=c)
+    np.sin(mag, out=s)
     s /= mag
     np.copyto(c, 1.0, where=small)
     np.copyto(s, 1.0, where=small)
@@ -112,31 +95,27 @@ def exp_dirac(G, Gvec, S: int = 2) -> np.ndarray:
     """exp(i [beta G + alpha . Gvec]) via the closed form; |G| -> 0 is handled.
 
     G may be a scalar or a field array; Gvec a sequence of up to three scalars
-    or field arrays (missing entries are treated as zero).  An entry may
-    also be an `Imaginary`, the coefficient 1j * u of a real u.  The result
-    is a C-contiguous array of shape (S, S) + field_shape.
+    or field arrays (missing entries are treated as zero).  The result is a
+    C-contiguous array of shape (S, S) + field_shape.
 
-    Every coefficient must be real or purely imaginary, so G^2 + Gvec^2 is
-    real and c, s are taken in real arithmetic (cos/sin where it is >= 0,
-    cosh/sinh where it is < 0).  This covers the Hermitian potential and the
-    spin connection's imaginary argument.  Each (a, b) entry of
-    I c + i s (beta G + alpha . Gvec) is then written once: the matrices'
-    entries are 0, +/-1 or +/-i, so every real and imaginary part is a signed
-    sum of c and the fields s * u, or 0.  A coefficient that is neither real
-    nor purely imaginary raises ValueError.
+    Every coefficient must be real: a complex one with a nonzero imaginary
+    part raises ValueError.  G^2 + Gvec^2 is then real and >= 0, c and s
+    are taken in real arithmetic, and the result is unitary.  Each (a, b)
+    entry of I c + i s (beta G + alpha . Gvec) is written once: the
+    matrices' entries are 0, +/-1 or +/-i, so every real and imaginary part
+    is a signed sum of c and the fields s * u, or 0.
     """
     fields = [_real_field(p, "G" if i == 0 else f"Gvec[{i - 1}]")
               for i, p in enumerate([G] + list(Gvec))]
-    shape = np.broadcast_shapes(*(np.shape(u) for u, _ in fields))
-    # (matrix, u, imaginary): the field is u, or 1j * u when imaginary; a zero
-    # term is dropped, which also keeps zero third components away from
-    # alpha^3 at S = 2
-    terms = [(beta_matrix(S) if i == 0 else alpha_matrix(i, S), u, imag)
-             for i, (u, imag) in enumerate(fields) if np.any(u)]
-    q = sum(-u * u if imag else u * u for _, u, imag in terms)
+    shape = np.broadcast_shapes(*(np.shape(u) for u in fields))
+    # (matrix, u); a zero term is dropped, which also keeps zero third
+    # components away from alpha^3 at S = 2
+    terms = [(beta_matrix(S) if i == 0 else alpha_matrix(i, S), u)
+             for i, u in enumerate(fields) if np.any(u)]
+    q = sum(u * u for _, u in terms)
     c, s = _cos_sinc(np.asarray(q, dtype=np.float64))
-    # exponent matrix times i, per term: i * mat, or -mat for an imaginary field
-    scaled = [(-mat if imag else 1j * mat, s * u) for mat, u, imag in terms]
+    # exponent matrix times i, per term
+    scaled = [(1j * mat, s * u) for mat, u in terms]
     out = np.empty((S, S) + shape, dtype=np.complex128)
     for a in range(S):
         for b in range(S):

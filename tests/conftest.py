@@ -92,25 +92,13 @@ def _mesh_shape(coords):
     return np.broadcast_shapes(*(np.shape(x) for x in coords))
 
 
-# value and gradient of the forms that take more than one coordinate, each
-# written on full meshes with one radial exponential
+# value of the forms that take more than one coordinate, each written on
+# full meshes with one radial exponential
 _MESH_FORMS = {
-    "zero": (
-        lambda p, c: np.zeros(_mesh_shape(c)),
-        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
-    ),
-    "const": (
-        lambda p, c: np.full(_mesh_shape(c), p[0]),
-        lambda p, c: tuple(np.zeros(np.shape(x)) for x in c),
-    ),
-    "gauss": (
-        lambda p, c: p[0] * np.exp(-p[1] * _rho2(c)),
-        lambda p, c: tuple(-2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
-    ),
-    "well": (
-        lambda p, c: p[0] * (1.0 - np.exp(-p[1] * _rho2(c))),
-        lambda p, c: tuple(2.0 * p[1] * x * p[0] * np.exp(-p[1] * _rho2(c)) for x in c),
-    ),
+    "zero": lambda p, c: np.zeros(_mesh_shape(c)),
+    "const": lambda p, c: np.full(_mesh_shape(c), p[0]),
+    "gauss": lambda p, c: p[0] * np.exp(-p[1] * _rho2(c)),
+    "well": lambda p, c: p[0] * (1.0 - np.exp(-p[1] * _rho2(c))),
 }
 
 
@@ -118,13 +106,7 @@ def mesh_value(form, *meshes):
     """form's value on full meshes; the one-coordinate forms are their own."""
     if form.name not in _MESH_FORMS:
         return form.value(*meshes)
-    return _MESH_FORMS[form.name][0](form.params, meshes)
-
-
-def mesh_grad(form, *meshes):
-    if form.name not in _MESH_FORMS:
-        return form.grad(*meshes)
-    return _MESH_FORMS[form.name][1](form.params, meshes)
+    return _MESH_FORMS[form.name](form.params, meshes)
 
 
 def _mesh_strain(model, grid):
@@ -150,10 +132,8 @@ def mesh_sample_metric(model, grid) -> MetricSample:
         return MetricSample([a], None, model.mass - v, gvec, 0.0)
     phi = mesh_value(model.phi, *coords)
     a = np.exp(phi - mesh_value(model.psi, *coords))
-    conn = [0.5 * g for g in mesh_grad(model.phi, *coords)]
-    if not any(np.any(c) for c in conn):
-        conn = None
-    return MetricSample([a] * grid.d, conn, np.exp(phi) * model.mass, (), 0.0)
+    gauge = phi if np.ptp(phi) else None
+    return MetricSample([a] * grid.d, gauge, np.exp(phi) * model.mass, (), 0.0)
 
 
 def mesh_gamma_weight(model, grid) -> np.ndarray:

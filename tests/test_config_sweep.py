@@ -133,3 +133,26 @@ def test_stiff_1d_cn_metrics_take_plain_gmres_and_complete(tmp_path):
         pre = cayley_preconditioner(StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml))
         assert (pre is not None and pre.K == 0) == circulant, (seed, k)
         assert outcome(build, out_dir) == "completed", (seed, k)
+
+
+def test_static_metric_growth_halts_complete_or_are_rejected(tmp_path):
+    # static-metric draws that halted for growth while the spin connection
+    # was a non-unitary pointwise factor (cn: seed 7 draws 197 and 280;
+    # poly1 under a real-stretch layer: seed 7 draw 235) complete with it
+    # applied as a gauge.  Seed 1 draw 81's e^{Phi/2} underflows to 0 at the
+    # box edge: it is rejected at build.
+    for seed, k in [(7, 197), (7, 235), (7, 280)]:
+        out_dir = str(tmp_path / f"{seed}-{k}")
+        build = replay(seed, k, out_dir)
+        assert build().metric.kind == "static1d"
+        assert outcome(build, out_dir) == "completed", (seed, k)
+    out_dir = str(tmp_path / "1-81")
+    build = replay(1, 81, out_dir)
+    with pytest.raises(GeometryError, match=r"gauge e\^\{F/2\} is not positive"):
+        run_simulation(build())
+    assert outcome(build, out_dir) == "rejected"
+    # seed 7 draw 64 was rejected at build by that factor's overflow.  Its
+    # velocity reaches 1.5e197, so now its first Cayley solve overflows: it
+    # halts on gmres's non-finite norm, without a warning (see `outcome`)
+    out_dir = str(tmp_path / "7-64")
+    assert outcome(replay(7, 64, out_dir), out_dir) == "halted"

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import mesh_grad, mesh_value
+from conftest import mesh_value
 from curvedirac.errors import ConfigurationError, GeometryError
 from curvedirac.geometry import (
     MetricModel,
@@ -14,8 +14,11 @@ from curvedirac.geometry import (
     parse_form,
     sample_metric,
 )
-from curvedirac.grid_spectral import make_grid
-from curvedirac.harness import RunConfig, preset_config, run_simulation
+from curvedirac.grid_spectral import SpinorField, make_grid, spectral_derivative
+from curvedirac.harness import (
+    RunConfig, gamma_norm, initial_condition, preset_config, run_simulation,
+)
+from curvedirac.pml import PmlConfig, stretch_factor
 from curvedirac.spinor_algebra import SIGMA1, SIGMA3, alpha_matrix, beta_matrix
 
 
@@ -46,30 +49,17 @@ def test_parse_form_round_trip():
         assert parse_form(str(f)) == f
 
 
-def test_form_gradients_match_finite_differences(rng):
-    x = rng.uniform(-4, 4, size=50)
-    eps = 1e-6
-    for f in (ScalarForm("gauss", (1.3, 0.2)), ScalarForm("well", (0.8, 0.1)),
-              ScalarForm("cosgauss", (1.0, 0.7, 0.05)), ScalarForm("quadratic", (2.0,))):
-        g = f.grad(x)[0]
-        fd = (f.value(x + eps) - f.value(x - eps)) / (2 * eps)
-        assert np.max(np.abs(g - fd)) < 1e-7
-
-
 @pytest.mark.parametrize("text", ["zero", "const(0.7)", "gauss(1.3,0.2)", "well(0.8,0.1)"])
 def test_forms_take_open_coordinates(text):
     form = parse_form(text)
     g = make_grid(2, (3.0, 2.0), (24, 18))
     meshes = g.meshes()
     open_coords = np.ix_(*g.axes)
-    for got, mesh, oracle in zip(
-            (form.value(*open_coords),) + form.grad(*open_coords),
-            (form.value(*meshes),) + form.grad(*meshes),
-            (mesh_value(form, *meshes),) + mesh_grad(form, *meshes)):
-        assert got.shape == g.shape
-        assert got.flags.writeable and got.flags.c_contiguous
-        for want in (mesh, oracle):
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    got = form.value(*open_coords)
+    assert got.shape == g.shape
+    assert got.flags.writeable and got.flags.c_contiguous
+    for want in (form.value(*meshes), mesh_value(form, *meshes)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("text", ["cosgauss(1.0,0.7,0.05)", "linear(5.0)", "quadratic(2.0)",
@@ -79,8 +69,6 @@ def test_one_dimensional_forms_reject_two_coordinates(text):
     x, y = np.ix_(np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 4))
     with pytest.raises(ConfigurationError, match="one-dimensional"):
         form.value(x, y)
-    with pytest.raises(ConfigurationError, match="one-dimensional"):
-        form.grad(x, y)
 
 
 def test_unknown_form_rejected():
@@ -234,7 +222,7 @@ def _node(g, *x):
 
 @pytest.mark.parametrize("kind", ["flat", "static1d", "static2d", "graphene"])
 def test_sample_matches_the_readme_table_at_a_node(kind):
-    """velocity, connection shift and potential matrix of each kind at one
+    """velocity, gauge exponent and potential matrix of each kind at one
     node, from the closed forms of the README's table (S = 2: beta = sigma3,
     alpha = (sigma1, sigma2))."""
     m, r_phi, r_psi = 0.7, 1e-2, 5e-3
@@ -243,15 +231,15 @@ def test_sample_matches_the_readme_table_at_a_node(kind):
         model = MetricModel("flat", mass=m, v_pot=ScalarForm("linear", (3.0,)),
                             ax_pot=ScalarForm("quadratic", (2.0,)))
         g, x = make_grid(1, 10.0, 2000), (1.0,)
-        vel, conn = [1.0], None
+        vel, gauge = [1.0], None
         M = m * SIGMA3 + 3.0 * np.eye(2) - 2.0 * SIGMA1
     elif kind == "graphene":  # a = 1/(1 - f), M = -a A_x sigma1 + sigma3 (m - V)
         model = dataclasses.replace(EXP4, mass=m)
         g, x = make_grid(1, 10.0, 2000), (1.0,)
         a = 1.0 / (1.0 - graphene_f(1.0, 0.4, 2.0, 5.0))
-        vel, conn = [a], None
+        vel, gauge = [a], None
         M = -a * 5.0 * SIGMA1 + (m - 5.0) * SIGMA3
-    else:  # a = e^(Phi - Psi), c^i = d_i Phi / 2, M = e^Phi sigma3 m
+    else:  # a = e^(Phi - Psi), F = Phi (c^i = d_i Phi / 2), M = e^Phi sigma3 m
         model = MetricModel(kind, mass=m, phi=phi, psi=psi)
         if kind == "static1d":
             g, x = make_grid(1, 5.0, 100), (1.0,)
@@ -260,18 +248,17 @@ def test_sample_matches_the_readme_table_at_a_node(kind):
         rho2 = sum(xi * xi for xi in x)
         P = np.exp(-r_phi * rho2)
         vel = [np.exp(P - np.exp(-r_psi * rho2))] * len(x)
-        conn = [-r_phi * xi * P for xi in x]
+        gauge = P
         M = np.exp(P) * m * SIGMA3
     sample = sample_metric(model, g)
     k = _node(g, *x)
     assert len(sample.velocity) == g.d
     for got, want in zip(sample.velocity, vel):
         assert got[k] == pytest.approx(want, rel=1e-14)
-    if conn is None:
-        assert sample.connection is None
+    if gauge is None:
+        assert sample.gauge is None
     else:
-        for got, want in zip(sample.connection, conn):
-            assert got[k] == pytest.approx(want, rel=1e-13)
+        assert sample.gauge[k] == pytest.approx(gauge, rel=1e-14)
     assert np.max(np.abs(potential_matrix(sample, 2)[(slice(None),) * 2 + k] - M)) < 1e-12
 
 
@@ -282,11 +269,12 @@ def test_potential_sampling_is_pure():
     for model, g in ((EXP4, make_grid(1, 10.0, 64)), (EXP1, make_grid(1, 5.0, 64))):
         A, B = sample_metric(model, g), sample_metric(model, g)
         assert same(A.G, B.G) and same(A.scalar, B.scalar)
-        for name in ("velocity", "connection", "Gvec"):  # per-axis sequences
+        assert (A.gauge is None) == (B.gauge is None)
+        assert A.gauge is None or same(A.gauge, B.gauge)
+        for name in ("velocity", "Gvec"):  # per-axis sequences
             a, b = getattr(A, name), getattr(B, name)
-            assert (a is None) == (b is None)
-            assert len(a or ()) == len(b or ())
-            assert all(same(x, y) for x, y in zip(a or (), b or ())), name
+            assert len(a) == len(b)
+            assert all(same(x, y) for x, y in zip(a, b)), name
         assert same(potential_matrix(A, 2), potential_matrix(B, 2))
 
 
@@ -294,24 +282,44 @@ def test_potential_sampling_is_pure():
 
 
 def test_connection_zero_for_flat_and_graphene():
+    # no connection: no gauge exponent
     g = make_grid(1, 10.0, 64)
-    assert sample_metric(MetricModel("flat"), g).connection is None
-    assert sample_metric(EXP4, g).connection is None
+    assert sample_metric(MetricModel("flat"), g).gauge is None
+    assert sample_metric(EXP4, g).gauge is None
     # a constant Phi has no gradient, so no connection either
     const = MetricModel("static1d", mass=1.0, phi=ScalarForm("const", (0.3,)),
                         psi=ScalarForm("gauss", (1.0, 1e-2)))
-    assert sample_metric(const, g).connection is None
+    assert sample_metric(const, g).gauge is None
+    for model in (EXP1, EXP3):
+        g = make_grid(model.dimension, 5.0, (32,) * model.dimension)
+        assert np.array_equal(sample_metric(model, g).gauge, model.phi.value(*g.meshes()))
 
 
 def test_connection_matches_analytic_phi_derivative():
-    g = make_grid(1, 5.0, 256)
-    conn = sample_metric(EXP1, g).connection
-    assert len(conn) == 1
-    c = conn[0]
-    x = g.axes[0]
-    analytic = 0.5 * (-2 * 5e-3 * x * np.exp(-5e-3 * x ** 2))
-    assert np.max(np.abs(c - analytic)) < 1e-14
-    assert abs(c[np.argmin(np.abs(x))]) < 1e-14
+    # the gauge applies the connection Phi'/2 of the analytic derivative:
+    # e^{-F/2} a alpha [[d]] (e^{F/2} psi) = a alpha ([[d]] + Phi'/2) psi,
+    # F = Phi, up to the spectral error of [[d]] on e^{F/2} psi, which falls
+    # with N to round-off on a smooth Phi
+    model = MetricModel("static1d", mass=1.0, phi=ScalarForm("gauss", (0.8, 0.5)),
+                        psi=ScalarForm("gauss", (0.3, 0.8)))
+    alpha = alpha_matrix(1, 2)
+    gaps = []
+    for N in (32, 48, 64, 96):
+        g = make_grid(1, 6.0, N)
+        x = g.axes[0]
+        sample = sample_metric(model, g)
+        a, e = sample.velocity[0], np.exp(0.5 * sample.gauge)
+        psi = np.stack([np.exp(-x ** 2 + 2j * x), 0.5 * np.exp(-(x - 0.5) ** 2)])
+
+        def d(v):
+            return spectral_derivative(SpinorField(v, g), 0).values
+
+        gauged = a * (alpha @ d(e * psi)) / e
+        dphi = -2.0 * 0.5 * 0.8 * x * np.exp(-0.5 * x ** 2)
+        shifted = a * (alpha @ (d(psi) + 0.5 * dphi * psi))
+        gaps.append(np.max(np.abs(gauged - shifted)) / np.max(np.abs(shifted)))
+    assert all(b < 1e-2 * a for a, b in zip(gaps[:2], gaps[1:3])), gaps
+    assert gaps[0] > 1e-4 and gaps[-1] < 1e-14, gaps
 
 
 # ----------------------------------------------------------------- weights
@@ -354,6 +362,43 @@ def test_static1d_weighted_norm_conserved_by_fine_run():
     assert np.max(np.abs(l2g - l2g[0])) / l2g[0] < 1e-6
     # the unweighted norm moves by orders of magnitude more
     assert np.max(np.abs(l2 - l2[0])) / l2[0] > 1e2 * np.max(np.abs(l2g - l2g[0])) / l2g[0]
+
+
+STRONG = MetricModel("static1d", mass=1.0, phi=ScalarForm("gauss", (0.8, 0.5)),
+                     psi=ScalarForm("gauss", (0.3, 0.8)))
+
+
+def test_static1d_strong_gradients_hold_the_covariant_norm_under_cn():
+    # with the connection applied as a gauge a cn step conserves
+    # int e^{Psi} |psi|^2 to the solver tolerance at every dt, however
+    # strong the gradients; folded into a non-unitary pointwise factor it
+    # drifted 2.2e-3 and 5.5e-4 here, as dt^2
+    for dt in (0.032, 0.016):
+        cfg = RunConfig(d=1, a=8.0, N=256, metric=STRONG, scheme="cn", dt=dt, T=2.0,
+                        ic_kind="gaussian_wavepacket", ic_k0=3.0)
+        res = run_simulation(cfg)
+        l2g = np.array([r.l2_gamma for r in res.diagnostics])
+        l2 = np.array([r.l2 for r in res.diagnostics])
+        assert np.max(np.abs(l2g - l2g[0])) / l2g[0] < 1e-8, dt
+        assert np.max(np.abs(l2 - l2[0])) / l2[0] > 0.05
+
+
+def test_static1d_real_stretch_holds_the_stretched_covariant_norm():
+    # C10a's law on a static metric: under a theta = 0 layer the stretch
+    # acts on the covariant derivative as a whole, so a cn step conserves
+    # int Re S e^{Psi} |psi|^2 while the packet enters the layer and the
+    # plain covariant norm moves
+    pml = PmlConfig(True, "I", 2.0, 0.0, 0.4)
+    for dt in (0.032, 0.016):
+        cfg = RunConfig(d=1, a=6.0, N=192, metric=STRONG, scheme="cn", dt=dt, T=2.0,
+                        ic_kind="gaussian_wavepacket", ic_k0=3.0, pml=pml)
+        res = run_simulation(cfg)
+        grid = res.final.grid
+        stretched = gamma_weight(STRONG, grid) * stretch_factor(pml, 0, grid).real
+        n0 = gamma_norm(initial_condition(cfg, grid), stretched)
+        assert abs(gamma_norm(res.final, stretched) - n0) / n0 < 1e-8, dt
+        l2g = np.array([r.l2_gamma for r in res.diagnostics])
+        assert np.max(np.abs(l2g - l2g[0])) / l2g[0] > 1e-4
 
 
 def test_weighted_norm_drift_shrinks_with_dt():

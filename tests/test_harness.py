@@ -19,7 +19,7 @@ from curvedirac.geometry import MetricModel, ScalarForm, gamma_weight, sample_me
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.krylov import KrylovOptions
 from curvedirac.pml import PmlConfig
-from curvedirac.propagators import StepWorkspace, _half_potential, strang_step
+from curvedirac.propagators import StepWorkspace, _half_factors, strang_step
 from curvedirac import harness
 from curvedirac.harness import (
     PRESET_NAMES,
@@ -359,21 +359,24 @@ def test_norms_match_the_weighted_sums(rng, S, shape):
 
 def _setup_fields(cfg, mesh):
     """The set-up build's fields by name: initial data, covariant weight,
-    every field of the metric sample and the pointwise half step, from the
-    package or (mesh) from the full-mesh formulas."""
+    every field of the metric sample and the two pointwise half step
+    factors, from the package or (mesh) from the full-mesh formulas."""
     grid = cfg.grid()
     if mesh:
         psi, sample = mesh_initial_condition(cfg, grid), mesh_sample_metric(cfg.metric, grid)
         weight = mesh_gamma_weight(cfg.metric, grid)
-        half = _half_potential(sample, 0.5 * cfg.dt, cfg.metric.spinor_dim)
+        gauge = None if sample.gauge is None else np.exp(0.5 * sample.gauge)
+        lead, trail = _half_factors(sample, 0.5 * cfg.dt, cfg.metric.spinor_dim, gauge)
     else:
         psi, sample = initial_condition(cfg, grid), sample_metric(cfg.metric, grid)
         weight = gamma_weight(cfg.metric, grid)
-        half = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml).half
-    fields = {"ic": psi.values, "weight": weight, "half": half, "G": sample.G,
+        ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
+        lead, trail = ws.lead, ws.trail
+    fields = {"ic": psi.values, "weight": weight, "lead": lead, "trail": trail, "G": sample.G,
               "scalar": np.asarray(sample.scalar)}
     fields.update((f"velocity{i}", v) for i, v in enumerate(sample.velocity))
-    fields.update((f"connection{i}", c) for i, c in enumerate(sample.connection or ()))
+    if sample.gauge is not None:
+        fields["gauge"] = sample.gauge
     fields.update((f"Gvec{i}", np.asarray(g)) for i, g in enumerate(sample.Gvec))
     return fields
 

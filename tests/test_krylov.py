@@ -296,7 +296,7 @@ def test_exp5_solve_matches_modified_gram_schmidt_reference():
     cfg = preset_config("exp5", "ci")
     grid = cfg.grid()
     ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
-    f = half_potential_step(initial_condition(cfg, grid), ws)
+    f = half_potential_step(initial_condition(cfg, grid), ws, "lead")
     b = 2.0 * f.values - cn_apply_values(f.values, ws)      # (I - E) psi
 
     def apply(v):

@@ -134,7 +134,7 @@ def test_half_potential_identity_when_massless_free():
     g = make_grid(1, 5.0, 64)
     ws = StepWorkspace(FLAT0, g, 0.1)
     f = gaussian_field(g)
-    out = half_potential_step(f, ws)
+    out = half_potential_step(f, ws, "lead")
     assert np.max(np.abs(out.values - f.values)) < 1e-15
 
 
@@ -142,9 +142,14 @@ def test_half_potential_flat_mass_closed_form():
     g = make_grid(1, 5.0, 32)
     ws = StepWorkspace(FLAT1, g, 0.1)
     f = gaussian_field(g)
-    out = half_potential_step(f, ws)
+    out = half_potential_step(f, ws, "lead")
     expect = np.stack([np.exp(-0.05j) * f.values[0], np.exp(+0.05j) * f.values[1]])
     assert np.max(np.abs(out.values - expect)) < 1e-14
+    # no connection: one factor on both sides
+    assert ws.lead is ws.trail
+    assert np.array_equal(half_potential_step(f, ws, "trail").values, out.values)
+    with pytest.raises(ValueError, match="side"):
+        half_potential_step(f, ws, "half")
 
 
 def test_half_potential_preserves_norm_for_hermitian_potential():
@@ -153,7 +158,7 @@ def test_half_potential_preserves_norm_for_hermitian_potential():
     g = make_grid(1, 10.0, 256)
     ws = StepWorkspace(m, g, 1e-2)
     f = gaussian_field(g, k0=2.0)
-    out = half_potential_step(f, ws)
+    out = half_potential_step(f, ws, "lead")
     assert abs(vec_norm(out) - vec_norm(f)) < 1e-12 * vec_norm(f)
 
 
@@ -353,7 +358,7 @@ def test_reported_residual_is_the_cayley_steps(name, changes, kind):
     # psi* = 2u - psi, whose Cayley residual is twice GMRES's: the report
     # carries that one, relative to ||psi||
     cfg, ws = preset_workspace(name, "ci", **changes)
-    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws, "lead")
     for _ in range(3):
         out = cn_transport_step(f, ws, cfg.krylov)
         pre = cayley_preconditioner(ws)
@@ -591,7 +596,7 @@ def test_band_step_equals_gmres_from_the_preconditioned_start(name):
     # of (I + E) u = psi at tol / 2
     cfg, ws = preset_workspace(name, "ci")
     pre, a = cayley_preconditioner(ws), ws.a_eff[0]
-    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws, "lead")
     for _ in range(3):
         out = cn_transport_step(f, ws, cfg.krylov)
         y, report = gmres(lambda v: a * (v + pre.shift * pre.solve(v)), f.values,
@@ -624,7 +629,7 @@ def test_inexact_band_falls_back_to_gmres_from_the_preconditioned_start(monkeypa
     pre = cayley_preconditioner(ws)
     assert pre.K == ws.ripple[0] == 10
     calls = counting_gmres(monkeypatch)
-    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws, "lead")
     out = cn_transport_step(f, ws, cfg.krylov)
     assert len(calls) == 1
     x0, report = calls[0]
@@ -639,7 +644,7 @@ def test_band_step_below_round_off_runs_gmres_and_fails(monkeypatch):
     # so GMRES runs from y0, and its iterations are the ones reported
     cfg, ws = preset_workspace("exp5", "ci")
     calls = counting_gmres(monkeypatch)
-    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws, "lead")
     with pytest.raises(StepFailureError, match="after 4 iterations"):
         cn_transport_step(f, ws, KrylovOptions(tol=1e-18, restart=2, maxit=4))
     assert len(calls) == 1 and ws.last_krylov is calls[0][1]
@@ -678,7 +683,7 @@ def test_first_band_solve_keeps_linear_storage():
     # would hold 2 * 16 * 125^2 entries, 125 spinor fields; plain GMRES's
     # Krylov basis alone holds restart + 1 = 31
     cfg, ws = preset_workspace("exp4", "paper")
-    f = half_potential_step(initial_condition(cfg, ws.grid), ws)
+    f = half_potential_step(initial_condition(cfg, ws.grid), ws, "lead")
     tracemalloc.start()
     try:
         cn_transport_step(f, ws, cfg.krylov)
@@ -844,7 +849,8 @@ def test_strang_identity_for_zero_hamiltonian():
 
 
 def local_half_oracle(model, grid, dt):
-    """exp(-dt/2 (i M + sum_i a c^i alpha^i)) node by node with `expm_small`."""
+    """(lead, trail) = (e^{F/2} H, e^{-F/2} H), H = exp(-i dt/2 M) node by
+    node with `expm_small`, as dense (S, S, *grid) matrix fields."""
     S = model.spinor_dim
     sample = sample_metric(model, grid)
 
@@ -855,10 +861,20 @@ def local_half_oracle(model, grid, dt):
     for i, g in enumerate(sample.Gvec):
         if np.any(g):
             gen = gen + 1j * field(alpha_matrix(i + 1, S), g)
-    for i, (v, c) in enumerate(zip(sample.velocity, sample.connection or ())):
-        gen = gen + field(alpha_matrix(i + 1, S), v * c)
-    out = np.stack([expm_small(-0.5 * dt * gen[..., k]) for k in range(gen.shape[-1])], axis=-1)
-    return out.reshape((S, S) + grid.shape)
+    H = np.stack([expm_small(-0.5 * dt * gen[..., k]) for k in range(gen.shape[-1])], axis=-1)
+    H = H.reshape((S, S) + grid.shape)
+    F = 0.0 if sample.gauge is None else sample.gauge
+    return np.exp(0.5 * F) * H, np.exp(-0.5 * F) * H
+
+
+def dense_factor(factor, S):
+    """A pointwise factor as an (S, S, *grid) matrix field: S diagonal
+    planes on the diagonal, a matrix field as it is."""
+    if factor.shape[:2] == (S, S):
+        return factor
+    out = np.zeros((S,) + factor.shape, dtype=factor.dtype)
+    out[range(S), range(S)] = factor
+    return out
 
 
 STATIC_MODELS = {
@@ -873,28 +889,31 @@ def test_local_factor_matches_the_dense_exponential(kind, S):
     model, a, N = STATIC_MODELS[kind]
     model = dataclasses.replace(model, spinor_dim=S)
     grid = make_grid(len(N), a, N)
+    # the static metrics have no alpha potential, so each factor is its S
+    # diagonal planes
     for dt in (1e-3, 0.3):
         ws = StepWorkspace(model, grid, dt)
-        assert np.max(np.abs(ws.half - local_half_oracle(model, grid, dt))) < 1e-13
+        for got, want in zip((ws.lead, ws.trail), local_half_oracle(model, grid, dt)):
+            assert got.shape == (S,) + grid.shape
+            assert np.max(np.abs(dense_factor(got, S) - want)) < 1e-13
 
 
 def oracle_strang_step(f, scheme, ws, model, krylov):
-    """L T L with the local factor L built node by node by `local_half_oracle`."""
-    L = local_half_oracle(model, ws.grid, ws.dt)
-    # the connection is on: L is not unitary
-    LLh = np.einsum("ab...,cb...->ac...", L, L.conj())
-    assert np.max(np.abs(LLh - np.eye(ws.S).reshape((ws.S, ws.S) + (1,) * ws.grid.d))) > 1e-6
+    """trail T lead with the factors built node by node by `local_half_oracle`."""
+    lead, trail = local_half_oracle(model, ws.grid, ws.dt)
+    # the gauge is on: the two factors differ
+    assert np.max(np.abs(lead - trail)) > 1e-6
 
-    def apply(field):
-        return SpinorField(np.einsum("ab...,b...->a...", L, field.values), ws.grid)
+    def apply(factor, field):
+        return SpinorField(np.einsum("ab...,b...->a...", factor, field.values), ws.grid)
 
-    f = apply(f)
+    f = apply(lead, f)
     if scheme == "cn":
         f = cn_transport_step(f, ws, krylov)
     else:
         for axis in range(ws.grid.d):
             f = poly_axis_step(f, axis, ws)
-    return apply(f)
+    return apply(trail, f)
 
 
 @pytest.mark.parametrize("name,scheme", [("exp3", "poly1"), ("exp1", "cn")])
@@ -914,7 +933,7 @@ def exp3_matrix_field_bytes():
 
 
 def test_workspace_build_is_lean(monkeypatch):
-    # exp3 at 256^2: the build peaks at 3.0 matrix fields (S, S, *grid); no
+    # exp3 at 256^2: the build peaks at 1.9 matrix fields (S, S, *grid); no
     # FFT runs while it builds
     cfg, field_bytes = exp3_matrix_field_bytes()
     grid = cfg.grid()
@@ -927,8 +946,8 @@ def test_workspace_build_is_lean(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.half.shape == (S, S) + grid.shape
-    assert peak < 5.5 * field_bytes
+    assert ws.lead.shape == ws.trail.shape == (S,) + grid.shape
+    assert peak < 3.5 * field_bytes
 
 
 def held_arrays(obj):
@@ -951,11 +970,12 @@ def held_arrays(obj):
     return found
 
 
-def test_workspace_keeps_one_matrix_field():
-    # exp3 at 256^2: the built workspace holds one (S, S, *grid) matrix
-    # field, the pointwise factor, and beside it only the kept sample's
-    # velocity, G and connection shifts, 1/8 of a field each: 1.50 fields.
-    # An all-zero scalar potential kept as well would read 1.63.
+def test_workspace_keeps_only_its_factors_and_the_sample():
+    # exp3 at 256^2: the built workspace holds no (S, S, *grid) matrix
+    # field, only its two pointwise factors, S = 2 diagonal planes each (half
+    # a matrix field), and beside them the kept sample's velocity, G and
+    # gauge exponent, 1/8 of a field each: 1.375 fields.  An all-zero scalar
+    # potential kept as well would read 1.5.
     cfg, field_bytes = exp3_matrix_field_bytes()
     StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)   # imports numpy.fft first
     tracemalloc.start()
@@ -964,11 +984,13 @@ def test_workspace_keeps_one_matrix_field():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    matrix_fields = [a for a in held_arrays(ws) if a.shape == (ws.S, ws.S) + ws.grid.shape]
-    assert len(matrix_fields) == 1 and matrix_fields[0] is ws.half
+    held = held_arrays(ws)
+    assert not [a for a in held if a.shape == (ws.S, ws.S) + ws.grid.shape]
+    planes = [a for a in held if a.shape == (ws.S,) + ws.grid.shape]
+    assert len(planes) == 2 and {id(a) for a in planes} == {id(ws.lead), id(ws.trail)}
     sample = ws.sample
-    coefficients = {id(a): a.nbytes for a in [*sample.velocity, sample.G, *sample.connection]}
-    assert kept <= ws.half.nbytes + sum(coefficients.values()) + 0.01 * field_bytes
+    coefficients = {id(a): a.nbytes for a in [*sample.velocity, sample.G, sample.gauge]}
+    assert kept <= ws.lead.nbytes + ws.trail.nbytes + sum(coefficients.values()) + 0.01 * field_bytes
 
 
 @pytest.mark.parametrize("layer", [False, True], ids=["bare", "layer"])
@@ -987,7 +1009,8 @@ def test_with_step_matches_a_fresh_workspace(name, scheme, layer):
     derived = ws.with_step(h)
     fresh = StepWorkspace(cfg.metric, grid, h, pml)
     assert derived.dt == h and derived.sample is ws.sample and derived.a_eff is ws.a_eff
-    assert derived.half.tobytes() == fresh.half.tobytes()
+    for side in ("lead", "trail"):
+        assert getattr(derived, side).tobytes() == getattr(fresh, side).tobytes()
     got, want = (strang_step(f, scheme, w, cfg.krylov) for w in (derived, fresh))
     assert got.values.tobytes() == want.values.tobytes()
     assert derived.last_krylov == fresh.last_krylov
@@ -995,13 +1018,22 @@ def test_with_step_matches_a_fresh_workspace(name, scheme, layer):
 
 
 def test_a_non_finite_half_step_is_rejected_at_build():
-    # Phi = 2x on [-5, 5]: dt/2 a c reaches 110 at dt = 0.01, and 1.1e4 at
-    # dt = 1, where the connection's cosh overflows
-    m = MetricModel("static1d", phi=ScalarForm("linear", (2.0,)))
+    # a mass of 1e308 is finite, and so is G = m e^Phi <= 1.65e308; dt/2 G
+    # stays finite at dt = 0.01 and overflows at dt = 4, where its cos and
+    # sin are NaN
+    m = MetricModel("static1d", mass=1e308, phi=ScalarForm("gauss", (0.5, 1.0)))
     ws = StepWorkspace(m, make_grid(1, 5.0, 64), 0.01)
-    for build in (lambda: ws.with_step(1.0), lambda: StepWorkspace(m, ws.grid, 1.0)):
-        with pytest.raises(GeometryError, match="half step factor is not finite"):
+    for build in (lambda: ws.with_step(4.0), lambda: StepWorkspace(m, ws.grid, 4.0)):
+        with pytest.raises(GeometryError, match="lead half step factor is not finite"):
             build()
+    # the gauge at the box edge x = -5, node 0: Phi = -58 x^2 makes e^{Phi/2}
+    # = e^{-725} > 0, whose reciprocal in the trail factor overflows, and
+    # Phi = -70 x^2 makes it underflow to 0
+    for c, match in ((-58.0, r"trail half step factor is not finite at node \(0,\)"),
+                     (-70.0, r"gauge e\^\{F/2\} is not positive at node \(0,\)")):
+        m = MetricModel("static1d", phi=ScalarForm("quadratic", (c,)))
+        with pytest.raises(GeometryError, match=match):
+            StepWorkspace(m, ws.grid, 0.01)
 
 
 # ------------------------------------------------------------ buffered explicit step
@@ -1088,8 +1120,8 @@ def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
 
 @pytest.mark.parametrize("name", ["exp3", "exp5"])
 def test_workspace_build_samples_the_metric_once(monkeypatch, name):
-    # each closed form's value and gradient, and the graphene strain, are
-    # evaluated at most once per build
+    # each closed form's value, and the graphene strain, are evaluated at
+    # most once per build
     calls = collections.Counter()
 
     def counted(key, fn):
@@ -1098,16 +1130,13 @@ def test_workspace_build_samples_the_metric_once(monkeypatch, name):
             return fn(*args)
         return wrapper
 
-    for method in ("value", "grad"):
-        original = getattr(ScalarForm, method)
-        monkeypatch.setattr(ScalarForm, method,
-                            counted(lambda form, *x, m=method: (str(form), m), original))
+    monkeypatch.setattr(ScalarForm, "value", counted(lambda form, *x: str(form), ScalarForm.value))
     monkeypatch.setattr(geometry, "graphene_f", counted(lambda *a: "strain", geometry.graphene_f))
     cfg = preset_config(name, "ci")
     StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
     if name == "exp3":
         phi, psi = str(cfg.metric.phi), str(cfg.metric.psi)
-        assert {(phi, "value"), (phi, "grad"), (psi, "value")} <= set(calls)
+        assert {phi, psi} <= set(calls)
     else:
         assert calls["strain"] == 1
     assert max(calls.values()) == 1, dict(calls)
@@ -1301,7 +1330,8 @@ def test_half_potential_exponential_unitary():
     m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0,
                     ax_pot=ScalarForm("linear", (5.0,)), v_pot=ScalarForm("linear", (5.0,)))
     ws = StepWorkspace(m, g, 1e-2)
-    E = ws.half   # graphene has no spin connection: the bare half potential
+    E = ws.lead   # graphene with A_x: the matrix field exp(-i dt/2 M), also the trail
+    assert E is ws.trail and E.shape == (2, 2) + g.shape
     prod = np.einsum("ab...,cb...->ac...", E, E.conj())
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(prod - eye)) < 1e-12

@@ -8,7 +8,7 @@ from conftest import expm_small
 from curvedirac.harness import PRESET_NAMES, preset_config
 from curvedirac.pml import PmlConfig
 from curvedirac.propagators import StepWorkspace
-from curvedirac.spinor_algebra import Imaginary, alpha_matrix, beta_matrix, exp_dirac
+from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
 
 
 def taylor_expm(M, terms=20):
@@ -93,14 +93,6 @@ def test_exp_dirac_vectorized_over_fields(rng):
     assert np.max(np.abs(E[:, :, k] - ref)) < 1e-14
 
 
-def test_exp_dirac_imaginary_argument_gives_hyperbolic_factor():
-    # exp(i alpha.(i u)) = exp(-u alpha): the closed form continues analytically
-    u = 0.37
-    E = exp_dirac(0.0, (1j * u, 0.0, 0.0), 2)
-    ref = np.cosh(u) * np.eye(2) - np.sinh(u) * alpha_matrix(1, 2)
-    assert np.max(np.abs(E - ref)) < 1e-14
-
-
 def test_exp_dirac_tiny_argument_limit():
     E = exp_dirac(1e-200, (0.0, 0.0, 0.0), 2)
     assert np.allclose(E, np.eye(2) + 1j * 1e-200 * beta_matrix(2))
@@ -130,28 +122,22 @@ def components(S, *fields):
 
 
 @pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_hyperbolic_branch_matches_expm(rng, S):
-    # purely imaginary Gvec, as the spin connection passes it: G^2 + Gvec^2 < 0
-    u = [1j * rng.uniform(-2.0, 2.0, (5, 3)) for _ in range(3)]
-    assert_matches_expm_at_every_node(0.0, components(S, *u), S, 1e-13)
-
-
-@pytest.mark.parametrize("S", [2, 4])
 def test_exp_dirac_sign_change_across_nodes_matches_expm(rng, S):
-    # real G and g2, imaginary g1 and g3: G^2 + Gvec^2 changes sign from node to node
+    # real coefficients that change sign from node to node, G and g1
+    # through zero at the same node, where |G| -> 0 with g2 and g3 small
     G = np.linspace(-1.5, 1.5, 13)
-    gv = components(S, 1j * np.linspace(2.0, -0.4, 13), 0.3 * rng.standard_normal(13),
-                    0.2j * rng.standard_normal(13))
-    q = G ** 2 + sum(np.real(g * g) for g in gv)
-    assert np.any(q > 0) and np.any(q < 0)
+    gv = components(S, np.linspace(2.4, -2.4, 13), 1e-3 * rng.standard_normal(13),
+                    1e-3 * rng.standard_normal(13))
+    for g in (G, gv[0]):
+        assert np.any(g > 0) and np.any(g < 0) and g[6] == 0.0
     assert_matches_expm_at_every_node(G, gv, S, 1e-13)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("unit", [1.0, 1j], ids=["trigonometric", "hyperbolic"])
-def test_exp_dirac_small_argument_limit_in_both_branches(S, unit):
-    # exactly zero and far below the 1e-150 cut-off, beside an ordinary node
-    g = unit * np.array([0.0, 1e-200, 1e-160, 1e-8, 0.5])
+def test_exp_dirac_small_argument_limit_in_both_branches(S):
+    # both sides of the 1e-150 cut-off: exactly zero and far below it,
+    # beside ordinary nodes
+    g = np.array([0.0, 1e-200, 1e-160, 1e-8, 0.5])
     E = exp_dirac(0.0, components(S, g, 0.0, 0.0), S)
     for k, gk in enumerate(g):
         ref = expm_small(1j * alpha_matrix(1, S) * gk)
@@ -164,25 +150,26 @@ def test_exp_dirac_small_argument_limit_in_both_branches(S, unit):
 @pytest.mark.parametrize("S", [2, 4])
 @pytest.mark.parametrize("term", range(3), ids=["G", "Gvec0", "Gvec1"])
 def test_exp_dirac_rejects_a_coefficient_neither_real_nor_imaginary(rng, S, term):
-    # G^2 + Gvec^2 would be complex: no built-in stage passes such a term
-    parts = [rng.standard_normal(7), 1j * rng.standard_normal(7), 0.0]
-    parts[term] = parts[term] + (0.5 + 0.5j)
+    # every coefficient must be real: a complex one, and since the spin
+    # connection became a gauge a purely imaginary one too, raises
     name = "G" if term == 0 else f"Gvec[{term - 1}]"
-    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be real or purely imaginary"):
-        exp_dirac(parts[0], components(S, *parts[1:], 0.0), S)
+    for bad in (lambda u: u + (0.5 + 0.5j), lambda u: 1j * u):
+        parts = list(rng.standard_normal((3, 7)))
+        parts[term] = bad(parts[term])
+        with pytest.raises(ValueError, match=rf"{re.escape(name)} must be real"):
+            exp_dirac(parts[0], components(S, *parts[1:], 0.0), S)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("kind", ["real", "imaginary", "scalar"])
+@pytest.mark.parametrize("kind", ["real", "scalar"])
 def test_exp_dirac_result_is_c_contiguous(rng, S, kind):
     field = rng.standard_normal((4, 6))
     G, gv = {
         "real": (field, (0.0, np.asfortranarray(field), 0.0)),
-        "imaginary": (0.0, (1j * field, 1j * field, 0.0)),
         "scalar": (0.3, (0.2, -0.1, 0.0)),
     }[kind]
     E = exp_dirac(G, gv, S)
-    assert E.shape == (S, S) + np.shape(G if kind != "imaginary" else field)
+    assert E.shape == (S, S) + np.shape(G)
     assert E.flags.c_contiguous and E.dtype == np.complex128
 
 
@@ -202,14 +189,6 @@ def test_exp_dirac_entries_no_term_writes_are_zero(rng, S):
         assert np.array_equal(E[~off].real, np.broadcast_to(np.cos(G), (S,) + G.shape))
 
 
-@pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_takes_an_imaginary_coefficient_as_its_real_part(rng, S):
-    u = rng.uniform(-2.0, 2.0, (5, 3))
-    G = rng.standard_normal((5, 3))
-    marked = exp_dirac(G, components(S, Imaginary(u), 0.0, 0.0), S)
-    assert np.array_equal(marked, exp_dirac(G, components(S, 1j * u, 0.0, 0.0), S))
-
-
 SHIPPED_BUILDS = [(name, scale, None) for name in PRESET_NAMES for scale in ("ci", "paper")]
 SHIPPED_BUILDS.append(("exp6", "paper", PmlConfig(True, "I", 3.0, 1.2, 0.1)))
 
@@ -217,12 +196,20 @@ SHIPPED_BUILDS.append(("exp6", "paper", PmlConfig(True, "I", 3.0, 1.2, 0.1)))
 @pytest.mark.parametrize("name,scale,pml", SHIPPED_BUILDS,
                          ids=[f"{n}-{s}" + ("-pml" if p else "") for n, s, p in SHIPPED_BUILDS])
 def test_exp_dirac_accepts_every_shipped_build(name, scale, pml):
-    # the local factor's one exp_dirac call passes only real or imaginary terms
+    # an alpha potential's factor is one exp_dirac call on real terms, the
+    # others diagonal planes; every factor is finite and unitary, and the
+    # gauge's are unitary up to e^{+-F/2}
     cfg = preset_config(name, scale)
     if pml is not None:
         cfg = cfg.replace(pml=pml)
     ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
-    assert np.all(np.isfinite(ws.half))
+    S, shape = cfg.metric.spinor_dim, cfg.grid().shape
+    assert ws.lead.shape == ((S, S) if name in ("exp4", "exp5") else (S,)) + shape
+    assert (ws.lead is ws.trail) == (ws.sample.gauge is None)
+    for factor in (ws.lead, ws.trail):
+        assert np.all(np.isfinite(factor))
+    if ws.lead is ws.trail and ws.lead.ndim == 1 + len(shape):
+        assert np.allclose(np.abs(ws.lead), 1.0, rtol=0, atol=1e-14)
 
 
 # ----------------------------------------------------------------- expm_small
