@@ -4,8 +4,9 @@ A model turns a chosen background into what the rest of the package consumes:
 
 * `sample_metric` gives the stepper's coefficients at the grid nodes: the
   per-axis velocity fields a^i(x) multiplying the transport operators, the
-  gauge exponent F(x) of the spin connection c^i = d_i F / 2 and the local
-  potential matrix M(x) applied in the half steps;
+  gauge exponent F(x) of the spin connection c^i = d_i F / 2 and the
+  coefficients of the local potential M(x) = beta G + alpha^1 g + V applied
+  in the half steps;
 * `gamma_weight` gives the weight w(x) of the conserved diagnostic norm;
 * `ripple_band` gives the graphene weight's three Fourier modes in closed
   form, which the cn transport's preconditioner inverts exactly.
@@ -20,11 +21,12 @@ products (and the exponentials of non-separable sums) span the full grid.
 
 Model kinds
 -----------
-flat        a = 1, M = beta m + I V - alpha . A, w = 1
+flat        a = 1, M = beta m + I V - alpha^1 A_x, w = 1
 static1d    ds^2 = e^{2 Phi} dt^2 - e^{2 Psi} dx^2:
             a = e^{Phi - Psi}, M = e^{Phi} sigma^3 m, w = e^{Psi},
             spin connection c = Phi'/2, kept as its gauge exponent F = Phi
-static2d    same with two axes, c^i = d_i Phi / 2, F = Phi, w = e^{2 Psi}
+static2d    same with two axes, c^i = d_i (Phi + Psi) / 2, F = Phi + Psi,
+            w = e^{2 Psi}
 graphene    rippled sheet h(x) = a0 cos(2 pi k0 x / ell), f = (h')^2 / 2:
             a = 1/(1 - f), M = -a A_x sigma^1 + sigma^3 (m - V), w = 1 - f
 
@@ -35,11 +37,13 @@ The connection is a pure gradient, c^i = d_i F / 2, so
 exactly: the sample keeps F, not c, and M stays Hermitian.  The propagators
 fold e^{+-F/2} into the pointwise factors on either side of the transport
 stage.  Flat space and graphene have no connection (F = None), and neither
-has a static metric whose Phi is constant on the grid.
+has a static metric whose F is constant on the grid.
 
-The 2-D model takes c = grad(Phi)/2 as the 1-D one does, so as coded
-static2d conserves int e^{Psi} |psi|^2, not the e^{2 Psi} of its weight w;
-the covariant density needs F = Phi + Psi (ROADMAP item 4).
+F = Phi + (d - 1) Psi in d space dimensions.  The transport
+-a alpha^i (d_i + c^i) conserves int w |psi|^2 when grad log(w a) = 2 c;
+with a = e^{Phi - Psi} and the covariant density w = e^{d Psi} of
+ds^2 = e^{2 Phi} dt^2 - e^{2 Psi} |dx|^2 that is c = grad(Phi + (d-1) Psi)/2.
+In 1-D F = Phi.
 """
 
 from __future__ import annotations
@@ -242,18 +246,18 @@ def ripple_band(model: MetricModel, grid: Grid):
 class MetricSample:
     """The stepper's coefficients at the grid nodes (see `sample_metric`).
 
-    The potential is M = beta G + alpha . Gvec + scalar I.  Gvec holds the
-    alpha coefficients the model has, arrays (none for the static metrics),
-    and ``scalar`` is the number 0.0 where the model has no scalar
-    potential V.  ``gauge`` is the exponent F of the spin connection
-    c^i = d_i F / 2, only on a static metric (which has no alpha potential),
-    and None where F is constant on the grid: then there is no connection.
+    The potential is M = beta G + alpha^1 g + scalar I.  ``g`` is the
+    alpha^1 coefficient, None where the model has no A_x, and ``scalar`` is
+    the number 0.0 where the model has no scalar potential V.  ``gauge`` is
+    the exponent F of the spin connection c^i = d_i F / 2, only on a static
+    metric (which has no alpha potential), and None where F is constant on
+    the grid: then there is no connection.
     """
 
     velocity: list          # a^i(x) per axis, real; axes may share one array
     gauge: np.ndarray | None  # F(x), full grid; None when c = 0
     G: np.ndarray
-    Gvec: tuple
+    g: np.ndarray | None    # alpha^1 coefficient; None without A_x
     scalar: np.ndarray | float
 
 
@@ -296,7 +300,8 @@ def sample_metric(model: MetricModel, grid: Grid) -> MetricSample:
         named = [(f"velocity a^{i + 1}", v) for i, v in enumerate(sample.velocity)]
         if sample.gauge is not None:
             named.append(("gauge exponent F", sample.gauge))
-        named += [(f"potential Gvec[{i}]", g) for i, g in enumerate(sample.Gvec)]
+        if sample.g is not None:
+            named.append(("potential g", sample.g))
         named += [("potential G", sample.G), ("scalar potential", sample.scalar)]
         for name, values in named:
             if np.ndim(values):   # a number is the sampler's zero scalar potential
@@ -309,24 +314,32 @@ def _sample(model, grid):
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
         scal = model.v_pot.value(*coords) if model.v_pot.name != "zero" else 0.0
-        gvec = (-model.ax_pot.value(*coords),) if model.ax_pot.name != "zero" else ()
-        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
+        g = -model.ax_pot.value(*coords) if model.ax_pot.name != "zero" else None
+        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, g, scal)
     if model.kind == "graphene":
         x = coords[0]
         a = 1.0 / (1.0 - _graphene_strain(model, grid))
         G = np.full(grid.shape, float(model.mass))
         if model.v_pot.name != "zero":
             G -= model.v_pot.value(x)
-        gvec = (-a * model.ax_pot.value(x),) if model.ax_pot.name != "zero" else ()
-        return MetricSample([a], None, G, gvec, 0.0)
-    # static diagonal metrics: a = e^{Phi - Psi}, F = Phi, M = e^{Phi} sigma^3 m
-    phi = model.phi.value(*coords)
-    a = phi - model.psi.value(*coords)
+        g = -a * model.ax_pot.value(x) if model.ax_pot.name != "zero" else None
+        return MetricSample([a], None, G, g, 0.0)
+    # static diagonal metrics: a = e^{Phi - Psi}, F = Phi + (d - 1) Psi,
+    # M = e^{Phi} sigma^3 m.  Each result that can takes the buffer of a
+    # sampled field no longer needed, so at most three grid arrays are live:
+    # a fourth page-faulted measurably in the set-up build
+    phi, psi = model.phi.value(*coords), model.psi.value(*coords)
+    if grid.d == 1:
+        a, F = np.subtract(phi, psi, out=psi), phi
+        G = np.exp(phi)
+    else:
+        a = phi - psi
+        F = np.add(phi, psi, out=psi)
+        G = np.exp(phi, out=phi)
     np.exp(a, out=a)
-    G = np.exp(phi)
     G *= model.mass
-    gauge = phi if np.ptp(phi) else None    # a constant Phi has no gradient
-    return MetricSample([a] * grid.d, gauge, G, (), 0.0)
+    gauge = F if np.ptp(F) else None    # a constant F has no gradient
+    return MetricSample([a] * grid.d, gauge, G, None, 0.0)
 
 
 def gamma_weight(model: MetricModel, grid: Grid) -> np.ndarray:

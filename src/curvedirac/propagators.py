@@ -11,12 +11,13 @@ with the Hermitian potential M.  So with H = exp(-i dt/2 M), the exact half
 step of M at every node, and T the transport stage without a connection, a
 Strang step is e^{-F/2} H T H e^{F/2}: lead = H e^{F/2} and
 trail = e^{-F/2} H (`_half_factors`), order 2.  H is unitary, so a step
-conserves what T conserves, in the weight e^F times T's.  Where M has no
-alpha potential, H is diagonal and each factor is S diagonal planes, applied
-by one broadcast multiply; an alpha potential (flat space or graphene with
-A_x, which have no connection) keeps an (S, S, *grid) matrix field.  Without
-a connection lead is trail.  Inside an absorbing layer T carries a / S^i, so
-the connection term is (a / S^i) c^i: the stretch acts on the covariant
+conserves what T conserves, in the weight e^F times T's.  Every factor is S
+diagonal planes, applied by one broadcast multiply, and where M has an
+alpha^1 potential (flat space or graphene with A_x, which have no
+connection) one coupling plane more, applied through alpha^1
+(`_spin_matmul`); no (S, S) matrix field is built.  Without a connection
+lead is trail.  Inside an absorbing layer T carries a / S^i, so the
+connection term is (a / S^i) c^i: the stretch acts on the covariant
 derivative as a whole, and a real stretch (theta = 0) keeps the stretched
 covariant norm on static metrics too (in 1-D, int Re S e^{Psi} |psi|^2
 under cn).
@@ -56,16 +57,17 @@ keeps; `StepWorkspace.with_step` adds only another pair.  An explicit step
 allocates only the field it returns: the two pointwise stages and the
 sweeps alternate between that array and one scratch field of the
 workspace's model part (`StepWorkspace.scratch`), allocated at the first
-explicit step and reused by every later step of every derived workspace.  The FFTs run in place along the contiguous last
-axis.  Along axis 0 of a 2-D grid they go a block of columns at a time
+explicit step and reused by every later step of every derived workspace.
+The FFTs run in place along the contiguous last axis.  Along axis 0 of a
+2-D grid they go a block of columns at a time
 (`grid_spectral.spectral_apply`) through the workspace's
 `StepWorkspace.blocks`, S + 2 planes of about `grid_spectral.SLAB` nodes,
-also built at their first use: no full-field copy is made.  The pointwise
-loops take temporaries of one grid slab (SLAB nodes).  The public stage
-functions return a fresh field unless a caller passes ``out``.  The ``cn``
-step takes no scratch field, only the blocks: each pointwise stage returns
-a fresh field, and the transport returns GMRES's (or the preconditioner's)
-fresh solution.
+also built at their first use: no full-field copy is made.  A pointwise
+factor with a coupling takes a temporary of one component plane.  The
+public stage functions return a fresh field unless a caller passes
+``out``.  The ``cn`` step takes no scratch field, only the blocks: each
+pointwise stage returns a fresh field, and the transport returns GMRES's
+(or the preconditioner's) fresh solution.
 
 Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
 is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
@@ -91,33 +93,27 @@ from .grid_spectral import (
 )
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
-from .spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
+from .spinor_algebra import _cos_sinc, alpha_matrix, beta_matrix
 
 SCHEMES = ("cn", "poly1")
 
 
-def _spin_matmul(mat, values, out=None):
+def _spin_matmul(factor, values, out=None):
     """Apply a pointwise factor, ws.lead or ws.trail, on the spinor axis,
     into ``out`` when given; ``out`` must not overlap ``values``.
 
-    A factor shaped like ``values``, (S, *grid), is diagonal planes: one
-    broadcast multiply.  An (S, S, *grid) matrix field is applied entry by
-    entry, out[a] = values[0] mat[a, 0] + values[1] mat[a, 1] + ..., one
-    slab of the grid at a time.  The constant alpha^i never come here:
+    The factor is (planes, coupling) (see `_half_factors`): the S diagonal
+    planes are one broadcast multiply, and a coupling plane K adds
+    K alpha^1 values.  alpha^1 has its ones on the anti-diagonal at S = 2
+    and 4, so component c gains K values[S - 1 - c], one product per
+    component.  The constant alpha^i of the transport never come here:
     they go through `_alpha_symbol`.
     """
-    if mat.ndim == values.ndim:
-        return np.multiply(values, mat, out=out)
-    if out is None:
-        out = np.empty(values.shape, dtype=np.complex128)
-    S = len(mat)
-    for rows, (term,) in slabs(values.shape[1:], 1):
-        m, v, o = mat[:, :, rows], values[:, rows], out[:, rows]
-        for a in range(S):
-            np.multiply(v[0], m[a, 0], out=o[a])
-            for k in range(1, S):
-                np.multiply(v[k], m[a, k], out=term)
-                o[a] += term
+    planes, coupling = factor
+    out = np.multiply(values, planes, out=out)
+    if coupling is not None:
+        for c, v in enumerate(values[::-1]):
+            out[c] += coupling * v
     return out
 
 
@@ -148,32 +144,46 @@ def _alpha_symbol(alpha, p, q):
 
 def _half_factors(sample: MetricSample, tau, S, gauge):
     """(lead, trail) = (H e^{F/2}, e^{-F/2} H), H = exp(-i tau M), for
-    ``gauge`` = e^{F/2}, or one array twice when ``gauge`` is None.  With an
-    alpha potential H is one `exp_dirac` matrix field; otherwise each
-    factor is S diagonal planes, e^{+-F/2} (cos(tau G) -+ i sin(tau G)) by
-    the sign of beta's entry, in real arithmetic."""
-    if sample.Gvec:
-        out = exp_dirac(-tau * sample.G, [-tau * g for g in sample.Gvec], S)
-        if np.any(sample.scalar):
-            out *= np.exp(-1j * tau * sample.scalar)
-        return out, out
+    ``gauge`` = e^{F/2}, or one factor twice when ``gauge`` is None.
+
+    With M = beta G + alpha^1 g + V and r = sqrt(G^2 + g^2), H is
+    e^{-i tau V} (cos(tau r) - i sin(tau r) (beta G + alpha^1 g) / r).  A
+    factor is (planes, coupling): S diagonal planes
+    e^{+-F/2} e^{-i tau V} (cos(tau r) -+ i sin(tau r) G / r), signed by
+    beta's entry, and the coupling plane -i e^{+-F/2} e^{-i tau V}
+    sin(tau r) g / r of alpha^1 (`_spin_matmul`), None where g is.  With g,
+    `spinor_algebra._cos_sinc` gives cos(tau r) and sin(tau r) / (tau r),
+    so r -> 0 is safe; without it the planes are cos and sin of tau G.
+    Built in real arithmetic."""
     theta = tau * sample.G
-    cos = np.cos(theta)
-    minus_sin = np.negative(np.sin(theta, out=theta), out=theta)
+    if sample.g is None:
+        cos, minus_sin_g = np.cos(theta), None
+        minus_sin = np.negative(np.sin(theta, out=theta), out=theta)
+    else:
+        theta, theta_g = np.negative(theta, out=theta), -tau * sample.g
+        cos, sinc = _cos_sinc(theta * theta + theta_g * theta_g)
+        minus_sin, minus_sin_g = sinc * theta, sinc * theta_g
     signs = np.diag(beta_matrix(S)).real
+    phase = np.exp(-1j * tau * sample.scalar) if np.any(sample.scalar) else None
     factors = []
     for scale in (1.0,) if gauge is None else (gauge, np.reciprocal(gauge)):
-        out = np.empty((S,) + cos.shape, dtype=np.complex128)
-        np.multiply(scale, cos, out=out[0].real)
-        np.multiply(scale, minus_sin, out=out[0].imag)
+        planes = np.empty((S,) + cos.shape, dtype=np.complex128)
+        np.multiply(scale, cos, out=planes[0].real)
+        np.multiply(scale, minus_sin, out=planes[0].imag)
         for k in range(1, S):
             if signs[k] > 0:
-                out[k] = out[0]
+                planes[k] = planes[0]
             else:
-                np.conjugate(out[0], out=out[k])
-        if np.any(sample.scalar):
-            out *= np.exp(-1j * tau * sample.scalar)
-        factors.append(out)
+                np.conjugate(planes[0], out=planes[k])
+        coupling = None
+        if minus_sin_g is not None:
+            coupling = np.zeros(cos.shape, dtype=np.complex128)
+            np.multiply(scale, minus_sin_g, out=coupling.imag)
+        if phase is not None:
+            planes *= phase
+            if coupling is not None:
+                coupling *= phase
+        factors.append((planes, coupling))
     return factors[0], factors[-1]
 
 
@@ -191,18 +201,19 @@ class StepWorkspace:
 
     The step part is what dt adds: the pointwise factors ``lead`` =
     H e^{F/2} and ``trail`` = e^{-F/2} H applied before and after the
-    transport, H = exp(-i dt/2 M) (`_half_factors`; ``lead is trail``
-    without a connection), and, in ``built`` (see `cached`), the cn
-    coefficients and symbols, the Cayley preconditioner and the sweep
-    factors, built at their first use.
+    transport, H = exp(-i dt/2 M), each a (planes, coupling) pair
+    (`_half_factors`; ``lead is trail`` without a connection), and, in
+    ``built`` (see `cached`), the cn coefficients and symbols, the Cayley
+    preconditioner and the sweep factors, built at their first use.
 
     Each workspace keeps one dt; `with_step` derives one for another step
     size that shares the model part, so a run samples the metric once.
     The factors are built with their workspace, not at the first step, so
     that a bad one is rejected before step 1: every coefficient is
     computed with numpy's warnings off and then checked, the gauge e^{F/2}
-    finite and > 0 and each factor finite (`geometry.require_finite`,
-    `geometry.require_positive`), which raise GeometryError.
+    finite and > 0 and each plane of each factor finite
+    (`geometry.require_finite`, `geometry.require_positive`), which raise
+    GeometryError.
     """
 
     def __init__(self, model: MetricModel, grid: Grid, dt: float,
@@ -242,10 +253,11 @@ class StepWorkspace:
             if F is not None:
                 gauge = require_finite("gauge e^{F/2}", np.exp(0.5 * F), grid)
                 require_positive("gauge e^{F/2}", gauge, grid)
-            lead, trail = _half_factors(self.sample, 0.5 * self.dt, self.S, gauge)
-            self.lead = require_finite("lead half step factor", lead, grid)
-            self.trail = lead if trail is lead else require_finite(
-                "trail half step factor", trail, grid)
+            self.lead, self.trail = _half_factors(self.sample, 0.5 * self.dt, self.S, gauge)
+            for side in ("lead",) if self.trail is self.lead else ("lead", "trail"):
+                for part in getattr(self, side):
+                    if part is not None:
+                        require_finite(f"{side} half step factor", part, grid)
         self.last_krylov = None
         self.built = {}
 

@@ -2,7 +2,7 @@
 
 These helpers are deliberately independent of the solver code paths they
 check: brute-force mode sums, dense linear algebra, analytic dispersion, and
-a general matrix exponential for the closed-form `exp_dirac`, and the
+a general matrix exponential for the closed-form half step factors, and the
 full-mesh formulas of the set-up build (initial data, metric sample, covariant
 weight), evaluated on `Grid.meshes()` copies as the package once did.
 """
@@ -84,6 +84,17 @@ def expm_small(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_factor(factor, S):
+    """A pointwise half step factor (planes, coupling) as the dense
+    (S, S, *grid) matrix field diag(planes) + coupling alpha^1."""
+    planes, coupling = factor
+    out = np.zeros((S,) + planes.shape, dtype=np.complex128)
+    out[range(S), range(S)] = planes
+    if coupling is not None:
+        out += alpha_matrix(1, S).reshape((S, S) + (1,) * (planes.ndim - 1)) * coupling
+    return out
+
+
 def _rho2(coords):
     return sum(c * c for c in coords)
 
@@ -122,18 +133,19 @@ def mesh_sample_metric(model, grid) -> MetricSample:
     if model.kind == "flat":
         G = np.full(grid.shape, float(model.mass))
         scal = mesh_value(model.v_pot, *coords) if model.v_pot.name != "zero" else 0.0
-        gvec = (-mesh_value(model.ax_pot, *coords),) if model.ax_pot.name != "zero" else ()
-        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, gvec, scal)
+        g = -mesh_value(model.ax_pot, *coords) if model.ax_pot.name != "zero" else None
+        return MetricSample([np.ones(grid.shape)] * grid.d, None, G, g, scal)
     if model.kind == "graphene":
         x = coords[0]
         a = 1.0 / (1.0 - _mesh_strain(model, grid))
         v = mesh_value(model.v_pot, x) if model.v_pot.name != "zero" else np.zeros(grid.shape)
-        gvec = (-a * mesh_value(model.ax_pot, x),) if model.ax_pot.name != "zero" else ()
-        return MetricSample([a], None, model.mass - v, gvec, 0.0)
-    phi = mesh_value(model.phi, *coords)
-    a = np.exp(phi - mesh_value(model.psi, *coords))
-    gauge = phi if np.ptp(phi) else None
-    return MetricSample([a] * grid.d, gauge, np.exp(phi) * model.mass, (), 0.0)
+        g = -a * mesh_value(model.ax_pot, x) if model.ax_pot.name != "zero" else None
+        return MetricSample([a], None, model.mass - v, g, 0.0)
+    phi, psi = mesh_value(model.phi, *coords), mesh_value(model.psi, *coords)
+    a = np.exp(phi - psi)
+    F = phi if grid.d == 1 else phi + psi
+    gauge = F if np.ptp(F) else None
+    return MetricSample([a] * grid.d, gauge, np.exp(phi) * model.mass, None, 0.0)
 
 
 def mesh_gamma_weight(model, grid) -> np.ndarray:

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import expm_small, loglog_slope
+from conftest import dense_factor, expm_small, loglog_slope
 
 import curvedirac as cd
-from curvedirac.geometry import MetricModel, ScalarForm, gamma_weight
+from curvedirac.geometry import MetricModel, MetricSample, ScalarForm, gamma_weight
 from curvedirac.grid_spectral import SpinorField, make_grid
 from curvedirac.harness import (
     RunConfig,
@@ -36,9 +36,9 @@ from curvedirac.harness import (
 from curvedirac.krylov import KrylovOptions
 from curvedirac.oracle import build_dense_G, dense_cn_step
 from curvedirac.pml import stretch_factor
-from curvedirac.propagators import StepWorkspace, cn_transport_step
+from curvedirac.propagators import StepWorkspace, _half_factors, cn_transport_step
 from curvedirac.propagators import cn_apply_values
-from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
+from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
 
 # the BLAS thread-count variables that bench/run.py sets to one
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -94,20 +94,18 @@ def test_c02_diff_matrix_anti_hermitian():
 
 
 def test_c03_closed_form_exponential():
+    # the solver's half step factor exp(-i M), M = beta G + alpha^1 g + V,
+    # as `StepWorkspace` builds it, against a general matrix exponential
     with Budget("C03 closed-form exponential", 1.0) as b:
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(100):
             S = 2 if rng.random() < 0.5 else 4
-            G = rng.standard_normal()
-            gv = rng.standard_normal(3)
-            if S == 2:
-                gv[2] = 0.0
-            M = beta_matrix(S) * G
-            for k in range(3):
-                if gv[k]:
-                    M = M + alpha_matrix(k + 1, S) * gv[k]
-            worst = max(worst, np.max(np.abs(exp_dirac(G, gv, S) - expm_small(1j * M))))
+            G, g, V = rng.standard_normal((3, 1))
+            M = beta_matrix(S) * G + alpha_matrix(1, S) * g + V * np.eye(S)
+            factor, _ = _half_factors(MetricSample([], None, G, g, V), 1.0, S, None)
+            got = dense_factor(factor, S)[..., 0]
+            worst = max(worst, np.max(np.abs(got - expm_small(-1j * M))))
         assert worst < 1e-12
         b.done(f"max deviation {worst:.2e} over 100 Hermitian draws")
 

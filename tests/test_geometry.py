@@ -30,13 +30,12 @@ ZERO = ScalarForm("zero")
 
 
 def potential_matrix(sample, S):
-    """The dense (S, S, *grid) potential beta G + alpha . Gvec + scalar I of a sample."""
+    """The dense (S, S, *grid) potential beta G + alpha^1 g + scalar I of a sample."""
     shape = np.shape(sample.G)
     lift = lambda m: m.reshape((S, S) + (1,) * len(shape))
     out = lift(beta_matrix(S)) * sample.G + lift(np.eye(S)) * sample.scalar
-    for i, g in enumerate(sample.Gvec):
-        if np.ndim(g) or g:  # S = 2 has two alpha matrices: skip a zero third
-            out = out + lift(alpha_matrix(i + 1, S)) * np.asarray(g)
+    if sample.g is not None:
+        out = out + lift(alpha_matrix(1, S)) * sample.g
     return np.broadcast_to(out, (S, S) + shape)
 
 
@@ -239,7 +238,7 @@ def test_sample_matches_the_readme_table_at_a_node(kind):
         a = 1.0 / (1.0 - graphene_f(1.0, 0.4, 2.0, 5.0))
         vel, gauge = [a], None
         M = -a * 5.0 * SIGMA1 + (m - 5.0) * SIGMA3
-    else:  # a = e^(Phi - Psi), F = Phi (c^i = d_i Phi / 2), M = e^Phi sigma3 m
+    else:  # a = e^(Phi - Psi), F = Phi + (d - 1) Psi, M = e^Phi sigma3 m
         model = MetricModel(kind, mass=m, phi=phi, psi=psi)
         if kind == "static1d":
             g, x = make_grid(1, 5.0, 100), (1.0,)
@@ -247,8 +246,9 @@ def test_sample_matches_the_readme_table_at_a_node(kind):
             g, x = make_grid(2, (5.0, 5.0), (100, 100)), (1.0, -2.0)
         rho2 = sum(xi * xi for xi in x)
         P = np.exp(-r_phi * rho2)
-        vel = [np.exp(P - np.exp(-r_psi * rho2))] * len(x)
-        gauge = P
+        Q = np.exp(-r_psi * rho2)
+        vel = [np.exp(P - Q)] * len(x)
+        gauge = P if kind == "static1d" else P + Q
         M = np.exp(P) * m * SIGMA3
     sample = sample_metric(model, g)
     k = _node(g, *x)
@@ -269,12 +269,12 @@ def test_potential_sampling_is_pure():
     for model, g in ((EXP4, make_grid(1, 10.0, 64)), (EXP1, make_grid(1, 5.0, 64))):
         A, B = sample_metric(model, g), sample_metric(model, g)
         assert same(A.G, B.G) and same(A.scalar, B.scalar)
-        assert (A.gauge is None) == (B.gauge is None)
-        assert A.gauge is None or same(A.gauge, B.gauge)
-        for name in ("velocity", "Gvec"):  # per-axis sequences
+        for name in ("gauge", "g"):  # None where the model has none
             a, b = getattr(A, name), getattr(B, name)
-            assert len(a) == len(b)
-            assert all(same(x, y) for x, y in zip(a, b)), name
+            assert (a is None) == (b is None)
+            assert a is None or same(a, b), name
+        assert len(A.velocity) == len(B.velocity)
+        assert all(same(x, y) for x, y in zip(A.velocity, B.velocity))
         assert same(potential_matrix(A, 2), potential_matrix(B, 2))
 
 
@@ -290,9 +290,12 @@ def test_connection_zero_for_flat_and_graphene():
     const = MetricModel("static1d", mass=1.0, phi=ScalarForm("const", (0.3,)),
                         psi=ScalarForm("gauss", (1.0, 1e-2)))
     assert sample_metric(const, g).gauge is None
-    for model in (EXP1, EXP3):
-        g = make_grid(model.dimension, 5.0, (32,) * model.dimension)
-        assert np.array_equal(sample_metric(model, g).gauge, model.phi.value(*g.meshes()))
+    # F = Phi + (d - 1) Psi
+    g = make_grid(1, 5.0, 32)
+    assert np.array_equal(sample_metric(EXP1, g).gauge, EXP1.phi.value(*g.meshes()))
+    g = make_grid(2, 5.0, (32, 32))
+    F = EXP3.phi.value(*g.meshes()) + EXP3.psi.value(*g.meshes())
+    assert np.array_equal(sample_metric(EXP3, g).gauge, F)
 
 
 def test_connection_matches_analytic_phi_derivative():
@@ -376,6 +379,23 @@ def test_static1d_strong_gradients_hold_the_covariant_norm_under_cn():
     for dt in (0.032, 0.016):
         cfg = RunConfig(d=1, a=8.0, N=256, metric=STRONG, scheme="cn", dt=dt, T=2.0,
                         ic_kind="gaussian_wavepacket", ic_k0=3.0)
+        res = run_simulation(cfg)
+        l2g = np.array([r.l2_gamma for r in res.diagnostics])
+        l2 = np.array([r.l2 for r in res.diagnostics])
+        assert np.max(np.abs(l2g - l2g[0])) / l2g[0] < 1e-8, dt
+        assert np.max(np.abs(l2 - l2[0])) / l2[0] > 0.05
+
+
+def test_static2d_strong_gradients_hold_the_covariant_norm_under_cn():
+    # the 2-D covariant density is e^{2 Psi} |psi|^2, which needs the
+    # connection c = grad(Phi + Psi)/2: applied as that gauge a cn step holds
+    # it to the solver tolerance.  With c = grad(Phi)/2 it drifted 6.2% here
+    # at both dt, conserving e^{Psi} instead
+    model = MetricModel("static2d", mass=1.0, phi=ScalarForm("gauss", (0.8, 0.5)),
+                        psi=ScalarForm("gauss", (0.5, 0.5)))
+    for dt in (0.02, 0.005):
+        cfg = RunConfig(d=2, a=6.0, N=48, metric=model, scheme="cn", dt=dt, T=1.0,
+                        ic_kind="gaussian_wavepacket", ic_k0=2.0)
         res = run_simulation(cfg)
         l2g = np.array([r.l2_gamma for r in res.diagnostics])
         l2 = np.array([r.l2 for r in res.diagnostics])

@@ -372,12 +372,12 @@ def _setup_fields(cfg, mesh):
         weight = gamma_weight(cfg.metric, grid)
         ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
         lead, trail = ws.lead, ws.trail
-    fields = {"ic": psi.values, "weight": weight, "lead": lead, "trail": trail, "G": sample.G,
+    fields = {"ic": psi.values, "weight": weight, "G": sample.G,
               "scalar": np.asarray(sample.scalar)}
     fields.update((f"velocity{i}", v) for i, v in enumerate(sample.velocity))
-    if sample.gauge is not None:
-        fields["gauge"] = sample.gauge
-    fields.update((f"Gvec{i}", np.asarray(g)) for i, g in enumerate(sample.Gvec))
+    named = {"gauge": sample.gauge, "g": sample.g, "lead": lead[0], "lead coupling": lead[1],
+             "trail": trail[0], "trail coupling": trail[1]}
+    fields.update((key, v) for key, v in named.items() if v is not None)
     return fields
 
 

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import expm_small, flat_exact_evolution, loglog_slope
+from conftest import dense_factor, expm_small, flat_exact_evolution, loglog_slope
 
 from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, GeometryError, StepFailureError
@@ -65,19 +65,25 @@ def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
     def crand(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    # a matrix field, or one constant over the grid as a zero-stride view
-    mat = crand(S, S, *grid_shape) if field else np.broadcast_to(
-        crand(S, S).reshape((S, S) + (1,) * len(grid_shape)), (S, S) + grid_shape)
+    def over_grid(*lead):
+        # a field, or one value over the grid as a zero-stride view
+        if field:
+            return crand(*lead, *grid_shape)
+        return np.broadcast_to(crand(*lead).reshape(lead + (1,) * len(grid_shape)),
+                               lead + grid_shape)
+
     values = crand(S, *grid_shape)
     if strided:
         # a non-contiguous view: every other node of a doubled last axis
         big = crand(S, *grid_shape[:-1], 2 * grid_shape[-1])
         values = big[..., ::2]
         assert not values.flags.c_contiguous
-    ref = np.einsum("ab...,b...->a...", mat, values)
-    out = _spin_matmul(mat, values)
-    assert out.shape == values.shape
-    assert np.allclose(out, ref, rtol=0, atol=1e-13)
+    # diagonal planes alone, and with an alpha^1 coupling
+    for factor in ((over_grid(S), None), (over_grid(S), over_grid())):
+        ref = np.einsum("ab...,b...->a...", dense_factor(factor, S), values)
+        out = _spin_matmul(factor, values)
+        assert out.shape == values.shape
+        assert np.allclose(out, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("S", [2, 4])
@@ -848,6 +854,29 @@ def test_strang_identity_for_zero_hamiltonian():
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
 
+@pytest.mark.parametrize("name,scheme", [("exp1", "cn"), ("exp3", "poly1"), ("exp5", "cn")],
+                         ids=["exp1-cn", "exp3-poly1", "exp5-cn"])
+def test_a_step_reaches_the_spin_kernel_through_the_module_globals(monkeypatch, name, scheme):
+    # bench/tracing.py times the pointwise stages and the spin kernel by
+    # wrapping these module attributes; a step that reached them some other
+    # way would read zero there
+    calls = collections.Counter()
+    for attr in ("_spin_matmul", "half_potential_step"):
+        original = getattr(propagators, attr)
+
+        def counted(*args, attr=attr, original=original, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagators, attr, counted)
+    cfg, ws = preset_workspace(name, "ci")
+    assert cfg.scheme == scheme
+    # a gauge on the static metrics, an alpha^1 coupling on exp5
+    assert (ws.sample.gauge is None) == (ws.lead[1] is not None) == (name == "exp5")
+    propagators.strang_step(initial_condition(cfg, ws.grid), scheme, ws, cfg.krylov)
+    assert calls == {"_spin_matmul": 2, "half_potential_step": 2}
+
+
 def local_half_oracle(model, grid, dt):
     """(lead, trail) = (e^{F/2} H, e^{-F/2} H), H = exp(-i dt/2 M) node by
     node with `expm_small`, as dense (S, S, *grid) matrix fields."""
@@ -858,44 +887,50 @@ def local_half_oracle(model, grid, dt):
         return mat[..., None] * np.ravel(np.broadcast_to(x, grid.shape))
 
     gen = 1j * (field(beta_matrix(S), sample.G) + field(np.eye(S), sample.scalar))
-    for i, g in enumerate(sample.Gvec):
-        if np.any(g):
-            gen = gen + 1j * field(alpha_matrix(i + 1, S), g)
+    if sample.g is not None:
+        gen = gen + 1j * field(alpha_matrix(1, S), sample.g)
     H = np.stack([expm_small(-0.5 * dt * gen[..., k]) for k in range(gen.shape[-1])], axis=-1)
     H = H.reshape((S, S) + grid.shape)
     F = 0.0 if sample.gauge is None else sample.gauge
     return np.exp(0.5 * F) * H, np.exp(-0.5 * F) * H
 
 
-def dense_factor(factor, S):
-    """A pointwise factor as an (S, S, *grid) matrix field: S diagonal
-    planes on the diagonal, a matrix field as it is."""
-    if factor.shape[:2] == (S, S):
-        return factor
-    out = np.zeros((S,) + factor.shape, dtype=factor.dtype)
-    out[range(S), range(S)] = factor
-    return out
-
-
-STATIC_MODELS = {
+# flat space with A_x and V: a = 1, M = beta m + V - alpha^1 A_x
+FLAT_AV = MetricModel("flat", mass=0.8, ax_pot=ScalarForm("gauss", (2.5, 0.3)),
+                      v_pot=ScalarForm("well", (1.5, 0.2)))
+LOCAL_MODELS = {
     "static1d": (EXP1, (5.0,), (48,)),
     "static2d": (EXP3, (5.0, 5.0), (16, 12)),
+    "flat1d": (FLAT_AV, (5.0,), (48,)),
+    "flat2d": (FLAT_AV, (4.0, 5.0), (16, 12)),
+    "exp4": (preset_config("exp4").metric, (10.0,), (64,)),
+    "exp5": (preset_config("exp5").metric, (10.0,), (64,)),
 }
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("kind", STATIC_MODELS)
+@pytest.mark.parametrize("kind", LOCAL_MODELS)
 def test_local_factor_matches_the_dense_exponential(kind, S):
-    model, a, N = STATIC_MODELS[kind]
+    model, a, N = LOCAL_MODELS[kind]
     model = dataclasses.replace(model, spinor_dim=S)
     grid = make_grid(len(N), a, N)
-    # the static metrics have no alpha potential, so each factor is its S
-    # diagonal planes
+    # each factor is its S diagonal planes, and an alpha^1 coupling plane
+    # where the model has A_x.  Round-off in the phase tau r, with +-r the
+    # eigenvalues of beta G + alpha^1 g, grows with it on both sides: the
+    # bound is 1e-13 per unit of tau r above 1 (exp5 reaches tau r = 444 at
+    # dt = 0.3)
+    has_ax = model.ax_pot.name != "zero"
     for dt in (1e-3, 0.3):
         ws = StepWorkspace(model, grid, dt)
+        sample = ws.sample
+        r = np.hypot(sample.G, 0.0 if sample.g is None else sample.g)
+        tol = 1e-13 * np.maximum(1.0, 0.5 * dt * r)
         for got, want in zip((ws.lead, ws.trail), local_half_oracle(model, grid, dt)):
-            assert got.shape == (S,) + grid.shape
-            assert np.max(np.abs(dense_factor(got, S) - want)) < 1e-13
+            planes, coupling = got
+            assert planes.shape == (S,) + grid.shape
+            assert (coupling is not None) == has_ax
+            assert coupling is None or coupling.shape == grid.shape
+            assert np.all(np.abs(dense_factor(got, S) - want) < tol)
 
 
 def oracle_strang_step(f, scheme, ws, model, krylov):
@@ -946,7 +981,8 @@ def test_workspace_build_is_lean(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.lead.shape == ws.trail.shape == (S,) + grid.shape
+    for planes, coupling in (ws.lead, ws.trail):
+        assert planes.shape == (S,) + grid.shape and coupling is None
     assert peak < 3.5 * field_bytes
 
 
@@ -987,10 +1023,12 @@ def test_workspace_keeps_only_its_factors_and_the_sample():
     held = held_arrays(ws)
     assert not [a for a in held if a.shape == (ws.S, ws.S) + ws.grid.shape]
     planes = [a for a in held if a.shape == (ws.S,) + ws.grid.shape]
-    assert len(planes) == 2 and {id(a) for a in planes} == {id(ws.lead), id(ws.trail)}
+    assert len(planes) == 2 and {id(a) for a in planes} == {id(ws.lead[0]), id(ws.trail[0])}
+    assert ws.lead[1] is None and ws.trail[1] is None
     sample = ws.sample
     coefficients = {id(a): a.nbytes for a in [*sample.velocity, sample.G, sample.gauge]}
-    assert kept <= ws.lead.nbytes + ws.trail.nbytes + sum(coefficients.values()) + 0.01 * field_bytes
+    factors = ws.lead[0].nbytes + ws.trail[0].nbytes
+    assert kept <= factors + sum(coefficients.values()) + 0.01 * field_bytes
 
 
 @pytest.mark.parametrize("layer", [False, True], ids=["bare", "layer"])
@@ -1010,7 +1048,8 @@ def test_with_step_matches_a_fresh_workspace(name, scheme, layer):
     fresh = StepWorkspace(cfg.metric, grid, h, pml)
     assert derived.dt == h and derived.sample is ws.sample and derived.a_eff is ws.a_eff
     for side in ("lead", "trail"):
-        assert getattr(derived, side).tobytes() == getattr(fresh, side).tobytes()
+        for got, want in zip(getattr(derived, side), getattr(fresh, side)):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
     got, want = (strang_step(f, scheme, w, cfg.krylov) for w in (derived, fresh))
     assert got.values.tobytes() == want.values.tobytes()
     assert derived.last_krylov == fresh.last_krylov
@@ -1330,8 +1369,11 @@ def test_half_potential_exponential_unitary():
     m = MetricModel("graphene", a0=0.4, k0=2.0, ell=5.0,
                     ax_pot=ScalarForm("linear", (5.0,)), v_pot=ScalarForm("linear", (5.0,)))
     ws = StepWorkspace(m, g, 1e-2)
-    E = ws.lead   # graphene with A_x: the matrix field exp(-i dt/2 M), also the trail
-    assert E is ws.trail and E.shape == (2, 2) + g.shape
+    # graphene with A_x: exp(-i dt/2 M) as diagonal planes and an alpha^1
+    # coupling, also the trail
+    planes, coupling = ws.lead
+    assert ws.lead is ws.trail and planes.shape == (2,) + g.shape and coupling.shape == g.shape
+    E = dense_factor(ws.lead, 2)
     prod = np.einsum("ab...,cb...->ac...", E, E.conj())
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(prod - eye)) < 1e-12

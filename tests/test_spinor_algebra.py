@@ -1,14 +1,13 @@
-import re
-
 import numpy as np
 import pytest
 
-from conftest import expm_small
+from conftest import dense_factor, expm_small
 
+from curvedirac.geometry import MetricSample
 from curvedirac.harness import PRESET_NAMES, preset_config
 from curvedirac.pml import PmlConfig
-from curvedirac.propagators import StepWorkspace
-from curvedirac.spinor_algebra import alpha_matrix, beta_matrix, exp_dirac
+from curvedirac.propagators import StepWorkspace, _half_factors, _spin_matmul
+from curvedirac.spinor_algebra import alpha_matrix, beta_matrix
 
 
 def taylor_expm(M, terms=20):
@@ -48,145 +47,62 @@ def test_alpha3_unavailable_for_two_components():
         alpha_matrix(3, 2)
 
 
-# ----------------------------------------------------------------- exp_dirac
+# ----------------------------------------------------------------- half step factor
+# The closed form exp(-i tau M), M = beta G + alpha^1 g + V, as the solver
+# builds and applies it: `propagators._half_factors` (see `spinor_algebra`).
 
 
-def test_exp_dirac_zero_argument_is_identity():
-    for S in (2, 4):
-        assert np.allclose(exp_dirac(0.0, (0.0, 0.0, 0.0), S), np.eye(S))
+def half_factor(G, g, S, V=0.0, tau=1.0):
+    """The solver's factor exp(-i tau M) of G, g (None for no A_x) and V
+    over a field of nodes, as a dense (S, S, *nodes) matrix field."""
+    lead, trail = _half_factors(MetricSample([], None, G, g, V), tau, S, None)
+    assert lead is trail
+    return dense_factor(lead, S)
 
 
-def test_exp_dirac_scalar_pi():
-    assert np.max(np.abs(exp_dirac(np.pi, (0.0, 0.0, 0.0), 2) + np.eye(2))) < 1e-13
-
-
-def test_exp_dirac_matches_expm_on_random_hermitian_draws(rng):
-    worst = 0.0
-    for _ in range(100):
-        for S in (2, 4):
-            G = rng.standard_normal()
-            gv = rng.standard_normal(3)
-            if S == 2:
-                gv[2] = 0.0
-            M = beta_matrix(S) * G
-            for k in range(3):
-                if gv[k]:
-                    M = M + alpha_matrix(k + 1, S) * gv[k]
-            E = exp_dirac(G, gv, S)
-            worst = max(worst, np.max(np.abs(E - expm_small(1j * M))))
-    assert worst < 1e-12
-
-
-def test_exp_dirac_unitary_for_real_arguments(rng):
-    for _ in range(20):
-        E = exp_dirac(rng.standard_normal(), rng.standard_normal(3), 4)
-        assert np.max(np.abs(E.conj().T @ E - np.eye(4))) < 1e-12
-
-
-def test_exp_dirac_vectorized_over_fields(rng):
-    G = rng.standard_normal(11)
-    g1 = rng.standard_normal(11)
-    E = exp_dirac(G, (g1, 0.0, 0.0), 2)
-    assert E.shape == (2, 2, 11)
-    k = 4
-    ref = exp_dirac(G[k], (g1[k], 0.0, 0.0), 2)
-    assert np.max(np.abs(E[:, :, k] - ref)) < 1e-14
-
-
-def test_exp_dirac_tiny_argument_limit():
-    E = exp_dirac(1e-200, (0.0, 0.0, 0.0), 2)
-    assert np.allclose(E, np.eye(2) + 1j * 1e-200 * beta_matrix(2))
-
-
-def dirac_argument(G, gv, S):
-    """beta G + alpha . gv at one node, as a dense S x S matrix."""
-    M = beta_matrix(S) * G
-    for k, g in enumerate(gv):
-        if g:
-            M = M + alpha_matrix(k + 1, S) * g
-    return M
-
-
-def assert_matches_expm_at_every_node(G, gv, S, tol):
-    E = exp_dirac(G, gv, S)
-    G = np.broadcast_to(G, E.shape[2:])
-    gv = [np.broadcast_to(g, E.shape[2:]) for g in gv]
-    for idx in np.ndindex(*E.shape[2:]):
-        ref = expm_small(1j * dirac_argument(G[idx], [g[idx] for g in gv], S))
-        assert np.max(np.abs(E[(...,) + idx] - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
-
-
-def components(S, *fields):
-    """Gvec with the unused third component zero at S = 2."""
-    return list(fields[:2]) + [fields[2] if S == 4 else 0.0]
+def dirac_argument(G, g, V, S):
+    """beta G + alpha^1 g + V at one node, as a dense S x S matrix."""
+    return beta_matrix(S) * G + alpha_matrix(1, S) * g + V * np.eye(S)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_sign_change_across_nodes_matches_expm(rng, S):
-    # real coefficients that change sign from node to node, G and g1
-    # through zero at the same node, where |G| -> 0 with g2 and g3 small
+def test_half_factor_matches_expm_across_a_sign_change(rng, S):
+    # real coefficients that change sign from node to node, G and g through
+    # zero at the same node, where r = |(G, g)| -> 0
     G = np.linspace(-1.5, 1.5, 13)
-    gv = components(S, np.linspace(2.4, -2.4, 13), 1e-3 * rng.standard_normal(13),
-                    1e-3 * rng.standard_normal(13))
-    for g in (G, gv[0]):
-        assert np.any(g > 0) and np.any(g < 0) and g[6] == 0.0
-    assert_matches_expm_at_every_node(G, gv, S, 1e-13)
+    g = np.linspace(2.4, -2.4, 13)
+    V = rng.standard_normal(13)
+    for x in (G, g):
+        assert np.any(x > 0) and np.any(x < 0) and x[6] == 0.0
+    for tau in (0.1, 1.0):
+        E = half_factor(G, g, S, V, tau)
+        for k in range(13):
+            ref = expm_small(-1j * tau * dirac_argument(G[k], g[k], V[k], S))
+            assert np.max(np.abs(E[..., k] - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_small_argument_limit_in_both_branches(S):
-    # both sides of the 1e-150 cut-off: exactly zero and far below it,
-    # beside ordinary nodes
-    g = np.array([0.0, 1e-200, 1e-160, 1e-8, 0.5])
-    E = exp_dirac(0.0, components(S, g, 0.0, 0.0), S)
+def test_half_factor_small_argument_limit_on_both_sides_of_the_cut(S):
+    # both sides of `_cos_sinc`'s 1e-150 cut-off: exactly zero and far
+    # below it, beside ordinary nodes just above it and far above it
+    g = np.array([0.0, 1e-200, 1e-160, 1e-140, 1e-8, 0.5])
+    E = half_factor(np.zeros(g.shape), g, S)
     for k, gk in enumerate(g):
-        ref = expm_small(1j * alpha_matrix(1, S) * gk)
+        ref = expm_small(-1j * alpha_matrix(1, S) * gk)
         assert np.max(np.abs(E[..., k] - ref)) < 1e-15
     assert np.array_equal(E[..., 0], np.eye(S))
-    for k in (1, 2):   # sin|G| / |G| -> 1: E - I = i alpha g to full relative precision
-        assert np.allclose(E[..., k] - np.eye(S), 1j * alpha_matrix(1, S) * g[k], rtol=1e-12, atol=0)
+    for k in (1, 2, 3):   # sin r / r -> 1: E - I = -i alpha g to full relative precision
+        assert np.allclose(E[..., k] - np.eye(S), -1j * alpha_matrix(1, S) * g[k],
+                           rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("term", range(3), ids=["G", "Gvec0", "Gvec1"])
-def test_exp_dirac_rejects_a_coefficient_neither_real_nor_imaginary(rng, S, term):
-    # every coefficient must be real: a complex one, and since the spin
-    # connection became a gauge a purely imaginary one too, raises
-    name = "G" if term == 0 else f"Gvec[{term - 1}]"
-    for bad in (lambda u: u + (0.5 + 0.5j), lambda u: 1j * u):
-        parts = list(rng.standard_normal((3, 7)))
-        parts[term] = bad(parts[term])
-        with pytest.raises(ValueError, match=rf"{re.escape(name)} must be real"):
-            exp_dirac(parts[0], components(S, *parts[1:], 0.0), S)
-
-
-@pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("kind", ["real", "scalar"])
-def test_exp_dirac_result_is_c_contiguous(rng, S, kind):
-    field = rng.standard_normal((4, 6))
-    G, gv = {
-        "real": (field, (0.0, np.asfortranarray(field), 0.0)),
-        "scalar": (0.3, (0.2, -0.1, 0.0)),
-    }[kind]
-    E = exp_dirac(G, gv, S)
-    assert E.shape == (S, S) + np.shape(G)
-    assert E.flags.c_contiguous and E.dtype == np.complex128
-
-
-@pytest.mark.parametrize("S", [2, 4])
-def test_exp_dirac_entries_no_term_writes_are_zero(rng, S):
-    # beta G alone: every off-diagonal entry and the imaginary parts of the
-    # diagonal are written by no term; the result's memory is first filled
-    # with junk and handed back
-    G = rng.uniform(0.5, 2.0, (30, 30))
-    shape = (S, S) + G.shape
-    for _ in range(3):
-        junk = np.full(shape, 7.0 + 7.0j)
-        del junk
-        E = exp_dirac(G, (0.0, 0.0, 0.0), S)
-        off = ~np.eye(S, dtype=bool)
-        assert np.array_equal(E[off], np.zeros((S * S - S,) + G.shape))
-        assert np.array_equal(E[~off].real, np.broadcast_to(np.cos(G), (S,) + G.shape))
+def test_half_factor_is_the_identity_at_zero(S):
+    # M = 0, with and without an alpha^1 coupling plane: exactly I
+    zero = np.zeros(5)
+    for g in (None, zero):
+        assert np.array_equal(half_factor(zero, g, S), np.broadcast_to(
+            np.eye(S)[..., None], (S, S, 5)))
 
 
 SHIPPED_BUILDS = [(name, scale, None) for name in PRESET_NAMES for scale in ("ci", "paper")]
@@ -195,21 +111,31 @@ SHIPPED_BUILDS.append(("exp6", "paper", PmlConfig(True, "I", 3.0, 1.2, 0.1)))
 
 @pytest.mark.parametrize("name,scale,pml", SHIPPED_BUILDS,
                          ids=[f"{n}-{s}" + ("-pml" if p else "") for n, s, p in SHIPPED_BUILDS])
-def test_exp_dirac_accepts_every_shipped_build(name, scale, pml):
-    # an alpha potential's factor is one exp_dirac call on real terms, the
-    # others diagonal planes; every factor is finite and unitary, and the
-    # gauge's are unitary up to e^{+-F/2}
+def test_half_factors_accept_every_shipped_build(name, scale, pml):
+    # every factor is finite, and with the gauge divided out
+    # (lead e^{-F/2}, e^{F/2} trail) it is unitary at every node: applied to
+    # the S unit spinors, its columns are orthonormal
     cfg = preset_config(name, scale)
     if pml is not None:
         cfg = cfg.replace(pml=pml)
     ws = StepWorkspace(cfg.metric, cfg.grid(), cfg.dt, cfg.pml)
     S, shape = cfg.metric.spinor_dim, cfg.grid().shape
-    assert ws.lead.shape == ((S, S) if name in ("exp4", "exp5") else (S,)) + shape
     assert (ws.lead is ws.trail) == (ws.sample.gauge is None)
-    for factor in (ws.lead, ws.trail):
-        assert np.all(np.isfinite(factor))
-    if ws.lead is ws.trail and ws.lead.ndim == 1 + len(shape):
-        assert np.allclose(np.abs(ws.lead), 1.0, rtol=0, atol=1e-14)
+    assert (ws.lead[1] is not None) == (name in ("exp4", "exp5"))
+    F = 0.0 if ws.sample.gauge is None else ws.sample.gauge
+    for factor, sign in ((ws.lead, -1.0), (ws.trail, 1.0)):
+        planes, coupling = factor
+        assert planes.shape == (S,) + shape
+        for part in factor:
+            assert part is None or np.all(np.isfinite(part))
+        scale = np.exp(sign * 0.5 * F)
+        unit = (planes * scale, None if coupling is None else coupling * scale)
+        cols = [_spin_matmul(unit, np.broadcast_to(np.eye(S)[b].reshape((S,) + (1,) * len(shape)),
+                                                   (S,) + shape)) for b in range(S)]
+        for b in range(S):
+            for c in range(b, S):
+                dot = np.sum(cols[b].conj() * cols[c], axis=0)
+                assert np.max(np.abs(dot - (b == c))) < 1e-14, (b, c)
 
 
 # ----------------------------------------------------------------- expm_small
