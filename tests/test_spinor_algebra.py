@@ -81,6 +81,39 @@ def test_half_factor_matches_expm_across_a_sign_change(rng, S):
             assert np.max(np.abs(E[..., k] - ref)) < 1e-13
 
 
+def test_half_factor_matches_expm_on_random_hermitian_draws(rng):
+    # 100 random real (G, g, V, tau) per spinor size, one node each, as one field
+    worst = 0.0
+    for S in (2, 4):
+        G, g, V = rng.standard_normal((3, 100))
+        tau = rng.uniform(0.05, 2.0)
+        E = half_factor(G, g, S, V, tau)
+        for k in range(100):
+            ref = expm_small(-1j * tau * dirac_argument(G[k], g[k], V[k], S))
+            worst = max(worst, np.max(np.abs(E[..., k] - ref)))
+    assert worst < 1e-12
+
+
+def test_half_factor_unitary_for_real_arguments(rng):
+    for S in (2, 4):
+        for g in (None, rng.standard_normal(20)):
+            G, V = rng.standard_normal((2, 20))
+            E = half_factor(G, g, S, V, rng.uniform(0.05, 2.0))
+            EhE = np.einsum("bak,bck->ack", E.conj(), E)
+            assert np.max(np.abs(EhE - np.eye(S)[..., None])) < 1e-12
+
+
+def test_half_factor_tiny_argument_limit():
+    # a mass term far below the 1e-150 cut-off, with and without a coupling
+    # plane: E - I = -i beta G to full relative precision
+    G = np.array([1e-200])
+    for g in (None, np.zeros(1)):
+        E = half_factor(G, g, 2)
+        assert np.array_equal(np.diagonal(E[..., 0]).real, np.ones(2))
+        assert np.allclose(E[..., 0] - np.eye(2), -1j * 1e-200 * beta_matrix(2),
+                           rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("S", [2, 4])
 def test_half_factor_small_argument_limit_on_both_sides_of_the_cut(S):
     # both sides of `_cos_sinc`'s 1e-150 cut-off: exactly zero and far
