@@ -162,15 +162,21 @@ def slabs(shape, temps):
         yield slice(lo, lo + step), buf[:, :min(step, shape[0] - lo)]
 
 
-def column_blocks(shape, S):
-    """Scratch of `spectral_apply` along axis 0 of a 2-D grid ``shape``: S + 2
-    arrays (the spectrum of S components, the action's two temporaries) of one
-    block of B columns, each held transposed as (B, N1) with B N1 about SLAB
-    nodes; None on a 1-D grid, whose one axis is contiguous."""
-    if len(shape) < 2:
-        return None
-    width = max(1, min(shape[1], SLAB // shape[0]))
-    return np.empty((S + 2, width, shape[0]), dtype=np.complex128)
+def chunk_lines(shape, axis):
+    """Grid lines along ``axis`` of a grid ``shape`` in one chunk of a
+    chunked `spectral_apply`: about SLAB nodes, and at least one line."""
+    n = shape[axis]
+    return max(1, min(math.prod(shape) // n, SLAB // n))
+
+
+def block_buffer(shape, S):
+    """Buffer of a chunked `spectral_apply` on a grid ``shape``: S + 2 planes
+    (a chunk's spectrum of S components, the action's two temporaries), each
+    as long as the largest chunk over the axes, a block of columns along
+    axis 0 of a 2-D grid, a slab of rows along its last axis, the one line
+    of a 1-D grid (`chunk_lines`)."""
+    nodes = max(chunk_lines(shape, i) * n for i, n in enumerate(shape))
+    return np.empty((S + 2, nodes), dtype=np.complex128)
 
 
 def _largest_prime_factor(n: int) -> int:
@@ -241,49 +247,87 @@ def _ifft_last(spec, out):
     return out
 
 
+def _lines(a, axis):
+    """View of an (S, N1[, N2]) array as (S, lines, N), the lines along grid
+    axis ``axis`` on its last axis."""
+    if a.ndim == 2:
+        return a[:, None]
+    return a if axis == 1 else a.transpose(0, 2, 1)
+
+
+def _grid_chunk(shape, axis, chunk):
+    """Index of the lines ``chunk`` along ``axis`` of a grid ``shape`` in an
+    array whose last axes are the grid (the whole line on a 1-D grid)."""
+    if len(shape) == 1:
+        return (Ellipsis,)
+    return (Ellipsis, chunk) if axis == 0 else (Ellipsis, chunk, slice(None))
+
+
 def spectral_apply(values: np.ndarray, axis: int, act, out=None,
-                   blocks=None) -> np.ndarray:
-    """F^-1 act F along grid axis ``axis`` of a raw (S, N1[, N2]) array,
-    into ``out`` when given (it may be ``values``), otherwise into a fresh
-    array, which is returned.
+                   blocks=None, weight=None) -> np.ndarray:
+    """F^-1 act F along grid axis ``axis`` of a raw (S, N1[, N2]) array, or
+    with a per-node ``weight`` (shaped like the grid) the blend
+    values + weight F^-1 act F values, into ``out`` when given (it may be
+    ``values``), otherwise into a fresh array, which is returned.
 
     ``act(spec, tmp)`` changes ``spec`` in place: (S, L, N), the transforms
     of L grid lines on its last axis, so a 1-D symbol over the axis's N
     wavenumbers broadcasts; ``tmp`` holds two arrays shaped like spec[0],
     the temporaries of `propagators._alpha_symbol`.
 
-    Along the last grid axis the transforms run in place in ``out`` and
-    ``act`` sees slabs of its rows.  There an awkward size N (largest prime
-    factor p with p^2 > N and N / p > 1, such as 18027 = 9 * 2003) takes the
-    split of `_fft_last`/`_ifft_last`, a 9 x 9 DFT product around one
-    `np.fft` call of length 2003, and ``act`` still sees the spectrum in
-    natural order, equal to numpy's to about 1e-15 relative; every other N
-    takes one in-place `np.fft` call, as on axis 0.
-    Along the strided axis 0 of a 2-D grid the forward transform of a block
-    of columns writes it transposed into ``blocks`` (a `column_blocks` of S,
-    allocated when None), ``act`` runs there, and the inverse writes it back
-    into ``out``: no full-field copy, and every line sees the same
-    transforms and products on either path.
+    Along the last grid axis an awkward size N (largest prime factor p with
+    p^2 > N and N / p > 1, such as 18027 = 9 * 2003) takes the split of
+    `_fft_last`/`_ifft_last`, a 9 x 9 DFT product around one `np.fft` call
+    of length 2003, and ``act`` still sees the spectrum in natural order,
+    equal to numpy's to about 1e-15 relative; every other N, and axis 0,
+    take one `np.fft` call a transform.
+    Without a weight the transforms along the last axis run in place in
+    ``out`` over the whole field, and ``act`` sees slabs of its rows.
+    Otherwise the field goes `chunk_lines` lines at a time (a block of
+    columns along the strided axis 0 of a 2-D grid, a slab of rows along
+    its last axis, the line of a 1-D grid) through ``blocks``, a
+    `block_buffer` of S, allocated when None: the forward transform writes
+    the chunk there, lines last, ``act`` runs there, and the inverse writes
+    it back into ``out``.  With a weight the inverse writes the increment,
+    two components at a time, into the two temporaries laid out like the
+    grid, where it is weighted, added to the chunk of ``values`` and copied
+    into ``out``: a blend over a transposed block of columns ran against
+    the field's row stride and took about three times as long.  No
+    full-field copy is made, and every line sees the same transforms and
+    products on either path.
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
     S, shape = values.shape[0], values.shape[1:]
-    if axis == len(shape) - 1:
+    last = axis == len(shape) - 1
+    if last and weight is None:
         _fft_last(values, out)
-        lines = out if len(shape) == 2 else out[:, None]
+        lines = _lines(out, axis)
         for rows, tmp in slabs(lines.shape[1:], 2):
             act(lines[:, rows], tmp)
         return _ifft_last(out, out)
     if blocks is None:
-        blocks = column_blocks(shape, S)
-    width = blocks.shape[1]
-    for lo in range(0, shape[1], width):
-        cols = slice(lo, lo + width)
-        blk = blocks[:, :min(width, shape[1] - lo)]
-        spec = blk[:S]
-        np.fft.fft(values[:, :, cols], axis=1, out=spec.transpose(0, 2, 1))
-        act(spec, blk[S:])
-        np.fft.ifft(spec, axis=2, out=out[:, :, cols].transpose(0, 2, 1))
+        blocks = block_buffer(shape, S)
+    n, width = shape[axis], chunk_lines(shape, axis)
+    lines = math.prod(shape) // n
+    fft, ifft = (_fft_last, _ifft_last) if last else (np.fft.fft, np.fft.ifft)
+    for lo in range(0, lines, width):
+        size = min(width, lines - lo)
+        idx = _grid_chunk(shape, axis, slice(lo, lo + size))
+        v, o = values[idx], out[idx]
+        b = blocks[:, :size * n].reshape(S + 2, size, n)
+        spec = b[:S]
+        fft(_lines(v, axis), out=spec)
+        act(spec, b[S:])
+        if weight is None:
+            ifft(spec, out=_lines(o, axis))
+            continue
+        inc, w = b[S:].reshape((2,) + v.shape[1:]), weight[idx]
+        for k in range(0, S, 2):
+            ifft(spec[k:k + 2], out=_lines(inc, axis))
+            inc *= w
+            inc += v[k:k + 2]
+            o[k:k + 2] = inc
     return out
 
 

@@ -54,20 +54,20 @@ complex stretch fields.
 Memory.  A workspace holds its two pointwise factors, ``lead`` and
 ``trail`` (one array when they are the same), beside the metric sample it
 keeps; `StepWorkspace.with_step` adds only another pair.  An explicit step
-allocates only the field it returns: the two pointwise stages and the
-sweeps alternate between that array and one scratch field of the
-workspace's model part (`StepWorkspace.scratch`), allocated at the first
-explicit step and reused by every later step of every derived workspace.
-The FFTs run in place along the contiguous last axis.  Along axis 0 of a
-2-D grid they go a block of columns at a time
-(`grid_spectral.spectral_apply`) through the workspace's
-`StepWorkspace.blocks`, S + 2 planes of about `grid_spectral.SLAB` nodes,
-also built at their first use: no full-field copy is made.  A pointwise
-factor with a coupling takes a temporary of one component plane.  The
-public stage functions return a fresh field unless a caller passes
-``out``.  The ``cn`` step takes no scratch field, only the blocks: each
-pointwise stage returns a fresh field, and the transport returns GMRES's
-(or the preconditioner's) fresh solution.
+allocates only the field it returns: the leading factor writes it, and the
+sweeps and the trailing factor update it in place.  A sweep is one
+`grid_spectral.spectral_apply` that blends as it goes, a chunk of about
+`grid_spectral.SLAB` nodes at a time (a block of columns along axis 0 of a
+2-D grid, a slab of rows along its last axis), through the workspace's
+`StepWorkspace.blocks`: S + 2 planes of one chunk, built at their first
+use and shared by every derived workspace.  A sweep's increment D is never
+a full field, and no full-field copy is made.  A pointwise factor with a
+coupling takes one temporary field, its S coupling products.  The public
+stage functions return a fresh field unless a caller passes ``out``, which
+may be the input.  The ``cn`` step takes the blocks only along axis 0 of a
+2-D grid: each pointwise stage returns a fresh field, the transforms along
+the last axis run in place over the whole field, and the transport returns
+GMRES's (or the preconditioner's) fresh solution.
 
 Every spectral product of a step (E, the circulant M^-1, the sweep's shift)
 is one `spectral_apply` of a symbol p + q alpha^i, `_alpha_symbol`, which
@@ -89,7 +89,7 @@ from .geometry import (
     MetricModel, MetricSample, require_finite, require_positive, ripple_band, sample_metric,
 )
 from .grid_spectral import (
-    Grid, SpinorField, column_blocks, derivative_multiplier, slabs, spectral_apply,
+    Grid, SpinorField, block_buffer, derivative_multiplier, spectral_apply,
 )
 from .krylov import KrylovOptions, gmres
 from .pml import PmlConfig, apply_pml, stretch_factor
@@ -100,20 +100,23 @@ SCHEMES = ("cn", "poly1")
 
 def _spin_matmul(factor, values, out=None):
     """Apply a pointwise factor, ws.lead or ws.trail, on the spinor axis,
-    into ``out`` when given; ``out`` must not overlap ``values``.
+    into ``out`` when given (it may be ``values``), otherwise into a fresh
+    array.
 
     The factor is (planes, coupling) (see `_half_factors`): the S diagonal
     planes are one broadcast multiply, and a coupling plane K adds
     K alpha^1 values.  alpha^1 has its ones on the anti-diagonal at S = 2
-    and 4, so component c gains K values[S - 1 - c], one product per
-    component.  The constant alpha^i of the transport never come here:
-    they go through `_alpha_symbol`.
+    and 4, so component c gains K values[S - 1 - c]; these S products are
+    one temporary, taken before the diagonal product overwrites ``out``, so
+    ``out`` may be ``values``.  The constant alpha^i of the transport never
+    come here: they go through `_alpha_symbol`.
     """
     planes, coupling = factor
+    if coupling is None:
+        return np.multiply(values, planes, out=out)
+    flipped = np.multiply(coupling, values[::-1])
     out = np.multiply(values, planes, out=out)
-    if coupling is not None:
-        for c, v in enumerate(values[::-1]):
-            out[c] += coupling * v
+    out += flipped
     return out
 
 
@@ -196,8 +199,8 @@ class StepWorkspace:
     layer's stretch when one is enabled (without a layer the axes may share
     one array); ``alpha``; ``d1_mult``; ``ripple``, the model's
     `geometry.ripple_band` when no layer is set, which the cn preconditioner
-    inverts exactly; and, in ``shared``, the column blocks and the scratch
-    field, built at their first use.
+    inverts exactly; and, in ``shared``, the block buffer of the chunked
+    transforms (`blocks`), built at its first use.
 
     The step part is what dt adds: the pointwise factors ``lead`` =
     H e^{F/2} and ``trail`` = e^{-F/2} H applied before and after the
@@ -271,16 +274,12 @@ class StepWorkspace:
         return store[key]
 
     def blocks(self):
-        """The column blocks of the transforms along axis 0 of a 2-D grid
-        (see `grid_spectral.column_blocks`): S planes of spectrum and the
-        `_alpha_symbol`'s two temporaries; None on a 1-D grid."""
-        return self.cached("blocks", lambda: column_blocks(self.grid.shape, self.S),
+        """The buffer of the chunked transforms, the column blocks along axis
+        0 of a 2-D grid and the sweeps' slabs of rows (see
+        `grid_spectral.block_buffer`): S planes of spectrum and the
+        `_alpha_symbol`'s two temporaries."""
+        return self.cached("blocks", lambda: block_buffer(self.grid.shape, self.S),
                            self.shared)
-
-    def scratch(self):
-        """The explicit step's scratch field, (S, *grid): every other stage's result."""
-        return self.cached("scratch", lambda: np.empty(
-            (self.S,) + self.grid.shape, dtype=np.complex128), self.shared)
 
 
 def half_potential_step(f: SpinorField, ws: StepWorkspace, side: str,
@@ -288,7 +287,7 @@ def half_potential_step(f: SpinorField, ws: StepWorkspace, side: str,
     """Pointwise product with the half step factor of ``side``: "lead",
     ws.lead = H e^{F/2}, before the transport, or "trail",
     ws.trail = e^{-F/2} H, after it (see `StepWorkspace`); written into
-    ``out`` when given (it must not overlap f), otherwise into a fresh
+    ``out`` when given (it may be f.values), otherwise into a fresh
     array."""
     if side not in ("lead", "trail"):
         raise ValueError(f"side must be 'lead' or 'trail', got {side!r}")
@@ -299,14 +298,15 @@ def _cn_term(values, ws):
     """E values, E = (dt/2) sum_i (a^i/S^i) alpha^i [[d_i]] the transport
     term of the Cayley step, into a fresh array: alpha^i [[d_i]] is one
     `spectral_apply` of the `_alpha_symbol` with p = 0 and q the
-    first-derivative multiplier, through the workspace's blocks.  Each
-    axis's coefficient (dt/2) a^i/S^i and symbol are built at its first
-    product and kept."""
+    first-derivative multiplier, through the workspace's blocks along axis
+    0 of a 2-D grid (the last axis transforms the whole field in place and
+    takes none).  Each axis's coefficient (dt/2) a^i/S^i and symbol are
+    built at its first product and kept."""
     out = None
     for i in range(ws.grid.d):
         coef, act = ws.cached(("cn", i), lambda: (
             0.5 * ws.dt * ws.a_eff[i], _alpha_symbol(ws.alpha[i], None, ws.d1_mult[i])))
-        term = spectral_apply(values, i, act, blocks=ws.blocks())
+        term = spectral_apply(values, i, act, blocks=ws.blocks() if i < ws.grid.d - 1 else None)
         term *= coef
         if out is None:
             out = term
@@ -650,23 +650,19 @@ def _sweep_factors(ws: StepWorkspace, axis: int):
 
 def poly_axis_step(f: SpinorField, axis: int, ws: StepWorkspace, out=None) -> SpinorField:
     """One directional sweep of the exponential blend scheme (poly1), written
-    into ``out`` when given, otherwise into a fresh array:
+    into ``out`` when given (it may be f.values), otherwise into a fresh
+    array:
 
         D = F^-1[(exp(-i theta alpha^i) - I) F psi],   psi' = psi + w D,
 
-    one transform pair and one blend pass, with the symbol and w from
-    `_sweep_factors`, built at the first sweep along each axis.  The pair
-    and the symbol run in ``out`` through `grid_spectral.spectral_apply`,
-    which must not overlap f; along axis 0 of a 2-D grid they go a block of
-    columns at a time through the workspace's `StepWorkspace.blocks`.
+    with the symbol and w from `_sweep_factors`, built at the first sweep
+    along each axis: one `grid_spectral.spectral_apply` with the weight w,
+    which goes a chunk at a time through the workspace's
+    `StepWorkspace.blocks` and keeps D there, never in a full field.
     """
     shift, weight = ws.cached(("sweep", axis), lambda: _sweep_factors(ws, axis))
-    out = spectral_apply(f.values, axis, shift, out, blocks=ws.blocks())
-    for rows, _ in slabs(ws.grid.shape, 0):
-        o = out[:, rows]
-        o *= weight[rows]
-        o += f.values[:, rows]
-    return SpinorField(out, f.grid)
+    return SpinorField(spectral_apply(f.values, axis, shift, out, blocks=ws.blocks(),
+                                      weight=weight), f.grid)
 
 
 def poly_axis_step2(*args, **kwargs):
@@ -682,11 +678,10 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     """One full Strang step of size ws.dt with the named transport scheme:
     ws.lead, the transport, ws.trail (see `StepWorkspace`).
 
-    poly1 allocates only the returned array.  Its stages alternate between
-    it and the workspace's scratch field, so that the last sweep lands in
-    the scratch and the trailing factor writes the result; the returned field
-    never shares memory with the workspace.  The Krylov report (cn only)
-    lands on ws.last_krylov.
+    poly1 allocates only the returned array: ws.lead writes it, and the
+    sweeps and ws.trail update it in place, so the returned field never
+    shares memory with the workspace.  The Krylov report (cn only) lands on
+    ws.last_krylov.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got '{scheme}'")
@@ -694,10 +689,7 @@ def strang_step(f: SpinorField, scheme: str, ws: StepWorkspace,
     if scheme == "cn":
         f = cn_transport_step(half_potential_step(f, ws, "lead"), ws, krylov)
         return half_potential_step(f, ws, "trail")
-    result = np.empty(f.values.shape, dtype=np.complex128)
-    bufs = (ws.scratch(), result)
-    d = ws.grid.d
-    f = half_potential_step(f, ws, "lead", out=bufs[d % 2])
-    for axis in range(d):
-        f = poly_axis_step(f, axis, ws, out=bufs[(d - 1 - axis) % 2])
-    return half_potential_step(f, ws, "trail", out=result)
+    f = half_potential_step(f, ws, "lead")
+    for axis in range(ws.grid.d):
+        f = poly_axis_step(f, axis, ws, out=f.values)
+    return half_potential_step(f, ws, "trail", out=f.values)

@@ -7,7 +7,8 @@ from curvedirac import grid_spectral
 from curvedirac.errors import ConfigurationError
 from curvedirac.grid_spectral import (
     SpinorField,
-    column_blocks,
+    block_buffer,
+    chunk_lines,
     dense_diff_matrix,
     derivative_multiplier,
     forward_dft_axis,
@@ -211,9 +212,10 @@ def test_derivative_2d_axes(rng):
     assert np.max(np.abs(dy.values[0] + 3j * v[0])) < 1e-12
 
 
-# ----------------------------------------------------------------- column blocks
+# ----------------------------------------------------------------- chunks
 
-# 96 rows: blocks of SLAB // 96 = 85 columns, so 200 columns end in a ragged block of 30
+# 96 rows: blocks of SLAB // 96 = 85 columns, so 200 columns end in a ragged
+# block of 30; slabs of SLAB // 200 = 40 rows, so 96 rows end in one of 16
 RAGGED = (96, 200)
 
 
@@ -221,11 +223,14 @@ def complex_field(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_column_blocks_leave_a_ragged_last_block():
-    blocks = column_blocks(RAGGED, 2)    # S = 2: two spectrum planes, two lent
-    width = blocks.shape[1]
-    assert blocks.shape == (4, width, RAGGED[0]) and RAGGED[1] % width != 0
-    assert column_blocks((64,), 2) is None
+def test_block_buffer_serves_both_axes_with_ragged_last_chunks():
+    assert [chunk_lines(RAGGED, axis) for axis in (0, 1)] == [85, 40]
+    assert RAGGED[1] % 85 and RAGGED[0] % 40
+    # S = 2: two spectrum planes and two lent, each as long as the larger chunk
+    assert block_buffer(RAGGED, 2).shape == (4, max(85 * 96, 40 * 200))
+    # a 1-D grid's chunk is its one line, however long
+    assert block_buffer((64,), 2).shape == (4, 64)
+    assert block_buffer((3 * grid_spectral.SLAB,), 4).shape == (6, 3 * grid_spectral.SLAB)
 
 
 @pytest.mark.parametrize("S", [2, 4])
@@ -251,8 +256,11 @@ def test_spectral_apply_equals_a_whole_array_transform(rng, S, axis):
     kept = values.copy()
     assert np.array_equal(spectral_apply(values, axis, act), ref)
     assert np.array_equal(values, kept)
-    # in place, through caller-owned blocks
-    out = spectral_apply(values, axis, act, out=values, blocks=column_blocks(g.shape, S))
+    # blended with a per-node weight, and in place, through caller-owned blocks
+    weight = rng.standard_normal(g.shape)
+    blended = spectral_apply(values, axis, act, weight=weight)
+    assert np.array_equal(blended, ref * weight + values)
+    out = spectral_apply(values, axis, act, out=values, blocks=block_buffer(g.shape, S))
     assert out is values and np.array_equal(values, ref)
 
 
@@ -338,6 +346,19 @@ def test_split_sizes_match_numpy_fft(rng, shape):
     assert out is values and rel_err(values, dref) < 1e-13
     values[...] = kept
     out = spectral_apply(values, g.d - 1, act, out=values)
+    assert out is values and rel_err(values, ref) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [s for N in SPLIT for s in split_shapes(N)], ids=str)
+def test_split_sizes_blend_in_place_a_chunk_at_a_time(rng, shape):
+    # with a weight the last axis goes a slab of rows (the whole line in 1-D)
+    # at a time through the block buffer, and the split still applies
+    g = make_grid(len(shape), 5.0, shape)
+    values = complex_field(rng, (2,) + shape)
+    weight = rng.standard_normal(shape)
+    act = symbol_act(complex_field(rng, shape[-1]))
+    ref = numpy_apply(values, act) * weight + values
+    out = spectral_apply(values, g.d - 1, act, out=values, weight=weight)
     assert out is values and rel_err(values, ref) < 1e-13
 
 

@@ -14,7 +14,7 @@ from conftest import dense_factor, expm_small, flat_exact_evolution, loglog_slop
 from curvedirac import geometry, propagators
 from curvedirac.errors import ConfigurationError, GeometryError, StepFailureError
 from curvedirac.geometry import MetricModel, ScalarForm, sample_metric
-from curvedirac.grid_spectral import SpinorField, make_grid, spectral_derivative
+from curvedirac.grid_spectral import SLAB, SpinorField, chunk_lines, make_grid, spectral_derivative
 from curvedirac.harness import RunConfig, convergence_sweep, initial_condition, preset_config, run_simulation
 from curvedirac.krylov import KrylovOptions, KrylovReport, gmres
 from curvedirac.oracle import dense_cn_step
@@ -84,6 +84,11 @@ def test_spin_matmul_matches_einsum(rng, S, grid_shape, field, strided):
         out = _spin_matmul(factor, values)
         assert out.shape == values.shape
         assert np.allclose(out, ref, rtol=0, atol=1e-13)
+        # in place, in a view laid out like ``values``: the same bits
+        inplace = np.zeros_like(big)[..., ::2] if strided else np.empty_like(values)
+        inplace[...] = values
+        assert _spin_matmul(factor, inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, out)
 
 
 @pytest.mark.parametrize("S", [2, 4])
@@ -801,7 +806,31 @@ def test_poly_sweep_equals_the_whole_array_transform(rng, S):
     f = SpinorField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), g)
     for axis in range(2):
         assert np.array_equal(poly_axis_step(f, axis, ws).values, whole_array_sweep(f, axis, ws))
-    assert ws.shared["blocks"].shape[1] == 85
+    # one buffer of S + 2 planes of a block of 85 columns of 96 nodes
+    assert ws.shared["blocks"].shape == (S + 2, 85 * 96)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("shape", [(300,), (37, 300), (100, 700)], ids=str)
+def test_in_place_sweep_matches_a_fresh_output_on_ragged_chunks(rng, S, shape):
+    # (37, 300): blocks of 221 columns end in one of 79, slabs of 27 rows
+    # in one of 10; (100, 700): blocks of 81 columns end in one of 52, slabs
+    # of 11 rows in one of 1; max a = 1.5 puts poly1 on its ahat scaling
+    d = len(shape)
+    m = MetricModel("static1d" if d == 1 else "static2d", spinor_dim=S, mass=1.0,
+                    phi=ScalarForm("gauss", (0.2, 0.5)), psi=ScalarForm("gauss", (-0.2, 0.3)))
+    g = make_grid(d, (3.0, 5.0)[:d], shape)
+    ws = StepWorkspace(m, g, 0.01)
+    assert 1.2 < np.max(ws.a_eff[0]) < 2.0
+    for axis in range(d):
+        assert d == 1 or shape[1 - axis] % chunk_lines(shape, axis)
+    f = SpinorField(rng.standard_normal((S,) + shape) + 1j * rng.standard_normal((S,) + shape), g)
+    for axis in range(d):
+        fresh = poly_axis_step(f, axis, ws).values
+        assert np.array_equal(fresh, whole_array_sweep(f, axis, ws))
+        inplace = f.values.copy()
+        out = poly_axis_step(SpinorField(inplace, g), axis, ws, out=inplace)
+        assert out.values is inplace and np.array_equal(inplace, fresh)
 
 
 def test_poly_axis_norm_nonexpansive_for_unit_bounded_velocity():
@@ -1079,19 +1108,23 @@ def test_a_non_finite_half_step_is_rejected_at_build():
 
 
 @pytest.mark.parametrize("scheme", ["poly1"])
-def test_returned_fields_never_alias_the_scratch(scheme):
-    cfg, ws = preset_workspace("exp3", "ci")
-    f = initial_condition(cfg, ws.grid)
+def test_explicit_step_keeps_only_the_block_buffer_resident(scheme):
+    # exp3 at 256^2: a step updates its result in place, so the workspace
+    # keeps no full field, only S + 2 planes of one chunk of SLAB nodes
+    cfg = preset_config("exp3", "ci").replace(N=(256, 256))
+    grid = cfg.grid()
+    ws = StepWorkspace(cfg.metric, grid, cfg.dt, cfg.pml)
+    f = initial_condition(cfg, grid)
     first = strang_step(f, scheme, ws)
     second = strang_step(first, scheme, ws)
-    kept = first.values.copy(), second.values.copy()
+    kept = f.values.copy(), first.values.copy(), second.values.copy()
     third = strang_step(second, scheme, ws)
-    assert np.array_equal(first.values, kept[0]) and np.array_equal(second.values, kept[1])
-    # one scratch field
-    fields = [v for k, v in ws.shared.items() if k == "scratch"]
-    assert len(fields) == 1
+    for field, values in zip((f, first, second), kept):
+        assert np.array_equal(field.values, values)
+    bufs = [v for v in ws.shared.values() if isinstance(v, np.ndarray)]
+    assert bufs and sum(b.size for b in bufs) <= (ws.S + 2) * SLAB
     for out in (first, second, third):
-        assert not any(np.shares_memory(out.values, buf) for buf in fields)
+        assert not any(np.shares_memory(out.values, buf) for buf in bufs)
 
 
 @pytest.mark.parametrize("scheme", ["poly1"])
@@ -1135,8 +1168,8 @@ def test_reused_explicit_workspace_matches_a_fresh_one(scheme):
 
 @pytest.mark.parametrize("scheme,pairs", [("poly1", 2)])
 def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
-    # one pair per axis, counted in whole fields: along axis 0 each call
-    # transforms one block of columns
+    # one pair per axis, counted in whole fields: each call transforms one
+    # block of columns or one slab of rows
     cfg, ws = preset_workspace("exp3", "ci")
     f = initial_condition(cfg, ws.grid)
     strang_step(f, scheme, ws)
@@ -1153,8 +1186,9 @@ def test_two_dimensional_explicit_step_fft_pairs(monkeypatch, scheme, pairs):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     strang_step(f, scheme, ws)
     assert fields == {"fft": pairs, "ifft": pairs}
-    # exp3 ci is 128 x 128: the axis-0 pairs go in two blocks of 64 columns
-    assert calls == {"fft": 3 * pairs // 2, "ifft": 3 * pairs // 2}
+    # exp3 ci is 128 x 128: the axis-0 pair goes in two blocks of 64 columns
+    # and the axis-1 pair in two slabs of 64 rows
+    assert calls == {"fft": 2 * pairs, "ifft": 2 * pairs}
 
 
 @pytest.mark.parametrize("name", ["exp3", "exp5"])
